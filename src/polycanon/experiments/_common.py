@@ -38,8 +38,7 @@ def pitch_pmf(ps: PitchSet):
     """Exact pmf of a pitch-set sampler: class choice then uniform octave."""
     values, probs = [], []
     n_classes = len(ps.classes)
-    for i, c in enumerate(ps.classes):
-        notes = ps._candidates(c)
+    for i, notes in enumerate(ps._notes):
         w = ps.weights[i] if ps.weights else 1.0 / n_classes
         for note in notes:
             values.append(note)

@@ -42,8 +42,6 @@ def lsystem_info(seed: int = 42, shuffles: int = 1000, det_shuffles: int = 500, 
                 for i in range(shuffles)])
             p = (1 + int(np.sum(nulls >= observed - 1e-12))) / (shuffles + 1)
             report.add(f"ir_depth{d}_permutation_p", p, anchor)
-            if d == 6:
-                pass
         nulls4 = np.array([
             information_rate(shuffle_preserving_counts(strings[4], seed * 881 + i).text)
             for i in range(shuffles)])

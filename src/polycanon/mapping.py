@@ -42,24 +42,39 @@ class PitchSet:
             raise ConfigError("pitch classes must be in 0..11")
         if not 0 <= self.lo <= self.hi <= 127:
             raise ConfigError(f"register [{self.lo}, {self.hi}] invalid")
+        cdf = None
         if self.weights is not None:
             if len(self.weights) != len(self.classes):
                 raise ConfigError("weights must match classes")
+            if not all(0.0 <= w < np.inf for w in self.weights):
+                raise ConfigError("weights must be finite and non-negative")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise ConfigError("weights must sum to 1")
-        for c in self.classes:
-            if not self._candidates(c):
+            cdf = np.cumsum(np.asarray(self.weights, dtype=float))
+            cdf /= cdf[-1]
+        notes = tuple(range(self.lo + (c - self.lo) % 12, self.hi + 1, 12) for c in self.classes)
+        for c, placements in zip(self.classes, notes):
+            if not placements:
                 raise ConfigError(f"pitch class {c} has no notes in [{self.lo}, {self.hi}]")
-
-    def _candidates(self, pitch_class: int) -> list[int]:
-        first = self.lo + (pitch_class - self.lo) % 12
-        return list(range(first, self.hi + 1, 12))
+        # sampler tables, derived from the fields (not fields themselves):
+        # the class CDF, and each class's octave placements in the register
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_notes", notes)
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Pick a class (uniform or weighted), then a uniform octave placement."""
-        idx = rng.choice(len(self.classes), p=self.weights)
-        notes = self._candidates(self.classes[idx])
-        return int(notes[rng.integers(len(notes))])
+        """Pick a class (uniform or weighted), then a uniform octave placement.
+
+        Draws exactly what ``rng.choice(len(classes), p=weights)`` followed by
+        ``rng.integers(len(notes))`` draws: an unweighted class is one
+        ``rng.integers`` call, a weighted one inverts the normalised CDF at one
+        ``rng.random()``, as numpy's ``choice`` does.
+        """
+        if self._cdf is None:
+            idx = rng.integers(len(self.classes))
+        else:
+            idx = self._cdf.searchsorted(rng.random(), side="right")
+        notes = self._notes[idx]
+        return notes[rng.integers(len(notes))]
 
     def widened(self, factor: float) -> "PitchSet":
         """Register scaled about its centre by `factor`, clamped to 0..127."""

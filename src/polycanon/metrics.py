@@ -94,28 +94,44 @@ def contour(pitches) -> np.ndarray:
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Classic edit distance between 1-D sequences, fully row-vectorised.
+    """Exact unit-cost edit distance between 1-D sequences, bit-parallel.
 
-    The insertion recurrence cur[j] = min(w[j-1], cur[j-1] + 1) telescopes to
-    a running minimum of w[t] - t, so each DP row is pure numpy.
+    Myers' bit-vector recurrence (JACM 46(3), 1999) in Hyyrö's global form
+    (2001): the shorter sequence (m symbols) becomes per-symbol match masks,
+    one Python int holds a whole DP column as vertical +1/-1 deltas, and the
+    distance is tracked at the column's last cell while the longer sequence
+    (n symbols) is walked. Cost is O(ceil(m/64) * n) word operations; the
+    result equals the textbook DP. Symbols match when they compare equal as
+    Python values (``np.asarray(...).tolist()``), as in the DP.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size == 0:
-        return int(b.size)
-    if b.size == 0:
-        return int(a.size)
-    m = b.size
-    offsets = np.arange(m)
-    prev = np.arange(m + 1, dtype=np.int64)
-    for i in range(1, a.size + 1):
-        w = np.minimum(prev[:-1] + (b != a[i - 1]), prev[1:] + 1)
-        running = np.minimum.accumulate(w - offsets)
-        cur = np.empty(m + 1, dtype=np.int64)
-        cur[0] = i
-        cur[1:] = offsets + np.minimum(i + 1, running)
-        prev = cur
-    return int(prev[-1])
+    a = np.asarray(a).tolist()
+    b = np.asarray(b).tolist()
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict = {}
+    for i, symbol in enumerate(b):
+        peq[symbol] = peq.get(symbol, 0) | (1 << i)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for symbol in a:
+        eq = peq.get(symbol, 0)
+        xv = eq | mv
+        xh = ((((eq & pv) + pv) & mask) ^ pv) | eq
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (mask ^ (xv | ph))
+        mv = ph & xv
+    return score
 
 
 def melodic_coherence(x_pitches, y_pitches) -> float:

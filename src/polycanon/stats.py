@@ -265,6 +265,45 @@ def _line_sse(x: np.ndarray, y: np.ndarray):
     return coef, float(np.dot(resid, resid))
 
 
+def _segment_sse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise SSE of the least-squares line through each row of y over x."""
+    xc = x - x.mean()
+    yc = y - y.mean(axis=1, keepdims=True)
+    resid = yc - np.outer(yc @ xc / (xc @ xc), xc)
+    return np.einsum("ij,ij->i", resid, resid)
+
+
+def _best_breakpoints(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SSE-minimising breakpoint of every row of y (rows x points) over x.
+
+    Candidates are every interior distinct x plus the midpoints between
+    consecutive distinct x values, in ascending order; a candidate is
+    admissible when each side keeps >= 2 distinct x. Candidates that split
+    the points identically share one SSE, so only the first of them can win,
+    and a later candidate replaces the best only below ``best - 1e-15``.
+    """
+    xs = np.unique(x)
+    candidates = sorted(set(xs[1:-1]) | {0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:])})
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[:, order]
+    best_sse = best_b = None
+    seen = set()
+    for b in candidates:
+        n_left = int(np.searchsorted(x, b, side="right"))
+        distinct_left = int(np.searchsorted(xs, b, side="right"))
+        if distinct_left < 2 or xs.size - distinct_left < 2 or n_left in seen:
+            continue
+        seen.add(n_left)
+        sse = _segment_sse(x[:n_left], y[:, :n_left]) + _segment_sse(x[n_left:], y[:, n_left:])
+        if best_sse is None:
+            best_sse, best_b = sse, np.full(sse.shape, b)
+        else:
+            better = sse < best_sse - 1e-15
+            best_sse = np.where(better, sse, best_sse)
+            best_b = np.where(better, b, best_b)
+    return best_b
+
+
 def piecewise_fit(x, y) -> PiecewiseFit:
     """Two independent least-squares segments split at the SSE-minimising breakpoint.
 
@@ -277,24 +316,13 @@ def piecewise_fit(x, y) -> PiecewiseFit:
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 5:
         raise ValueError("piecewise_fit needs >= 5 (x, y) points")
-    xs = np.unique(x)
-    if xs.size < 4:
+    if np.unique(x).size < 4:
         raise ValueError("piecewise_fit needs >= 4 distinct x values")
-    candidates = sorted(set(xs[1:-1]) | {0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:])})
-    best = None
-    for b in candidates:
-        left = x <= b
-        right = ~left
-        if np.unique(x[left]).size < 2 or np.unique(x[right]).size < 2:
-            continue
-        c1, sse1 = _line_sse(x[left], y[left])
-        c2, sse2 = _line_sse(x[right], y[right])
-        total = sse1 + sse2
-        if best is None or total < best[0] - 1e-15:
-            best = (total, b, c1, c2)
-    if best is None:
-        raise ValueError("no admissible breakpoint (too few distinct x per side)")
-    sse, b, c1, c2 = best
+    b = _best_breakpoints(x, y[None, :])[0]
+    left = x <= b
+    c1, sse1 = _line_sse(x[left], y[left])
+    c2, sse2 = _line_sse(x[~left], y[~left])
+    sse = sse1 + sse2
     sst = float(np.sum((y - y.mean()) ** 2))
     lin_coef, lin_sse = _line_sse(x, y)
     return PiecewiseFit(
@@ -316,7 +344,10 @@ def piecewise_breakpoint_ci(x, y, n_boot: int = 2000, level: float = 0.95,
 
     The density levels form a designed grid, so this is a residual bootstrap:
     the fitted two-segment curve stays, residuals are resampled onto it, and
-    the breakpoint is re-estimated per replicate.
+    the breakpoint is re-estimated per replicate. The replicates are drawn one
+    ``rng.integers(0, n, n)`` call at a time, in the same order as a
+    per-replicate refit would draw them, and then searched as one batch; each
+    replicate's breakpoint is the one ``piecewise_fit`` would choose.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -328,10 +359,8 @@ def piecewise_breakpoint_ci(x, y, n_boot: int = 2000, level: float = 0.95,
                       fit.post_intercept + fit.post_slope * x)
     residuals = y - fitted
     n = x.size
-    values = np.empty(n_boot)
-    for b in range(n_boot):
-        y_star = fitted + residuals[rng.integers(0, n, n)]
-        values[b] = piecewise_fit(x, y_star).breakpoint
+    idx = np.array([rng.integers(0, n, n) for _ in range(n_boot)]).reshape(n_boot, n)
+    values = _best_breakpoints(x, fitted + residuals[idx])
     alpha = 1.0 - level
     lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

@@ -71,6 +71,31 @@ def test_pitch_set_weighted_sampling():
     assert 0.85 < share < 0.95
 
 
+def choice_reference(ps, rng):
+    """The sampler written as rng.choice over classes, then a uniform placement."""
+    idx = rng.choice(len(ps.classes), p=ps.weights)
+    first = ps.lo + (ps.classes[idx] - ps.lo) % 12
+    notes = list(range(first, ps.hi + 1, 12))
+    return int(notes[rng.integers(len(notes))])
+
+
+@pytest.mark.parametrize("ps", [
+    PitchSet((0, 4, 7), 48, 84),
+    PitchSet((0, 2, 5, 7, 11), 21, 108, weights=(0.4, 0.3, 0.0, 0.2, 0.1)),
+])
+def test_pitch_set_sample_follows_choice_stream(ps):
+    rng, ref_rng = make_rng(17), make_rng(17)
+    draws = [ps.sample(rng) for _ in range(3000)]
+    assert draws == [choice_reference(ps, ref_rng) for _ in range(3000)]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("weights", [(1.5, -0.5), (float("nan"), 0.5), (float("inf"), 0.5)])
+def test_pitch_set_rejects_negative_or_non_finite_weights(weights):
+    with pytest.raises(ConfigError):
+        PitchSet((0, 7), 60, 71, weights=weights)
+
+
 def test_pitch_set_validation():
     with pytest.raises(ConfigError):
         PitchSet((), 0, 10)

@@ -44,21 +44,47 @@ def test_contour_encoding():
         contour([60])
 
 
-def test_levenshtein_matches_reference_dp():
-    def brute(a, b):
-        dp = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            new = [i]
-            for j, cb in enumerate(b, 1):
-                new.append(min(dp[j] + 1, new[-1] + 1, dp[j - 1] + (ca != cb)))
-            dp = new
-        return dp[-1]
+def brute_levenshtein(a, b):
+    dp = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        new = [i]
+        for j, cb in enumerate(b, 1):
+            new.append(min(dp[j] + 1, new[-1] + 1, dp[j - 1] + (ca != cb)))
+        dp = new
+    return dp[-1]
 
+
+def test_levenshtein_matches_reference_dp():
     rng = np.random.default_rng(0)
     for _ in range(150):
         a = rng.integers(0, 3, rng.integers(0, 15))
         b = rng.integers(0, 3, rng.integers(0, 15))
-        assert levenshtein(a, b) == brute(list(a), list(b))
+        assert levenshtein(a, b) == brute_levenshtein(list(a), list(b))
+
+
+symbols = st.integers(0, 300).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(-2, 2), st.integers()), min_size=n, max_size=n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(symbols, symbols)
+def test_levenshtein_multiword_matches_reference_dp(a, b):
+    # lengths up to 300 span several 64-bit words of the bit-parallel column;
+    # arbitrary ints include negatives and symbols absent from the other side
+    d = levenshtein(a, b)
+    assert d == brute_levenshtein(a, b)
+    assert d == levenshtein(b, a)
+
+
+@pytest.mark.parametrize("alphabet", [(-1, 0, 1), (0, 1, 2, 3, 4, 5, 6, 7)])
+def test_levenshtein_long_sequences_match_reference_dp(alphabet):
+    rng = np.random.default_rng(len(alphabet))
+    a = rng.choice(alphabet, 1500)
+    b = rng.choice(alphabet[1:], 1400)  # b never holds alphabet[0]
+    assert levenshtein(a, b) == brute_levenshtein(a.tolist(), b.tolist())
+    assert levenshtein(a, a[::-1].copy()) == levenshtein(a[::-1].copy(), a)
+    assert levenshtein(a, a) == 0
+    assert levenshtein(a, []) == levenshtein([], a) == 1500
 
 
 def test_melodic_coherence_examples():

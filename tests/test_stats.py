@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycanon import stats
 from polycanon.stats import (
     UndefinedStatisticError,
     bootstrap_ci,
@@ -195,3 +196,49 @@ def test_breakpoint_ci_contains_estimate():
     lo, hi = piecewise_breakpoint_ci(x, y, n_boot=500, rng=np.random.default_rng(5))
     assert lo <= fit.breakpoint <= hi
     assert 23.0 <= lo and hi <= 50.0
+
+
+def polyfit_breakpoint(x, y):
+    """The breakpoint search written out with one np.polyfit per segment."""
+    xs = np.unique(x)
+    best = None
+    for b in sorted(set(xs[1:-1]) | {0.5 * (u + v) for u, v in zip(xs[:-1], xs[1:])}):
+        left = x <= b
+        if np.unique(x[left]).size < 2 or np.unique(x[~left]).size < 2:
+            continue
+        total = 0.0
+        for side in (left, ~left):
+            resid = y[side] - np.polyval(np.polyfit(x[side], y[side], 1), x[side])
+            total += float(np.dot(resid, resid))
+        if best is None or total < best[0] - 1e-15:
+            best = (total, b)
+    return best[1]
+
+
+def test_batched_breakpoints_match_per_replicate_fits():
+    x = np.array([10, 15, 20, 25, 28, 30, 40, 50, 60, 80, 100, 120, 150, 200], float)
+    y = np.array([1.0, 0.92, 0.78, 0.55, 0.38, 0.25, 0.22, 0.2, 0.18, 0.16, 0.15, 0.14, 0.13, 0.12])
+    fit = piecewise_fit(x, y)
+    assert fit.breakpoint == polyfit_breakpoint(x, y)
+    fitted = np.where(x <= fit.breakpoint, fit.pre_intercept + fit.pre_slope * x,
+                      fit.post_intercept + fit.post_slope * x)
+    residuals = y - fitted
+    rng = np.random.default_rng(3)
+    y_star = np.array([fitted + residuals[rng.integers(0, x.size, x.size)] for _ in range(500)])
+    batched = stats._best_breakpoints(x, y_star)
+    singles = np.array([piecewise_fit(x, row).breakpoint for row in y_star])
+    np.testing.assert_array_equal(batched, singles)
+    np.testing.assert_array_equal(batched, [polyfit_breakpoint(x, row) for row in y_star])
+    # the CI draws its replicates in this same order from the same stream
+    lo, hi = piecewise_breakpoint_ci(x, y, n_boot=500, rng=np.random.default_rng(3))
+    assert (lo, hi) == tuple(np.quantile(singles, [0.025, 0.975]))
+
+
+def test_breakpoint_search_handles_unsorted_repeated_x():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        x = rng.integers(0, 7, 20).astype(float)
+        if np.unique(x).size < 4:
+            continue
+        y = np.round(rng.normal(size=20), 1)
+        assert piecewise_fit(x, y).breakpoint == polyfit_breakpoint(x, y)
