@@ -152,16 +152,3 @@ def next_convergence_after(q: ConvergenceQuery, t: float) -> ConvergenceEvent | 
         if ev.time > t:
             return ev
     return None
-
-
-def voice_from_config(cfg: dict) -> VoiceSpec:
-    return VoiceSpec(
-        ratio=float(cfg["ratio"]),
-        tau_base=float(cfg["tau_base"]),
-        alpha=float(cfg.get("alpha", 1.0)),
-        start=float(cfg.get("start", 0.0)),
-    )
-
-
-def voice_to_config(v: VoiceSpec) -> dict:
-    return {"ratio": v.ratio, "tau_base": v.tau_base, "alpha": v.alpha, "start": v.start}

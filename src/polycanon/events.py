@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -11,6 +11,7 @@ import numpy as np
 MIN_ONSET = -0.030
 PITCH_MAX = 127
 VELOCITY_MAX = 1023
+KEY_RESET_WINDOW = 0.050  # seconds; electromechanical per-key reset time
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +105,3 @@ def voice_iois(events: Sequence[NoteEvent]) -> np.ndarray:
     """Inter-onset intervals of one voice's (time-ordered) events."""
     onsets = np.sort(np.array([e.onset for e in events], dtype=float))
     return np.diff(onsets)
-
-
-def shift_events(events: Sequence[NoteEvent], offset: float) -> list[NoteEvent]:
-    return [replace(e, onset=e.onset + offset) for e in events]

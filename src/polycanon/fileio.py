@@ -102,7 +102,8 @@ def write_midi(piece: Piece, cfg: MidiRenderConfig, path) -> Path:
     """Format-1 SMF: track 0 holds the tempo map, one track per voice.
 
     Returns the written path. In sidecar mode the exact 10-bit velocities and
-    the applied onset shift land in ``<path>.velocity.json``.
+    the applied onset shift land in ``<path>.velocity.json``, the velocities
+    in the order :func:`read_midi` lists notes: by (tick, track, pitch).
     """
     path = Path(path)
     shift = 0.0
@@ -113,7 +114,7 @@ def write_midi(piece: Piece, cfg: MidiRenderConfig, path) -> Path:
     tracks: dict[int, list[tuple[int, bytes]]] = {v: [] for v in voices}
     note_order: list[NoteEvent] = sorted(
         piece.events, key=lambda e: (e.onset, e.voice, e.pitch, e.velocity))
-    sidecar_velocities = []
+    sidecar_keys = []
     spt = cfg.seconds_per_tick
     for e in note_order:
         tick_on = round((e.onset + shift) / spt)
@@ -124,7 +125,11 @@ def write_midi(piece: Piece, cfg: MidiRenderConfig, path) -> Path:
             track.append((tick_on, bytes([0xB0, 88, (e.velocity & 0x7) << 4])))
         track.append((tick_on, bytes([0x90, e.pitch, v7])))
         track.append((tick_off, bytes([0x80, e.pitch, 0x40])))
-        sidecar_velocities.append(e.velocity)
+        sidecar_keys.append((tick_on, e.voice, e.pitch))
+    # the reader's note order: (tick, track, pitch), then note-on order, which
+    # the stable sort keeps from note_order
+    order = sorted(range(len(note_order)), key=sidecar_keys.__getitem__)
+    sidecar_velocities = [note_order[i].velocity for i in order]
 
     tempo_track = [
         (0, bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", cfg.tempo_us)[1:]),
@@ -181,7 +186,8 @@ def read_midi(path) -> Piece:
         tick = 0
         p = 0
         status = None
-        open_notes: dict[int, tuple[int, int]] = {}
+        # per key, the notes still sounding; a note-off ends the oldest one
+        open_notes: dict[int, list[tuple[int, int]]] = {}
         while p < len(body):
             delta, p = _read_vlq(body, p)
             tick += delta
@@ -221,13 +227,12 @@ def read_midi(path) -> Piece:
                 raise ParseError(f"unknown status byte 0x{status:02x} at byte {p}")
 
             if kind == 0x90 and d2 > 0:
-                open_notes[d1] = (tick, d2)
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                started = open_notes.pop(d1, None)
-                if started is not None:
-                    notes.append((track_index, started[0], tick, d1, started[1]))
-        for pitch, (start, v7) in open_notes.items():
-            notes.append((track_index, start, start + 1, pitch, v7))
+                open_notes.setdefault(d1, []).append((tick, d2))
+            elif (kind == 0x80 or (kind == 0x90 and d2 == 0)) and open_notes.get(d1):
+                start, v7 = open_notes[d1].pop(0)
+                notes.append((track_index, start, tick, d1, v7))
+        for pitch, sounding in open_notes.items():
+            notes.extend((track_index, start, start + 1, pitch, v7) for start, v7 in sounding)
 
     spt = tempo_us / 1e6 / division
     sidecar_path = Path(str(path) + ".velocity.json")

@@ -79,14 +79,6 @@ def grammar_from_config(cfg: dict) -> Grammar:
     )
 
 
-def grammar_to_config(g: Grammar) -> dict:
-    return {
-        "alphabet": sorted(g.alphabet),
-        "axiom": "".join(g.axiom),
-        "rules": {head: "".join(body) for head, body in g.rules.items()},
-    }
-
-
 def expand(grammar: Grammar, depth: int) -> SymbolString:
     """Apply parallel rewriting `depth` times to the axiom, tagging generations."""
     if depth < 0:

@@ -15,8 +15,7 @@ import numpy as np
 from scipy import optimize
 from scipy import stats as sps
 
-from .events import NoteEvent, Piece, VELOCITY_MAX
-from .pipeline import KEY_RESET_WINDOW
+from .events import KEY_RESET_WINDOW, NoteEvent, Piece, VELOCITY_MAX
 
 
 class FitError(ValueError):
@@ -44,11 +43,15 @@ class LatencyModel:
 
 
 def latency(model: LatencyModel, v) -> np.ndarray | float:
-    """Predicted actuation latency in ms for velocity command(s) v."""
+    """Predicted actuation latency in ms for velocity command(s) v.
+
+    A scalar goes through the same array arithmetic as a vector, so both
+    agree bit for bit.
+    """
     v_arr = np.asarray(v, dtype=float)
     if np.any(v_arr < 0) or np.any(v_arr > model.v_max):
         raise ValueError(f"velocity outside [0, {model.v_max}]")
-    u = v_arr / model.v_max
+    u = np.atleast_1d(v_arr) / model.v_max
     span = model.l_max - model.l_min
     if model.variant == "linear":
         out = model.l_max - span * u
@@ -56,13 +59,15 @@ def latency(model: LatencyModel, v) -> np.ndarray | float:
         out = model.l_max - span * u**model.c
     else:
         out = model.l_max - span * np.log1p(model.k * u) / np.log1p(model.k)
-    return float(out) if np.isscalar(v) or np.ndim(v) == 0 else out
+    return float(out[0]) if v_arr.ndim == 0 else out
 
 
 def precompensate(piece: Piece, model: LatencyModel) -> Piece:
     """Shift every onset earlier by its predicted latency and re-sort."""
-    shifted = [replace(e, onset=e.onset - latency(model, e.velocity) / 1000.0)
-               for e in piece.events]
+    shifts = (latency(model, piece.velocities()) / 1000.0).tolist()
+    shifted = [NoteEvent(e.onset - s, e.pitch, e.velocity, e.duration, e.voice,
+                         e.symbol, e.generation, e.section)
+               for e, s in zip(piece.events, shifts)]
     return piece.with_events(shifted)
 
 
@@ -84,6 +89,25 @@ class FilterConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
 
 
+def _window_extremes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Exact max and min of values[lo[i]:hi[i]] for every i (each slice non-empty).
+
+    A sparse table holds the extremes of every power-of-two run, so each
+    window is the union of two overlapping runs: O(n log w) memory and time
+    for a longest window w, never an (n x w) matrix.
+    """
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(window length)), exact
+    top = np.tile(values, (int(level.max()) + 1, 1))
+    bottom = top.copy()
+    for k in range(1, len(top)):
+        half = 1 << (k - 1)
+        np.maximum(top[k - 1, :-half], top[k - 1, half:], out=top[k, :-half])
+        np.minimum(bottom[k - 1, :-half], bottom[k - 1, half:], out=bottom[k, :-half])
+    right = hi - (1 << level)
+    return (np.maximum(top[level, lo], top[level, right]),
+            np.minimum(bottom[level, lo], bottom[level, right]))
+
+
 def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece:
     """Compress latency-sensitive velocities toward their local mean.
 
@@ -92,21 +116,23 @@ def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece
     under which differential latency scrambles local event order. Timing is
     untouched; neighbourhood statistics use the original velocities.
     """
+    if not piece.events:
+        return piece.with_events(())
     onsets = piece.onsets()
     velocities = piece.velocities().astype(float)
     half = cfg.window / 2.0
-    out = []
     lo = np.searchsorted(onsets, onsets - half, side="left")
     hi = np.searchsorted(onsets, onsets + half, side="right")
-    for i, e in enumerate(piece.events):
-        neigh = velocities[lo[i]:hi[i]]
-        if neigh.max() - neigh.min() > cfg.spread_threshold:
-            mean = neigh.mean()
-            new_v = int(np.clip(round(mean + cfg.gamma * (e.velocity - mean)),
-                                0, VELOCITY_MAX))
-            out.append(replace(e, velocity=new_v))
-        else:
-            out.append(e)
+    mx, mn = _window_extremes(velocities, lo, hi)
+    flagged = np.flatnonzero(mx - mn > cfg.spread_threshold)
+    # velocities are integers, so the prefix sums (and the means) are exact
+    prefix = np.concatenate(([0.0], np.cumsum(velocities)))
+    mean = (prefix[hi[flagged]] - prefix[lo[flagged]]) / (hi[flagged] - lo[flagged])
+    compressed = np.clip(np.round(mean + cfg.gamma * (velocities[flagged] - mean)),
+                         0, VELOCITY_MAX).astype(int)
+    out = list(piece.events)
+    for i, v in zip(flagged.tolist(), compressed.tolist()):
+        out[i] = replace(out[i], velocity=v)
     return piece.with_events(out)
 
 
@@ -345,7 +371,3 @@ def model_from_config(cfg: dict) -> LatencyModel:
         c=float(cfg.get("c", 0.5)),
         k=float(cfg.get("k", 9.0)),
     )
-
-
-def model_to_config(m: LatencyModel) -> dict:
-    return {"variant": m.variant, "l_max": m.l_max, "l_min": m.l_min, "c": m.c, "k": m.k}

@@ -60,6 +60,9 @@ class PitchSet:
         # the class CDF, and each class's octave placements in the register
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_notes", notes)
+        # the placements as arrays for sample_n: lowest note and count per class
+        object.__setattr__(self, "_first", np.array([p[0] for p in notes]))
+        object.__setattr__(self, "_counts", np.array([len(p) for p in notes]))
 
     def sample(self, rng: np.random.Generator) -> int:
         """Pick a class (uniform or weighted), then a uniform octave placement.
@@ -75,6 +78,15 @@ class PitchSet:
             idx = self._cdf.searchsorted(rng.random(), side="right")
         notes = self._notes[idx]
         return notes[rng.integers(len(notes))]
+
+    def sample_n(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n pitches from the same law as :meth:`sample`, in two vector draws:
+        all n classes first, then all n octave placements."""
+        if self._cdf is None:
+            idx = rng.integers(len(self.classes), size=n)
+        else:
+            idx = self._cdf.searchsorted(rng.random(n), side="right")
+        return self._first[idx] + 12 * rng.integers(self._counts[idx])
 
     def widened(self, factor: float) -> "PitchSet":
         """Register scaled about its centre by `factor`, clamped to 0..127."""

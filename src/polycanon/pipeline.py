@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_until
-from .events import NoteEvent, Piece, PITCH_MAX, VELOCITY_MAX
+from .events import KEY_RESET_WINDOW, NoteEvent, Piece, PITCH_MAX, VELOCITY_MAX
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, PitchSet, resolve
 from .stochastic import (
@@ -17,11 +17,12 @@ from .stochastic import (
     Distribution,
     InhomogeneousPoisson,
     MIN_IOI,
+    WrongVariantError,
     sample,
     sample_ioi_stream,
+    sample_many,
 )
 
-KEY_RESET_WINDOW = 0.050  # seconds; electromechanical per-key reset time
 MAX_EVENTS_PER_SECTION = 1_000_000
 
 
@@ -31,6 +32,11 @@ class InfeasibleError(ValueError):
 
 def _clamp_round(value: float, hi: int) -> int:
     return int(min(max(round(value), 0), hi))
+
+
+def _clamp_round_many(values: np.ndarray, hi: int) -> np.ndarray:
+    """Vector form of :func:`_clamp_round`; both round half to even."""
+    return np.clip(np.round(values), 0, hi).astype(int)
 
 
 def _sample_pitch(source, rng) -> int:
@@ -43,16 +49,60 @@ def _sample_velocity(dist: Distribution, rng) -> int:
     return _clamp_round(sample(dist, rng), VELOCITY_MAX)
 
 
+def _voice_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float,
+                  rng, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Onsets and durations of one voice in one section.
+
+    Each event lasts ``tau = max(draw / ratio, MIN_IOI)`` and the next one
+    starts when it ends; events start only before ``t_end - 1e-12``, and the
+    interval that would start past it is discarded. IOIs are drawn in blocks
+    sized from the law's mean and the time left, at most
+    ``MAX_EVENTS_PER_SECTION`` in all. A constant law draws nothing.
+    """
+    if isinstance(ioi, InhomogeneousPoisson):
+        raise WrongVariantError(
+            "inhomogeneous Poisson samples event times; use sample_ioi_stream")
+    if isinstance(ioi, Constant) and ioi.value <= 0:
+        raise ConfigError(f"{where}: constant IOI {ioi.value} would never advance the section")
+    mean_tau = max(ioi.mean() / ratio, MIN_IOI)
+    t, drawn = t_start, 0
+    onsets, taus = [np.empty(0)], [np.empty(0)]
+    while t < t_end - 1e-12:
+        if drawn == MAX_EVENTS_PER_SECTION:
+            raise ConfigError(
+                f"{where} exceeded {MAX_EVENTS_PER_SECTION} events; "
+                "IOI distribution too dense or degenerate")
+        # the mean count left plus about four exponential-count standard
+        # deviations, so one block usually reaches the end
+        expected = (t_end - t) / mean_tau
+        block = min(int(expected + 4.0 * np.sqrt(expected)) + 8,
+                    MAX_EVENTS_PER_SECTION - drawn)
+        tau = np.maximum(sample_many(ioi, block, rng) / ratio, MIN_IOI)
+        # a sequential cumsum from the current onset: the same float additions
+        # as advancing one event at a time
+        ends = np.cumsum(np.concatenate(([t], tau)))
+        onsets.append(ends[:-1])
+        taus.append(tau)
+        t = ends[-1]
+        drawn += block
+    onsets, taus = np.concatenate(onsets), np.concatenate(taus)
+    n = int(np.searchsorted(onsets, t_end - 1e-12))
+    return onsets[:n], taus[:n]
+
+
 def generate(symbols: SymbolString, table: MappingTable, rng,
              seed: int | None = None) -> Piece:
     """Render a symbol string into an onset-sorted event list.
 
     For every symbol, each voice advances from the section start by
-    tempo-scaled IOI draws until the section duration elapses; pitch and
-    velocity are drawn per event (velocity clamped to the 10-bit range).
-    A voice's in-flight interval that would cross the section boundary is
+    tempo-scaled IOI draws until the section duration elapses (see
+    :func:`_voice_onsets`); velocity is clamped to the 10-bit range. A
+    voice's in-flight interval that would cross the section boundary is
     discarded, keeping sections statistically independent. Latency
     pre-adjustment is deliberately left to the hardware layer.
+
+    Draw order, per section and then per voice: the IOIs in blocks, then
+    every pitch of the voice in one call, then every velocity in one call.
     """
     events: list[NoteEvent] = []
     sections: list[tuple[str, float, float]] = []
@@ -61,25 +111,19 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
         cfg = resolve(table, symbol, generation)
         t_end = t_cur + cfg.duration
         for voice, ratio in enumerate(cfg.ratios):
-            pitch_source = cfg.pitch_for_voice(voice)
-            t_i = t_cur
-            count = 0
-            while t_i < t_end - 1e-12:
-                raw = sample(cfg.ioi, rng)
-                if raw <= 0 and isinstance(cfg.ioi, Constant):
-                    raise ConfigError(
-                        f"symbol {symbol!r}: constant IOI {raw} would never advance the section")
-                tau = max(raw / ratio, MIN_IOI)
-                pitch = _sample_pitch(pitch_source, rng)
-                velocity = _sample_velocity(cfg.velocity, rng)
-                events.append(NoteEvent(t_i, pitch, velocity, tau, voice,
-                                        symbol, generation, index))
-                t_i += tau
-                count += 1
-                if count > MAX_EVENTS_PER_SECTION:
-                    raise ConfigError(
-                        f"section {index} ({symbol!r}) exceeded {MAX_EVENTS_PER_SECTION} events; "
-                        "IOI distribution too dense or degenerate")
+            onsets, taus = _voice_onsets(cfg.ioi, ratio, t_cur, t_end, rng,
+                                         f"section {index} ({symbol!r})")
+            n = len(onsets)
+            source = cfg.pitch_for_voice(voice)
+            if isinstance(source, PitchSet):
+                pitches = source.sample_n(n, rng)
+            else:
+                pitches = _clamp_round_many(sample_many(source, n, rng), PITCH_MAX)
+            velocities = _clamp_round_many(sample_many(cfg.velocity, n, rng), VELOCITY_MAX)
+            events.extend(
+                NoteEvent(t, p, v, tau, voice, symbol, generation, index)
+                for t, p, v, tau in zip(onsets.tolist(), pitches.tolist(),
+                                        velocities.tolist(), taus.tolist()))
         sections.append((symbol, t_cur, t_end))
         t_cur = t_end
     metadata = {"total_duration": t_cur}

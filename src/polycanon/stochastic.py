@@ -151,9 +151,10 @@ MIN_IOI = 1e-4
 def sample_ioi_stream(dist: Distribution, duration: float, rng: np.random.Generator) -> np.ndarray:
     """Onset times in [0, duration) produced by repeatedly drawing IOIs.
 
-    Homogeneous variants mirror the generation loop: first event at t=0, then
-    advance by one draw per event. The inhomogeneous variant is a thinned
-    Poisson process against ``rate_max`` (no forced event at 0).
+    Homogeneous variants follow the generation loop's advance rule (first
+    event at t=0, then advance by ``max(draw, MIN_IOI)`` per event) with one
+    scalar draw per event. The inhomogeneous variant is a thinned Poisson
+    process against ``rate_max`` (no forced event at 0).
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")

@@ -1,7 +1,12 @@
 import json
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycanon.events import NoteEvent, Piece
 from polycanon.fileio import (
@@ -16,6 +21,10 @@ from polycanon.fileio import (
     write_events_json,
     write_midi,
 )
+from polycanon.grammar import expand
+from polycanon.hal import LatencyModel, enforce_constraints, precompensate
+from polycanon.pipeline import generate
+from polycanon.presets import canonical_table, fibonacci_grammar
 from polycanon.stochastic import make_rng
 
 
@@ -62,6 +71,36 @@ def test_empty_piece_round_trips(tmp_path):
     assert len(back) == 0
     back = read_events(write_events_csv(empty, tmp_path / "e.csv"))
     assert len(back) == 0
+
+
+def midi_keys(piece, shift, spt):
+    """(voice, tick, pitch, velocity) of every note, as the MIDI file sees it."""
+    return Counter((e.voice, round((e.onset + shift) / spt), e.pitch, e.velocity)
+                   for e in piece.events)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(["linear", "power", "log"]))
+def test_midi_round_trip_keeps_every_velocity_at_canonical_density(seed, variant):
+    piece = generate(expand(fibonacci_grammar(), 4), canonical_table(), make_rng(seed))
+    piece, _ = enforce_constraints(piece)
+    piece = precompensate(piece, LatencyModel(variant=variant))
+    cfg = MidiRenderConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_midi(piece, cfg, Path(tmp) / "p.mid")
+        back = read_midi(path)
+        shift = json.loads(Path(str(path) + ".velocity.json").read_text())["onset_shift_s"]
+    assert midi_keys(back, shift, cfg.seconds_per_tick) == midi_keys(
+        piece, shift, cfg.seconds_per_tick)
+
+
+def test_midi_same_key_restruck_while_sounding(tmp_path):
+    events = [NoteEvent(0.0, 60, 900, 0.3), NoteEvent(0.1, 60, 300, 0.05),
+              NoteEvent(0.1, 60, 500, 0.3), NoteEvent(0.12, 64, 700, 0.1)]
+    path = write_midi(Piece.from_events(events), MidiRenderConfig(), tmp_path / "p.mid")
+    back = read_midi(path)
+    assert sorted((round(e.onset, 3), e.pitch, e.velocity) for e in back.events) == [
+        (0.0, 60, 900), (0.1, 60, 300), (0.1, 60, 500), (0.12, 64, 700)]
 
 
 def test_midi_round_trip_bounds(tmp_path):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycanon.events import NoteEvent, Piece
 from polycanon.hal import (
@@ -32,6 +36,36 @@ def test_boundary_conditions(model):
 def test_monotone_non_increasing(model):
     grid = np.asarray(latency(model, np.arange(1024)))
     assert np.all(np.diff(grid) <= 1e-12)
+
+
+@pytest.mark.parametrize("variant", ["linear", "power", "log"])
+@pytest.mark.parametrize("c", [0.3, 0.4, 0.5, 0.6, 0.7])
+def test_scalar_latency_equals_array_latency(variant, c):
+    model = LatencyModel(variant=variant, c=c)
+    grid = np.arange(1024)
+    scalars = [latency(model, int(v)) for v in grid]
+    assert all(type(x) is float for x in scalars)
+    assert scalars == latency(model, grid).tolist()
+    assert scalars == [latency(model, np.float64(v)) for v in grid]
+
+
+def scalar_latency_reference(model, v):
+    """The latency law in numpy scalar arithmetic, one velocity at a time."""
+    u = np.float64(v) / model.v_max
+    span = model.l_max - model.l_min
+    if model.variant == "linear":
+        return float(model.l_max - span * u)
+    if model.variant == "power":
+        return float(model.l_max - span * u**model.c)
+    return float(model.l_max - span * np.log1p(model.k * u) / np.log1p(model.k))
+
+
+@pytest.mark.parametrize("model", ALL_VARIANTS, ids=lambda m: m.variant)
+def test_array_latency_equals_scalar_arithmetic(model):
+    # exact for linear, log and the square-root power law; other exponents
+    # may differ from scalar pow() in the last bit
+    grid = np.arange(1024)
+    assert latency(model, grid).tolist() == [scalar_latency_reference(model, v) for v in grid]
 
 
 def test_linear_midpoint():
@@ -100,6 +134,77 @@ def test_robustness_filter_leaves_calm_regions_alone():
     events = [NoteEvent(0.0, 60, 500, 0.1), NoteEvent(0.01, 62, 520, 0.1)]
     out = robustness_filter(Piece.from_events(events), FilterConfig(gamma=0.5))
     assert [e.velocity for e in out.events] == [500, 520]
+
+
+def filter_reference(piece, cfg):
+    """Per-event robustness filter: slice statistics around every event."""
+    onsets = piece.onsets()
+    velocities = piece.velocities().astype(float)
+    half = cfg.window / 2.0
+    lo = np.searchsorted(onsets, onsets - half, side="left")
+    hi = np.searchsorted(onsets, onsets + half, side="right")
+    out = []
+    for i, e in enumerate(piece.events):
+        neigh = velocities[lo[i]:hi[i]]
+        if neigh.max() - neigh.min() > cfg.spread_threshold:
+            mean = neigh.mean()
+            new_v = int(np.clip(round(mean + cfg.gamma * (e.velocity - mean)), 0, 1023))
+            e = replace(e, velocity=new_v)
+        out.append(e)
+    return piece.with_events(out)
+
+
+def precompensate_reference(piece, model):
+    """Per-event pre-compensation: one scalar latency call per note."""
+    return piece.with_events([replace(e, onset=e.onset - latency(model, e.velocity) / 1000.0)
+                              for e in piece.events])
+
+
+# onsets on a 1 ms grid, so chords, duplicate onsets and crowded windows are common
+dense_pieces = st.lists(
+    st.builds(lambda t, p, v, d, voice: NoteEvent(t * 0.001, p, v, d, voice),
+              st.integers(0, 300), st.integers(0, 127), st.integers(0, 1023),
+              st.floats(0.001, 0.5), st.integers(0, 3)),
+    max_size=150).map(Piece.from_events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_pieces, st.floats(0.001, 0.3), st.floats(0.0, 0.99), st.floats(0.0, 1100.0))
+def test_robustness_filter_matches_per_event_reference(piece, window, gamma, threshold):
+    cfg = FilterConfig(window=window, gamma=gamma, spread_threshold=threshold)
+    assert robustness_filter(piece, cfg) == filter_reference(piece, cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_pieces, st.sampled_from(["linear", "power", "log"]), st.floats(0.05, 0.95),
+       st.floats(0.5, 20.0))
+def test_precompensate_matches_per_event_reference(piece, variant, c, k):
+    model = LatencyModel(variant=variant, c=c, k=k)
+    assert precompensate(piece, model) == precompensate_reference(piece, model)
+
+
+def test_filter_and_precompensate_match_references_at_canonical_density(canonical):
+    assert robustness_filter(canonical) == filter_reference(canonical, FilterConfig())
+    for model in ALL_VARIANTS:
+        assert precompensate(canonical, model) == precompensate_reference(canonical, model)
+
+
+def test_filter_and_precompensate_keep_an_empty_piece_empty():
+    empty = Piece.from_events([], (("A", 0.0, 1.0),), {"seed": 1})
+    assert robustness_filter(empty) == empty
+    assert precompensate(empty, LatencyModel()) == empty
+
+
+def test_robustness_filter_on_a_wide_chord():
+    # every window is the whole chord: one mean, one spread
+    rng = make_rng(8)
+    velocities = rng.integers(0, 1024, 20_000)
+    piece = Piece.from_events([NoteEvent(1.0, i % 128, int(v), 0.1)
+                               for i, v in enumerate(velocities)])
+    out = robustness_filter(piece, FilterConfig(gamma=0.5))
+    mean = velocities.mean()
+    expected = np.clip(np.round(mean + 0.5 * (velocities - mean)), 0, 1023).astype(int)
+    assert sorted(out.velocities().tolist()) == sorted(expected.tolist())
 
 
 def test_fit_power_law_self_consistency():

@@ -10,7 +10,9 @@ from polycanon.mapping import (
     parse,
     resolve,
 )
+from polycanon.experiments._common import discrete_cdf, pitch_pmf
 from polycanon.presets import canonical_table
+from polycanon.stats import ks_distance_to_cdf
 from polycanon.stochastic import ConfigError, Constant, Exponential, Gaussian, Uniform, make_rng
 
 
@@ -88,6 +90,22 @@ def test_pitch_set_sample_follows_choice_stream(ps):
     draws = [ps.sample(rng) for _ in range(3000)]
     assert draws == [choice_reference(ps, ref_rng) for _ in range(3000)]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("ps", [
+    PitchSet((0, 4, 7), 48, 84),
+    PitchSet(tuple(range(12)), 21, 108),
+    PitchSet((0, 2, 5, 7, 11), 21, 108, weights=(0.4, 0.3, 0.0, 0.2, 0.1)),
+])
+def test_pitch_set_sample_n_support_and_pmf(ps):
+    n = 40_000
+    draws = ps.sample_n(n, make_rng(23))
+    values, probs = pitch_pmf(ps)
+    assert draws.shape == (n,)
+    assert set(draws.tolist()) == set(values[probs > 0].tolist())
+    # one-sample KS at alpha = 0.001 (conservative for a discrete law)
+    assert ks_distance_to_cdf(draws, discrete_cdf(values, probs)) < 1.95 / np.sqrt(n)
+    assert ps.sample_n(0, make_rng(23)).shape == (0,)
 
 
 @pytest.mark.parametrize("weights", [(1.5, -0.5), (float("nan"), 0.5), (float("inf"), 0.5)])

@@ -17,7 +17,17 @@ from polycanon.pipeline import (
 )
 from polycanon.presets import canonical_table, cp_switch_configs, fibonacci_grammar, rational_canon
 from polycanon.stats import ks_test
-from polycanon.stochastic import ConfigError, Constant, Gaussian, make_rng
+from polycanon.stochastic import (
+    MIN_IOI,
+    ConfigError,
+    Constant,
+    Exponential,
+    Gaussian,
+    InhomogeneousPoisson,
+    Uniform,
+    WrongVariantError,
+    make_rng,
+)
 
 
 def one_symbol(symbol="X", gen=0):
@@ -88,9 +98,68 @@ def test_pitch_rounding_and_clamp():
     assert p.min() >= 0 and p.max() <= 127
 
 
+IOI_LAWS = [Constant(0.037), Uniform(0.0, 0.08), Gaussian(0.01, 0.02), Exponential(60.0)]
+
+
+@pytest.mark.parametrize("ioi", IOI_LAWS, ids=lambda d: type(d).__name__)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_generate_onsets_tile_each_section(ioi, seed):
+    """Per (section, voice): onsets start at the section start, each event ends
+    where the next starts, and the last one is the first to reach the end."""
+    table = simple_table(ioi=ioi, ratios=(1.0, 2.5), duration=1.5)
+    symbols = SymbolString((TaggedSymbol("X", 0), TaggedSymbol("X", 0)), 0)
+    piece = generate(symbols, table, make_rng(seed))
+    assert [s[1:] for s in piece.sections] == [(0.0, 1.5), (1.5, 3.0)]
+    for index, (_, t_start, t_end) in enumerate(piece.sections):
+        for voice in (0, 1):
+            events = [e for e in piece.section_events(index) if e.voice == voice]
+            onsets = np.array([e.onset for e in events])
+            durations = np.array([e.duration for e in events])
+            assert onsets[0] == t_start
+            assert np.all(np.diff(onsets) > 0)
+            assert np.array_equal(onsets[1:], onsets[:-1] + durations[:-1])
+            assert np.all(durations >= MIN_IOI)
+            assert onsets[-1] < t_end - 1e-12 <= onsets[-1] + durations[-1]
+
+
+@pytest.mark.parametrize("value, ratio", [(0.2, 3.0), (0.2, 4.0), (0.37, 3.0), (1e-6, 1.0)])
+def test_constant_ioi_onsets_match_scalar_loop(value, ratio):
+    table = simple_table(ioi=Constant(value), ratios=(ratio,), duration=2.0)
+    symbols = SymbolString((TaggedSymbol("X", 0),) * 3, 0)
+    piece = generate(symbols, table, make_rng(0))
+    expected = []
+    for _, t_start, t_end in piece.sections:
+        t = t_start
+        while t < t_end - 1e-12:
+            expected.append(t)
+            t += max(value / ratio, MIN_IOI)
+    assert piece.onsets().tolist() == expected
+
+
+def test_section_inside_the_end_tolerance_has_no_events():
+    table = simple_table(ioi=Exponential(10.0), duration=1e-13)
+    piece = generate(one_symbol(), table, make_rng(0))
+    assert len(piece) == 0 and piece.sections == (("X", 0.0, 1e-13),)
+
+
 def test_zero_constant_ioi_is_config_error():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'X'"):
         generate(one_symbol(), simple_table(ioi=Constant(0.0)), make_rng(0))
+
+
+def test_inhomogeneous_ioi_is_wrong_variant():
+    ioi = InhomogeneousPoisson(lambda t: 10.0, 10.0)
+    with pytest.raises(WrongVariantError):
+        generate(one_symbol(), simple_table(ioi=ioi), make_rng(0))
+
+
+@pytest.mark.parametrize("ioi", [Constant(1e-6), Exponential(1e9)], ids=["constant", "exponential"])
+def test_event_cap_overflow_is_config_error(ioi):
+    # MIN_IOI-spaced events over 101 s: 1,010,000 > MAX_EVENTS_PER_SECTION
+    table = simple_table(ioi=ioi, duration=101.0)
+    with pytest.raises(ConfigError, match="exceeded"):
+        generate(one_symbol(), table, make_rng(0))
 
 
 def test_collision_mask_examples():
