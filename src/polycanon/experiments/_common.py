@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..events import NoteEvent, Piece
+from ..events import Piece
 from ..grammar import expand
 from ..mapping import PitchSet
 from ..metrics import melodic_coherence, pitch_class_concentration
@@ -24,11 +24,11 @@ def section_streams(piece: Piece):
     """Per-section (symbol, pitches, iois, velocities) over the merged voices."""
     out = []
     for index, (symbol, lo, hi) in enumerate(piece.sections):
-        events = piece.section_events(index)
-        onsets = np.array([e.onset for e in events])
+        rows = piece.column("section") == index
+        onsets = piece.onsets()[rows]
         order = np.argsort(onsets, kind="mergesort")
-        pitches = np.array([e.pitch for e in events])[order]
-        velocities = np.array([e.velocity for e in events])[order]
+        pitches = piece.pitches()[rows][order]
+        velocities = piece.velocities()[rows][order]
         iois = np.diff(onsets[order])
         out.append((symbol, pitches, iois, velocities, hi - lo))
     return out
@@ -127,7 +127,7 @@ def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
     phase = rng.uniform(0, period)
     sigma = walk_sigma(density)
     bound = min(10.0 + density / 12.0, 26.0)
-    voices, events = [], []
+    voices, columns = [], []
     for v in (0, 1):
         count = n_events if n_events else int(rate_v * duration * 2) + 20
         iois = _voice_iois(law, mean, count, rng)
@@ -143,9 +143,9 @@ def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
         realized = _snap(np.round(np.clip(guide + walk, 0, 127)))
         voices.append((onsets, intended, realized))
         velocities = rng.integers(300, 701, len(onsets))
-        events.extend(NoteEvent(float(t), int(p), int(w), 0.05, voice=v)
-                      for t, p, w in zip(onsets, realized, velocities))
-    piece = apply_collision_mask(Piece.from_events(events))
+        columns.append((onsets, realized, velocities, np.full(len(onsets), v)))
+    onset, pitch, velocity, voice = (np.concatenate(c) for c in zip(*columns))
+    piece = apply_collision_mask(Piece.from_columns(onset, pitch, velocity, 0.05, voice))
     return voices, piece
 
 
@@ -156,7 +156,7 @@ def sweep_contour_coherence(density: float, law: str, rng, trials: int = 5,
     for _ in range(trials):
         voices, piece = sweep_condition(density, law, rng, n_events=n_events)
         for v, (onsets, intended, realized) in enumerate(voices):
-            survivors = [e.pitch for e in piece.events if e.voice == v]
+            survivors = piece.pitches()[piece.column("voice") == v]
             if len(survivors) >= 2:
                 values.append(melodic_coherence(survivors, intended))
             else:
@@ -171,7 +171,7 @@ def sweep_concentration(density: float, rng, trials: int = 10,
     for _ in range(trials):
         _, piece = sweep_condition(density, "exponential", rng, duration=duration,
                                    drift=DRIFT_REGISTER)
-        values.append(pitch_class_concentration([e.pitch for e in piece.events]))
+        values.append(pitch_class_concentration(piece.pitches()))
     return values
 
 
@@ -179,15 +179,15 @@ def null_stream(density: float, rng, duration: float = 10.0) -> Piece:
     """Structureless baseline: uniform pitch and velocity, exponential IOIs."""
     onsets = np.cumsum(rng.exponential(1.0 / density, int(density * duration * 2) + 20))
     onsets = onsets[onsets < duration]
-    events = [NoteEvent(float(t), int(rng.integers(0, 128)), int(rng.integers(0, 1024)),
-                        0.05, voice=0) for t in onsets]
-    return Piece.from_events(events)
+    # scalar draws, pitch then velocity per note: the seeded stream depends on this order
+    pitches, velocities = np.empty((2, len(onsets)), dtype=int)
+    for i in range(len(onsets)):
+        pitches[i] = rng.integers(0, 128)
+        velocities[i] = rng.integers(0, 1024)
+    return Piece.from_columns(onsets, pitches, velocities, 0.05)
 
 
 def window_counts(piece: Piece, horizon: float, window: float = 1.0) -> np.ndarray:
-    onsets = piece.onsets()
-    n = int(round(horizon / window))
-    counts = np.zeros(n)
-    for k in range(n):
-        counts[k] = np.sum((onsets >= k * window) & (onsets < (k + 1) * window))
-    return counts / window
+    """Onsets per unit time in each half-open window [k*window, (k+1)*window)."""
+    edges = np.arange(int(round(horizon / window)) + 1) * window
+    return np.diff(np.searchsorted(piece.onsets(), edges)) / window

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..events import NoteEvent, Piece
+from ..events import Piece
 from ..hal import (
     FilterConfig,
     LatencyModel,
@@ -133,10 +133,8 @@ def virtual_piano(seed: int = 42, trials: int = 50, full_scale: bool = False, **
 
 
 def _filter_piece(velocities: np.ndarray, rate: float = 40.0) -> Piece:
-    onsets = np.arange(len(velocities)) / rate
-    events = [NoteEvent(float(t), 60 + (i % 24), int(v), 0.05)
-              for i, (t, v) in enumerate(zip(onsets, velocities))]
-    return Piece.from_events(events)
+    index = np.arange(len(velocities))
+    return Piece.from_columns(index / rate, 60 + index % 24, velocities.astype(int), 0.05)
 
 
 def robustness(seed: int = 42, trials: int = 200, **_) -> Report:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..events import NoteEvent, Piece
+from ..events import Piece
 from ..metrics import (
     estimate_weights,
     pcs_distance,
@@ -30,7 +30,7 @@ RATE_LADDER = (1.0, 1.4, 1.96, 2.744)
 def _four_voice_piece(condition: str, aggregate_rate: float, duration: float, rng,
                       mask: bool = False) -> Piece:
     """One 4-voice stream under a named constraint condition."""
-    events = []
+    columns = []
     if condition == "stratified":
         rates = np.array(RATE_LADDER) * aggregate_rate / sum(RATE_LADDER)
     else:
@@ -54,9 +54,9 @@ def _four_voice_piece(condition: str, aggregate_rate: float, duration: float, rn
             velocities = rng.integers(v_lo, v_lo + 201, n)
         else:
             raise ValueError(f"unknown condition {condition!r}")
-        events.extend(NoteEvent(float(t), int(p), int(w), 0.05, voice=v)
-                      for t, p, w in zip(onsets, pitches, velocities))
-    piece = Piece.from_events(events)
+        columns.append((onsets, pitches, velocities, np.full(n, v)))
+    onset, pitch, velocity, voice = (np.concatenate(c) for c in zip(*columns))
+    piece = Piece.from_columns(onset, pitch, velocity, 0.05, voice)
     return apply_collision_mask(piece) if mask else piece
 
 

@@ -3,9 +3,13 @@ plus lossless JSON/CSV event dumps and round-trip reading.
 
 Standard MIDI carries 7-bit velocities, so the full 10-bit value travels by
 one of three modes: a JSON sidecar file keyed by note order (default, exact),
-a CC#88 high-resolution prefix before each note-on (hardware convention,
-carries the 3 extra bits), or nothing. Onsets are quantised to the tick grid;
-at the default 960 PPQ / 500000 us per quarter one tick is ~0.52 ms.
+a CC#88 high-resolution prefix before each note-on (the hardware convention
+for the 3 extra bits; :func:`read_midi` ignores control changes and widens
+the 7-bit velocity), or nothing. Onsets are quantised to the tick grid; at
+the default 960 PPQ / 500000 us per quarter one tick is ~0.52 ms.
+
+The writers format every note from the piece's columns; the readers parse
+into lists and build the piece with :meth:`Piece.from_columns`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,9 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-from .events import NoteEvent, Piece
+import numpy as np
+
+from .events import COLUMNS, NoteEvent, Piece
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
               "generation", "section"]
@@ -48,13 +54,18 @@ class MidiRenderConfig:
         return self.tempo_us / 1e6 / self.ppq
 
 
-def velocity_to_7bit(v10: int) -> int:
-    """Note-on byte for a 10-bit velocity; 0 would mean note-off, so floor at 1."""
-    return max(1, round(v10 * 127 / 1023))
+def velocity_to_7bit(v10):
+    """Note-on byte(s) for 10-bit velocities; 0 would mean note-off, so floor at 1.
+
+    Takes a scalar or an array and rounds half to even, like ``round``.
+    """
+    v7 = np.maximum(1, np.rint(np.asarray(v10) * 127 / 1023)).astype(np.int64)
+    return v7 if v7.ndim else int(v7)
 
 
-def velocity_from_7bit(v7: int) -> int:
-    return round(v7 * 1023 / 127)
+def velocity_from_7bit(v7):
+    v10 = np.rint(np.asarray(v7) * 1023 / 127).astype(np.int64)
+    return v10 if v10.ndim else int(v10)
 
 
 # ---------------------------------------------------------------------------
@@ -85,62 +96,79 @@ def _read_vlq(data: bytes, pos: int) -> tuple[int, int]:
             return value, pos
 
 
-def _track_chunk(messages: list[tuple[int, bytes]]) -> bytes:
-    """messages: (absolute tick, event bytes), sorted here."""
-    messages = sorted(messages, key=lambda m: m[0])
-    body = bytearray()
-    prev = 0
-    for tick, payload in messages:
-        body += _vlq(tick - prev)
-        body += payload
-        prev = tick
-    body += _vlq(0) + bytes([0xFF, 0x2F, 0x00])  # end of track
-    return b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
+_END_OF_TRACK = _vlq(0) + bytes([0xFF, 0x2F, 0x00])
+
+
+def _chunk(events: bytes) -> bytes:
+    body = events + _END_OF_TRACK
+    return b"MTrk" + struct.pack(">I", len(body)) + body
+
+
+def _note_track_chunk(ticks: np.ndarray, payloads: np.ndarray) -> bytes:
+    """A track of 3-byte channel messages given in insertion order.
+
+    A stable sort by absolute tick keeps same-tick messages in insertion
+    order; the delta times are encoded as variable-length quantities all at
+    once.
+    """
+    order = np.argsort(ticks, kind="stable")
+    deltas = np.diff(ticks[order], prepend=0)
+    if deltas.size and deltas.min() < 0:
+        raise ValueError("negative delta time")
+    size = np.ones(len(deltas), dtype=np.int64)  # VLQ bytes per delta
+    while (more := (deltas >> (7 * size)) > 0).any():
+        size += more
+    start = np.cumsum(size + 3) - (size + 3)
+    body = np.empty(int((size + 3).sum()), dtype=np.uint8)
+    for j in range(int(size.max(initial=0))):
+        has = size > j
+        later = size[has] - 1 - j  # 7-bit groups after this one
+        body[start[has] + j] = ((deltas[has] >> (7 * later)) & 0x7F) | np.where(later > 0, 0x80, 0)
+    for k in range(3):
+        body[start + size + k] = payloads[order, k]
+    return _chunk(body.tobytes())
 
 
 def write_midi(piece: Piece, cfg: MidiRenderConfig, path) -> Path:
-    """Format-1 SMF: track 0 holds the tempo map, one track per voice.
+    """Format-1 SMF: track 0 holds the tempo map, then one track per voice
+    index from 0 to the highest voice (empty for a voice without notes).
 
     Returns the written path. In sidecar mode the exact 10-bit velocities and
     the applied onset shift land in ``<path>.velocity.json``, the velocities
     in the order :func:`read_midi` lists notes: by (tick, track, pitch).
     """
     path = Path(path)
-    shift = 0.0
-    if piece.events and min(e.onset for e in piece.events) < 0:
-        shift = NEGATIVE_ONSET_SHIFT
-
-    voices = piece.voices() or [0]
-    tracks: dict[int, list[tuple[int, bytes]]] = {v: [] for v in voices}
-    note_order: list[NoteEvent] = sorted(
-        piece.events, key=lambda e: (e.onset, e.voice, e.pitch, e.velocity))
-    sidecar_keys = []
+    n = len(piece)
+    onsets, pitches, velocities = piece.onsets(), piece.pitches(), piece.velocities()
+    voices = piece.column("voice")
+    if n and voices.min() < 0:
+        raise ValueError(f"MIDI tracks need voice indices >= 0, got {voices.min()}")
+    shift = NEGATIVE_ONSET_SHIFT if n and onsets.min() < 0 else 0.0
     spt = cfg.seconds_per_tick
-    for e in note_order:
-        tick_on = round((e.onset + shift) / spt)
-        tick_off = max(tick_on + 1, round((e.onset + shift + e.duration) / spt))
-        v7 = velocity_to_7bit(e.velocity)
-        track = tracks[e.voice]
-        if cfg.velocity_mode == "cc88":
-            track.append((tick_on, bytes([0xB0, 88, (e.velocity & 0x7) << 4])))
-        track.append((tick_on, bytes([0x90, e.pitch, v7])))
-        track.append((tick_off, bytes([0x80, e.pitch, 0x40])))
-        sidecar_keys.append((tick_on, e.voice, e.pitch))
-    # the reader's note order: (tick, track, pitch), then note-on order, which
-    # the stable sort keeps from note_order
-    order = sorted(range(len(note_order)), key=sidecar_keys.__getitem__)
-    sidecar_velocities = [note_order[i].velocity for i in order]
+    tick_on = np.rint((onsets + shift) / spt).astype(np.int64)
+    tick_off = np.maximum(tick_on + 1,
+                          np.rint((onsets + shift + piece.durations()) / spt).astype(np.int64))
+    # per note, in piece order: [CC#88], note-on, note-off
+    ones = np.ones(n, dtype=np.int64)
+    messages = [(tick_on, 0x90 * ones, pitches, velocity_to_7bit(velocities)),
+                (tick_off, 0x80 * ones, pitches, 0x40 * ones)]
+    if cfg.velocity_mode == "cc88":
+        messages.insert(0, (tick_on, 0xB0 * ones, 88 * ones, (velocities & 0x7) << 4))
+    ticks = np.stack([m[0] for m in messages], axis=1)
+    payloads = np.stack([np.stack(m[1:], axis=1) for m in messages], axis=1)
 
-    tempo_track = [
-        (0, bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", cfg.tempo_us)[1:]),
-        (0, _meta_text(f"onset_shift_s={shift}")),
-    ]
-    chunks = [_track_chunk(tempo_track)] + [_track_chunk(tracks[v]) for v in voices]
+    tempo = bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", cfg.tempo_us)[1:]
+    chunks = [_chunk(_vlq(0) + tempo + _vlq(0) + _meta_text(f"onset_shift_s={shift}"))]
+    for voice in range(int(voices.max()) + 1 if n else 1):
+        rows = voices == voice
+        chunks.append(_note_track_chunk(ticks[rows].ravel(), payloads[rows].reshape(-1, 3)))
     header = b"MThd" + struct.pack(">IHHH", 6, 1, len(chunks), cfg.ppq)
     path.write_bytes(header + b"".join(chunks))
 
     if cfg.velocity_mode == "sidecar":
-        sidecar = {"velocities": sidecar_velocities, "onset_shift_s": shift}
+        # the reader's note order: (tick, track, pitch), then piece order
+        order = np.lexsort((pitches, voices, tick_on))
+        sidecar = {"velocities": velocities[order].tolist(), "onset_shift_s": shift}
         Path(str(path) + ".velocity.json").write_text(json.dumps(sidecar))
     return path
 
@@ -243,20 +271,15 @@ def read_midi(path) -> Piece:
         shift = payload.get("onset_shift_s", shift)
 
     notes.sort(key=lambda n: (n[1], n[0], n[3]))
-    events = []
-    for order, (track_index, on_tick, off_tick, pitch, v7) in enumerate(notes):
-        if sidecar is not None and order < len(sidecar):
-            v10 = int(sidecar[order])
-        else:
-            v10 = velocity_from_7bit(v7)
-        events.append(NoteEvent(
-            onset=on_tick * spt - shift,
-            pitch=pitch,
-            velocity=v10,
-            duration=max((off_tick - on_tick) * spt, spt),
-            voice=max(track_index - 1, 0),
-        ))
-    return Piece.from_events(events, metadata={"source": str(path)})
+    track, on_tick, off_tick, pitch, v7 = (np.array(c, dtype=np.int64)
+                                           for c in _transpose(notes, 5))
+    velocity = velocity_from_7bit(v7)
+    if sidecar is not None:
+        k = min(len(sidecar), len(notes))
+        velocity[:k] = np.asarray(sidecar[:k]).astype(np.int64)
+    return Piece.from_columns(on_tick * spt - shift, pitch, velocity,
+                              np.maximum((off_tick - on_tick) * spt, spt),
+                              np.maximum(track - 1, 0), metadata={"source": str(path)})
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +287,43 @@ def read_midi(path) -> Piece:
 # ---------------------------------------------------------------------------
 
 
-def _event_to_dict(e: NoteEvent) -> dict:
-    return {"onset_s": e.onset, "pitch": e.pitch, "velocity10": e.velocity,
-            "duration_s": e.duration, "voice": e.voice, "symbol": e.symbol,
-            "generation": e.generation, "section": e.section}
+def _transpose(rows: list[tuple], width: int = len(COLUMNS)) -> list[tuple]:
+    return list(zip(*rows)) or [()] * width
 
 
-def _event_from_dict(d: dict) -> NoteEvent:
-    return NoteEvent(float(d["onset_s"]), int(d["pitch"]), int(d["velocity10"]),
-                     float(d["duration_s"]), int(d["voice"]), str(d["symbol"]),
-                     int(d["generation"]), int(d["section"]))
+# the JSON event keys in column order, with the type each value is read as
+_JSON_FIELDS = (("onset_s", float), ("pitch", int), ("velocity10", int), ("duration_s", float),
+                ("voice", int), ("symbol", str), ("generation", int), ("section", int))
 
 
 def write_events_json(piece: Piece, path) -> Path:
+    """Write the bytes of ``json.dumps(doc, indent=1)`` for the document
+    ``{"metadata", "sections", "events": [one object per note]}``."""
     path = Path(path)
-    doc = {
-        "metadata": piece.metadata,
-        "sections": [list(s) for s in piece.sections],
-        "events": [_event_to_dict(e) for e in piece.events],
-    }
-    path.write_text(json.dumps(doc, indent=1))
+    text = json.dumps({"metadata": piece.metadata,
+                       "sections": [list(s) for s in piece.sections],
+                       "events": []}, indent=1)
+    if len(piece):
+        cols = [piece.column(name).tolist() for name in COLUMNS]
+        quoted = {s: json.dumps(s) for s in set(cols[5])}
+        cols[5] = [quoted[s] for s in cols[5]]
+        # json.dumps writes ints with repr and floats with float.__repr__
+        events = ",\n".join([
+            f'  {{\n   "onset_s": {t!r},\n   "pitch": {p},\n   "velocity10": {v},\n'
+            f'   "duration_s": {d!r},\n   "voice": {vo},\n   "symbol": {s},\n'
+            f'   "generation": {g},\n   "section": {se}\n  }}'
+            for t, p, v, d, vo, s, g, se in zip(*cols)])
+        text = text[:-len("[]\n}")] + "[\n" + events + "\n ]\n}"
+    path.write_text(text)
     return path
 
 
 def write_events_csv(piece: Piece, path) -> Path:
     path = Path(path)
-    rows = [",".join(CSV_HEADER)]
-    for e in piece.events:
-        rows.append(f"{e.onset!r},{e.pitch},{e.velocity},{e.duration!r},"
-                    f"{e.voice},{e.symbol},{e.generation},{e.section}")
-    path.write_text("\n".join(rows) + "\n")
+    rows = [f"{t!r},{p},{v},{d!r},{vo},{s},{g},{se}"
+            for t, p, v, d, vo, s, g, se in zip(*(piece.column(name).tolist()
+                                                   for name in COLUMNS))]
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
     return path
 
 
@@ -307,13 +337,15 @@ def read_events(path) -> Piece:
         except json.JSONDecodeError as err:
             raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
         try:
-            events = [_event_from_dict(d) for d in doc["events"]]
+            events = doc["events"]
+            columns = [[read(d[key]) for d in events] for key, read in _JSON_FIELDS]
             sections = tuple(tuple(s) for s in doc.get("sections", []))
+            return Piece.from_columns(*columns, sections=sections,
+                                      metadata=doc.get("metadata", {}))
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"{path}: malformed event document: {err}") from err
-        return Piece.from_events(events, sections, doc.get("metadata", {}))
     if suffix == ".csv":
-        events = []
+        rows, linenos = [], []
         lines = path.read_text().splitlines()
         if not lines or lines[0].split(",") != CSV_HEADER:
             raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
@@ -324,12 +356,25 @@ def read_events(path) -> Piece:
             if len(parts) != len(CSV_HEADER):
                 raise ParseError(f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields")
             try:
-                events.append(NoteEvent(float(parts[0]), int(parts[1]), int(parts[2]),
-                                        float(parts[3]), int(parts[4]), parts[5],
-                                        int(parts[6]), int(parts[7])))
+                rows.append((float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]),
+                             int(parts[4]), parts[5], int(parts[6]), int(parts[7])))
             except ValueError as err:
                 raise ParseError(f"{path}: line {lineno}: {err}") from err
-        return Piece.from_events(events)
+            linenos.append(lineno)
+        try:
+            return Piece.from_columns(*_transpose(rows))
+        except ValueError as err:
+            # the error is the first invalid row's; name its line
+            lineno = next(n for n, row in zip(linenos, rows) if not _is_valid(row))
+            raise ParseError(f"{path}: line {lineno}: {err}") from err
     if suffix in (".mid", ".midi"):
         return read_midi(path)
     raise ParseError(f"unsupported file type: {path}")
+
+
+def _is_valid(row: tuple) -> bool:
+    try:
+        NoteEvent(*row)
+    except ValueError:
+        return False
+    return True

@@ -9,13 +9,13 @@ L(v_max) = L_min and are monotone non-increasing in velocity.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 from scipy import stats as sps
 
-from .events import KEY_RESET_WINDOW, NoteEvent, Piece, VELOCITY_MAX
+from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept
 
 
 class FitError(ValueError):
@@ -64,11 +64,7 @@ def latency(model: LatencyModel, v) -> np.ndarray | float:
 
 def precompensate(piece: Piece, model: LatencyModel) -> Piece:
     """Shift every onset earlier by its predicted latency and re-sort."""
-    shifts = (latency(model, piece.velocities()) / 1000.0).tolist()
-    shifted = [NoteEvent(e.onset - s, e.pitch, e.velocity, e.duration, e.voice,
-                         e.symbol, e.generation, e.section)
-               for e, s in zip(piece.events, shifts)]
-    return piece.with_events(shifted)
+    return piece.with_columns(onset=piece.onsets() - latency(model, piece.velocities()) / 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +112,8 @@ def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece
     under which differential latency scrambles local event order. Timing is
     untouched; neighbourhood statistics use the original velocities.
     """
-    if not piece.events:
-        return piece.with_events(())
+    if not len(piece):
+        return piece.with_columns()
     onsets = piece.onsets()
     velocities = piece.velocities().astype(float)
     half = cfg.window / 2.0
@@ -130,10 +126,9 @@ def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece
     mean = (prefix[hi[flagged]] - prefix[lo[flagged]]) / (hi[flagged] - lo[flagged])
     compressed = np.clip(np.round(mean + cfg.gamma * (velocities[flagged] - mean)),
                          0, VELOCITY_MAX).astype(int)
-    out = list(piece.events)
-    for i, v in zip(flagged.tolist(), compressed.tolist()):
-        out[i] = replace(out[i], velocity=v)
-    return piece.with_events(out)
+    out = piece.velocities().copy()
+    out[flagged] = compressed
+    return piece.with_columns(velocity=out)
 
 
 # ---------------------------------------------------------------------------
@@ -245,51 +240,43 @@ def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
     beyond the key count).
     """
     report: list[Violation] = []
+    n = len(piece)
+    onsets, pitches, velocities = piece.onsets(), piece.pitches(), piece.velocities()
     lo, hi = cs.velocity_range
+    bad = np.flatnonzero((velocities < lo) | (velocities > hi))
+    report.extend(Violation("velocity range", t, p, f"clamped {v} to [{lo}, {hi}]")
+                  for t, p, v in zip(onsets[bad].tolist(), pitches[bad].tolist(),
+                                     velocities[bad].tolist()))
+    velocities = np.clip(velocities, lo, hi)
 
-    clamped = []
-    for e in piece.events:
-        if e.velocity < lo or e.velocity > hi:
-            report.append(Violation("velocity range", e.onset, e.pitch,
-                                    f"clamped {e.velocity} to [{lo}, {hi}]"))
-            e = replace(e, velocity=int(np.clip(e.velocity, lo, hi)))
-        clamped.append(e)
+    masked = key_reset_kept(onsets, pitches, cs.min_key_ioi)
+    dropped = np.setdiff1d(np.arange(n), masked)
+    if dropped.size:
+        # a dropped note's previous strike is the latest kept note before it
+        # on its key; the first note on every key is kept
+        code = pitches * (n + 1) + np.arange(n)  # by key, then scan order
+        kept_codes = np.sort(code[masked])
+        previous = kept_codes[np.searchsorted(kept_codes, code[dropped]) - 1] % (n + 1)
+        gaps = onsets[dropped] - onsets[previous]
+        report.extend(Violation("per-key rate", t, p, f"dropped; {gap:.4f}s after previous strike")
+                      for t, p, gap in zip(onsets[dropped].tolist(), pitches[dropped].tolist(),
+                                           gaps.tolist()))
 
-    last_kept: dict[int, float] = {}
-    masked = []
-    for e in sorted(clamped, key=lambda ev: (ev.onset, ev.voice, ev.pitch)):
-        prev = last_kept.get(e.pitch)
-        # nanosecond tolerance: events at exactly the reset limit are legal
-        if prev is not None and e.onset - prev < cs.min_key_ioi - 1e-9:
-            report.append(Violation("per-key rate", e.onset, e.pitch,
-                                    f"dropped; {e.onset - prev:.4f}s after previous strike"))
-            continue
-        masked.append(e)
-        last_kept[e.pitch] = e.onset
+    # simultaneity clusters: runs of masked notes less than scan_resolution apart
+    starts = np.flatnonzero(np.diff(onsets[masked]) >= cs.scan_resolution) + 1
+    bounds = np.concatenate(([0], starts, [len(masked)]))
+    keep = np.ones(len(masked), dtype=bool)
+    for c in np.flatnonzero(np.diff(bounds) > cs.max_polyphony).tolist():
+        a, b = bounds[c].item(), bounds[c + 1].item()
+        rows = masked[a:b]
+        # keep the loudest: order by (-velocity, pitch), ties in scan order
+        losers = np.lexsort((pitches[rows], -velocities[rows]))[cs.max_polyphony:]
+        keep[a + losers] = False
+        report.extend(Violation("polyphony", t, p, f"dropped; {b - a} simultaneous notes")
+                      for t, p in zip(onsets[rows[losers]].tolist(),
+                                      pitches[rows[losers]].tolist()))
 
-    kept: list[NoteEvent] = []
-    cluster: list[NoteEvent] = []
-
-    def flush():
-        if not cluster:
-            return
-        if len(cluster) <= cs.max_polyphony:
-            kept.extend(cluster)
-            return
-        by_velocity = sorted(cluster, key=lambda ev: (-ev.velocity, ev.pitch))
-        kept.extend(by_velocity[:cs.max_polyphony])
-        for e in by_velocity[cs.max_polyphony:]:
-            report.append(Violation("polyphony", e.onset, e.pitch,
-                                    f"dropped; {len(cluster)} simultaneous notes"))
-
-    for e in masked:
-        if cluster and e.onset - cluster[-1].onset >= cs.scan_resolution:
-            flush()
-            cluster = []
-        cluster.append(e)
-    flush()
-
-    return piece.with_events(kept), report
+    return piece.with_columns(rows=masked[keep], velocity=velocities), report
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_until
-from .events import KEY_RESET_WINDOW, NoteEvent, Piece, PITCH_MAX, VELOCITY_MAX
+from .events import KEY_RESET_WINDOW, NoteEvent, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, PitchSet, resolve
 from .stochastic import (
@@ -104,7 +104,7 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
     Draw order, per section and then per voice: the IOIs in blocks, then
     every pitch of the voice in one call, then every velocity in one call.
     """
-    events: list[NoteEvent] = []
+    blocks: list[tuple[np.ndarray, ...]] = []  # one per (section, voice), in NoteEvent field order
     sections: list[tuple[str, float, float]] = []
     t_cur = 0.0
     for index, (symbol, generation) in enumerate(symbols.symbols):
@@ -120,34 +120,22 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
             else:
                 pitches = _clamp_round_many(sample_many(source, n, rng), PITCH_MAX)
             velocities = _clamp_round_many(sample_many(cfg.velocity, n, rng), VELOCITY_MAX)
-            events.extend(
-                NoteEvent(t, p, v, tau, voice, symbol, generation, index)
-                for t, p, v, tau in zip(onsets.tolist(), pitches.tolist(),
-                                        velocities.tolist(), taus.tolist()))
+            blocks.append((onsets, pitches, velocities, taus, np.full(n, voice),
+                           np.full(n, symbol, dtype=object), np.full(n, generation),
+                           np.full(n, index)))
         sections.append((symbol, t_cur, t_end))
         t_cur = t_end
     metadata = {"total_duration": t_cur}
     if seed is not None:
         metadata["seed"] = seed
-    return Piece.from_events(events, sections, metadata)
+    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 8
+    return Piece.from_columns(*columns, sections=sections, metadata=metadata)
 
 
 def apply_collision_mask(piece: Piece, window: float = KEY_RESET_WINDOW) -> Piece:
     """Drop any event landing within the reset window of the previous surviving
-    event on the same key, so the per-key IOI floor holds on the output.
-
-    The comparison carries a nanosecond tolerance: events intended exactly at
-    the reset limit are legal and must not be masked by float dust.
-    """
-    last_kept: dict[int, float] = {}
-    kept: list[NoteEvent] = []
-    for e in piece.events:
-        prev = last_kept.get(e.pitch)
-        if prev is not None and e.onset - prev < window - 1e-9:
-            continue
-        kept.append(e)
-        last_kept[e.pitch] = e.onset
-    return piece.with_events(kept)
+    event on the same key (see :func:`events.key_reset_kept`)."""
+    return piece.with_columns(rows=key_reset_kept(piece.onsets(), piece.pitches(), window))
 
 
 # ---------------------------------------------------------------------------

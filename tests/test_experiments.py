@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polycanon.events import Piece
 from polycanon.experiments import (
     REGISTRY,
     ExperimentSpec,
@@ -9,6 +13,7 @@ from polycanon.experiments import (
     run_all,
     summarize,
 )
+from polycanon.experiments._common import window_counts
 from polycanon.experiments.reporting import Report, Row
 
 
@@ -82,3 +87,24 @@ def test_run_all_suite_mostly_green(reports):
 def test_run_all_subset_api():
     reps = run_all(5, names=["epsilon_sensitivity"])
     assert len(reps) == 1 and reps[0].name == "epsilon_sensitivity"
+
+
+def window_counts_reference(piece, horizon, window):
+    onsets = piece.onsets()
+    n = int(round(horizon / window))
+    counts = np.zeros(n)
+    for k in range(n):
+        counts[k] = np.sum((onsets >= k * window) & (onsets < (k + 1) * window))
+    return counts / window
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1.0, 0.1, 0.25, 0.3, 0.7]), st.floats(0.0, 12.0),
+       st.lists(st.one_of(st.integers(0, 40), st.floats(-0.03, 12.0)), max_size=60))
+def test_window_counts_matches_the_window_loop(window, horizon, marks):
+    # integers stand for onsets exactly on a window edge k * window
+    onsets = [k * window if isinstance(k, int) else k for k in marks]
+    piece = Piece.from_columns(onsets, 60, 500, 0.05)
+    got = window_counts(piece, horizon, window)
+    expected = window_counts_reference(piece, horizon, window)
+    assert got.tolist() == expected.tolist()

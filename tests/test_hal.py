@@ -13,6 +13,7 @@ from polycanon.hal import (
     FitError,
     LatencyModel,
     NoiseSpec,
+    Violation,
     enforce_constraints,
     fit_power_law,
     latency,
@@ -277,6 +278,77 @@ def test_enforce_constraints_clean_piece_untouched():
     repaired, report = enforce_constraints(piece)
     assert repaired.events == piece.events
     assert report == []
+
+
+def enforce_reference(piece, cs):
+    """Per-event constraint repair: clamp, per-key mask, then the polyphony cap."""
+    report = []
+    lo, hi = cs.velocity_range
+    clamped = []
+    for e in piece.events:
+        if e.velocity < lo or e.velocity > hi:
+            report.append(Violation("velocity range", e.onset, e.pitch,
+                                    f"clamped {e.velocity} to [{lo}, {hi}]"))
+            e = replace(e, velocity=int(np.clip(e.velocity, lo, hi)))
+        clamped.append(e)
+    last_kept, masked = {}, []
+    for e in sorted(clamped, key=lambda ev: (ev.onset, ev.voice, ev.pitch)):
+        prev = last_kept.get(e.pitch)
+        if prev is not None and e.onset - prev < cs.min_key_ioi - 1e-9:
+            report.append(Violation("per-key rate", e.onset, e.pitch,
+                                    f"dropped; {e.onset - prev:.4f}s after previous strike"))
+            continue
+        masked.append(e)
+        last_kept[e.pitch] = e.onset
+    kept, cluster = [], []
+
+    def flush():
+        if len(cluster) <= cs.max_polyphony:
+            kept.extend(cluster)
+            return
+        by_velocity = sorted(cluster, key=lambda ev: (-ev.velocity, ev.pitch))
+        kept.extend(by_velocity[:cs.max_polyphony])
+        report.extend(Violation("polyphony", e.onset, e.pitch,
+                                f"dropped; {len(cluster)} simultaneous notes")
+                      for e in by_velocity[cs.max_polyphony:])
+
+    for e in masked:
+        if cluster and e.onset - cluster[-1].onset >= cs.scan_resolution:
+            flush()
+            cluster = []
+        cluster.append(e)
+    flush()
+    return piece.with_events(kept), report
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_pieces, st.sampled_from([(0, 1023), (200, 800), (500, 500)]),
+       st.sampled_from([0.05, 0.01, 0.002]), st.integers(1, 6), st.sampled_from([0.001, 0.004]))
+def test_enforce_constraints_matches_per_event_reference(piece, vrange, key_ioi, poly, scan):
+    cs = ConstraintSet(velocity_range=vrange, min_key_ioi=key_ioi, max_polyphony=poly,
+                       scan_resolution=scan)
+    repaired, report = enforce_constraints(piece, cs)
+    expected, expected_report = enforce_reference(piece, cs)
+    assert report == expected_report
+    assert repaired == expected
+
+
+def test_enforce_constraints_matches_reference_on_a_wide_chord_and_narrow_range(canonical):
+    rng = make_rng(9)
+    # a 120-note chord over 100 keys (20 re-strikes), then a second, spread chord
+    events = [NoteEvent(1.0, 14 + i % 100, int(v), 0.5, i % 3)
+              for i, v in enumerate(rng.integers(0, 1024, 120))]
+    events += [NoteEvent(2.0 + 0.0004 * i, 20 + i, int(v), 0.5)
+               for i, v in enumerate(rng.integers(0, 1024, 95))]
+    piece = Piece.from_events(events, (("A", 0.0, 3.0),), {"seed": 9})
+    cs = ConstraintSet(velocity_range=(300, 700))
+    repaired, report = enforce_constraints(piece, cs)
+    expected, expected_report = enforce_reference(piece, cs)
+    assert report == expected_report
+    assert repaired == expected
+    assert {v.reason for v in report} == {"velocity range", "per-key rate", "polyphony"}
+    for cs in (ConstraintSet(), ConstraintSet(velocity_range=(100, 900), max_polyphony=4)):
+        assert enforce_constraints(canonical, cs) == enforce_reference(canonical, cs)
 
 
 def test_simulate_mismatch_directions():
