@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +59,18 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
+# the sections of the config document that `generate` reads
+CONFIG_KEYS = ("grammar", "mapping", "depth", "seed", "hal", "midi")
+
+
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
+    unknown = [k for k in cfg if k not in CONFIG_KEYS]
+    unknown += [f"midi.{k}" for k in cfg.get("midi", {})
+                if k not in {f.name for f in fields(MidiRenderConfig)}]
+    if unknown:
+        print(f"unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     grammar = grammar_from_config(cfg["grammar"])
     table = table_from_config(cfg["mapping"])
     depth = args.depth if args.depth is not None else int(cfg.get("depth", 4))
@@ -74,7 +85,7 @@ def _cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_events_json(compensated, out / "piece.json")
     write_events_csv(compensated, out / "piece.csv")
-    write_midi(compensated, MidiRenderConfig(), out / "piece.mid")
+    write_midi(compensated, MidiRenderConfig(**cfg.get("midi", {})), out / "piece.mid")
     print(f"{len(compensated)} events -> {out}/piece.[json|csv|mid] "
           f"({len(violations)} constraint repairs)")
     return EXIT_OK

@@ -57,8 +57,12 @@ class NoteEvent:
     section: int = 0
 
     def __post_init__(self):
+        if isinstance(self.pitch, float) and not self.pitch.is_integer():
+            raise ValueError(f"pitch {self.pitch} is not an integer")
         if not 0 <= self.pitch <= PITCH_MAX:
             raise ValueError(f"pitch {self.pitch} outside [0, {PITCH_MAX}]")
+        if isinstance(self.velocity, float) and not self.velocity.is_integer():
+            raise ValueError(f"velocity {self.velocity} is not an integer")
         if not 0 <= self.velocity <= VELOCITY_MAX:
             raise ValueError(f"velocity {self.velocity} outside [0, {VELOCITY_MAX}]")
         if not math.isfinite(self.duration):
@@ -116,7 +120,16 @@ class Piece:
         Every row is checked against the :class:`NoteEvent` bounds, and the
         first invalid row raises the ``ValueError`` its ``NoteEvent`` would.
         """
+        pitch, velocity = np.asarray(pitch), np.asarray(velocity)
         given = (onset, pitch, velocity, duration, voice, symbol, generation, section)
+        # the int64 cast would truncate a fractional pitch or velocity and wrap
+        # a huge or non-finite one, so float-typed ones are checked before it
+        # (integer columns skip this)
+        for value in (pitch, velocity):
+            if (value.dtype.kind == "f"
+                    and not np.all((np.trunc(value) == value) & (np.abs(value) < 2.0**63))):
+                for row in zip(*(np.broadcast_to(c, np.shape(onset)).tolist() for c in given)):
+                    NoteEvent(*row)  # the first invalid row raises
         cols = {name: np.asarray(value, dtype=dtype)
                 for (name, dtype), value in zip(COLUMNS.items(), given)}
         n = len(cols["onset"])

@@ -6,11 +6,10 @@ import numpy as np
 
 from ..events import Piece
 from ..grammar import expand
-from ..mapping import PitchSet
 from ..metrics import melodic_coherence, pitch_class_concentration
 from ..pipeline import apply_collision_mask, generate
 from ..presets import canonical_table, fibonacci_grammar
-from ..stochastic import derive_rng
+from ..stochastic import Constant, Exponential, Gaussian, Uniform, derive_rng
 
 
 def canonical_piece(seed: int, depth: int = 4, depth_weighted: bool = False) -> Piece:
@@ -32,19 +31,6 @@ def section_streams(piece: Piece):
         iois = np.diff(onsets[order])
         out.append((symbol, pitches, iois, velocities, hi - lo))
     return out
-
-
-def pitch_pmf(ps: PitchSet):
-    """Exact pmf of a pitch-set sampler: class choice then uniform octave."""
-    values, probs = [], []
-    n_classes = len(ps.classes)
-    for i, notes in enumerate(ps._notes):
-        w = ps.weights[i] if ps.weights else 1.0 / n_classes
-        for note in notes:
-            values.append(note)
-            probs.append(w / len(notes))
-    order = np.argsort(values)
-    return np.array(values)[order], np.array(probs)[order]
 
 
 def discrete_cdf(values: np.ndarray, probs: np.ndarray):
@@ -97,16 +83,23 @@ def walk_sigma(density: float) -> float:
     return min(3.0 * (density / WALK_REF_DENSITY) ** 2, WALK_SIGMA_MAX)
 
 
-def _voice_iois(law: str, mean: float, count: int, rng) -> np.ndarray:
-    if law == "constant":
-        return np.full(count, mean)
-    if law == "exponential":
-        return rng.exponential(mean, count)
-    if law == "uniform":
-        return rng.uniform(0.1 * mean, 1.9 * mean, count)
-    if law == "gaussian":
-        return np.maximum(rng.normal(mean, 0.25 * mean, count), 1e-3)
-    raise ValueError(f"unknown IOI law {law!r}")
+# A Gaussian IOI law's tail crosses zero, so the sweep floors its draws at
+# 1 ms: the sweep's own floor (coarser than stochastic.MIN_IOI), with which
+# its reference bands were measured. The other laws never draw a negative IOI
+# and get a floor of 0.
+GAUSSIAN_IOI_FLOOR = 1e-3
+
+
+def _sweep_law(law: str, rate_v: float):
+    """The IOI law named ``law`` at mean 1/rate_v, and the floor its draws get."""
+    mean = 1.0 / rate_v
+    laws = {"constant": (Constant(mean), 0.0),
+            "exponential": (Exponential(rate_v), 0.0),
+            "uniform": (Uniform(0.1 * mean, 1.9 * mean), 0.0),
+            "gaussian": (Gaussian(mean, 0.25 * mean), GAUSSIAN_IOI_FLOOR)}
+    if law not in laws:
+        raise ValueError(f"unknown IOI law {law!r}")
+    return laws[law]
 
 
 def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
@@ -121,6 +114,7 @@ def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
         raise ValueError("specify exactly one of n_events / duration")
     rate_v = density / 2.0
     mean = 1.0 / rate_v
+    ioi_law, floor = _sweep_law(law, rate_v)
     lo, hi = register
     span = hi - lo
     period = 2.0 * span / drift
@@ -130,7 +124,7 @@ def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
     voices, columns = [], []
     for v in (0, 1):
         count = n_events if n_events else int(rate_v * duration * 2) + 20
-        iois = _voice_iois(law, mean, count, rng)
+        iois = np.maximum(ioi_law.sample(rng, count), floor)
         onsets = np.concatenate([[0.0], np.cumsum(iois[:-1])])
         if v == 1:
             onsets = onsets + 0.5 * mean

@@ -18,10 +18,10 @@ from ..metrics import (
 )
 from ..pipeline import generate, apply_collision_mask
 from ..presets import canonical_table, fibonacci_grammar
-from ..stats import correlation, ks_distance_to_cdf, mann_whitney, t_test_with_d
-from ..stochastic import Constant, Exponential, Uniform, derive_rng, sample_many
+from ..stats import correlation, ks_distance_to_cdf, mann_whitney, permutation_test, t_test_with_d
+from ..stochastic import derive_rng
 from ..metrics import information_rate
-from ._common import canonical_piece, discrete_cdf, pitch_pmf, section_streams
+from ._common import canonical_piece, discrete_cdf, section_streams
 from .reporting import Report, timer
 
 
@@ -95,38 +95,17 @@ def fidelity(seed: int = 42, **_) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _ioi_law_cdf(dist):
-    if isinstance(dist, Constant):
-        # float-tolerant step so de-scaled constants (value/r * r) score zero
-        return lambda x: (np.asarray(x) >= dist.value - 1e-12).astype(float)
-    if isinstance(dist, Exponential):
-        return lambda x: 1.0 - np.exp(-dist.rate * np.maximum(np.asarray(x, float), 0.0))
-    if isinstance(dist, Uniform):
-        return lambda x: np.clip((np.asarray(x, float) - dist.lo) / (dist.hi - dist.lo), 0, 1)
-    raise TypeError(f"no closed-form CDF for {dist!r}")
-
-
 def _pitch_cdf(table: MappingTable, symbol: str):
     cfg = table.configs[symbol]
-    sources = cfg.pitch if isinstance(cfg.pitch, tuple) else (cfg.pitch,) * len(cfg.ratios)
     weights = np.array(cfg.ratios) / sum(cfg.ratios)  # event share per voice
     pooled: dict[int, float] = {}
-    for w, src in zip(weights, sources):
-        values, probs = pitch_pmf(src)
+    for voice, w in enumerate(weights):
+        values, probs = cfg.pitch_for_voice(voice).pmf()
         for v, p in zip(values, probs):
             pooled[int(v)] = pooled.get(int(v), 0.0) + w * p
     values = np.array(sorted(pooled))
     probs = np.array([pooled[int(v)] for v in values])
     return discrete_cdf(values, probs)
-
-
-def _velocity_cdf(dist):
-    if isinstance(dist, Constant):
-        return lambda x: (np.asarray(x) >= dist.value - 1e-12).astype(float)
-    if isinstance(dist, Uniform):
-        # integer rounding makes the lattice step tiny relative to the span
-        return lambda x: np.clip((np.asarray(x, float) - dist.lo) / (dist.hi - dist.lo), 0, 1)
-    raise TypeError(f"no closed-form CDF for {dist!r}")
 
 
 def _layer_measurements(piece: Piece, table: MappingTable):
@@ -146,9 +125,9 @@ def _layer_measurements(piece: Piece, table: MappingTable):
         iois = np.concatenate(iois) if iois else np.array([])
         pitches = np.array([e.pitch for e in events], dtype=float)
         velocities = np.array([e.velocity for e in events], dtype=float)
-        out[("ioi", symbol)] = ks_distance_to_cdf(iois, _ioi_law_cdf(cfg.ioi))
+        out[("ioi", symbol)] = ks_distance_to_cdf(iois, cfg.ioi.cdf)
         out[("pitch", symbol)] = ks_distance_to_cdf(pitches, _pitch_cdf(table, symbol))
-        out[("velocity", symbol)] = ks_distance_to_cdf(velocities, _velocity_cdf(cfg.velocity))
+        out[("velocity", symbol)] = ks_distance_to_cdf(velocities, cfg.velocity.cdf)
     return out
 
 
@@ -172,18 +151,16 @@ def degradation(seed: int = 42, **_) -> Report:
             cfg = table.configs[symbol]
             events = [e for e in piece.events if e.symbol == symbol]
             n = len(events)
-            l2[("ioi", symbol)] = ks_distance_to_cdf(
-                sample_many(cfg.ioi, n, rng), _ioi_law_cdf(cfg.ioi))
-            sources = cfg.pitch if isinstance(cfg.pitch, tuple) else (cfg.pitch,)
+            l2[("ioi", symbol)] = ks_distance_to_cdf(cfg.ioi.sample(rng, n), cfg.ioi.cdf)
             ratio_w = np.array(cfg.ratios) / sum(cfg.ratios)
             draws = []
-            for w, src in zip(ratio_w, sources if len(sources) > 1 else sources * len(cfg.ratios)):
-                k = int(round(w * n))
-                draws.append([src.sample(rng) for _ in range(k)])
+            for voice, w in enumerate(ratio_w):
+                src = cfg.pitch_for_voice(voice)
+                draws.append([src.sample(rng) for _ in range(int(round(w * n)))])
             l2[("pitch", symbol)] = ks_distance_to_cdf(
                 np.concatenate(draws), _pitch_cdf(table, symbol))
             l2[("velocity", symbol)] = ks_distance_to_cdf(
-                np.round(sample_many(cfg.velocity, n, rng)), _velocity_cdf(cfg.velocity))
+                np.round(cfg.velocity.sample(rng, n)), cfg.velocity.cdf)
 
         l3_piece = apply_collision_mask(piece)
         l3 = _layer_measurements(l3_piece, table)
@@ -240,7 +217,7 @@ def ablation_a(seed: int = 42, trials: int = 100, **_) -> Report:
         perm_mc, perm_rc, perm_ir = map(np.array, (perm_mc, perm_rc, perm_ir))
         z_mc = (same_mc.mean() - perm_mc.mean()) / perm_mc.std(ddof=1)
         z_rc = (same_rc.mean() - perm_rc.mean()) / perm_rc.std(ddof=1)
-        p_ir = (1 + int(np.sum(perm_ir >= ir_full - 1e-12))) / (trials + 1)
+        p_ir = permutation_test(ir_full, perm_ir)
         report.add("ir_full", ir_full, "ablation_a.ir.full")
         report.add("ir_shuffled_mean", (round(perm_ir.mean(), 3), round(perm_ir.std(), 3)),
                    "ablation_a.ir.shuffled_mean")

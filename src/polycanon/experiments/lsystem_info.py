@@ -10,6 +10,7 @@ from ..grammar import expand, fibonacci, shuffle_preserving_counts, symbol_count
 from ..metrics import information_rate, lz_complexity, normalized_lz, rqa_determinism
 from ..presets import canonical_table, fibonacci_grammar
 from ..pipeline import generate
+from ..stats import permutation_test
 from ..stochastic import derive_rng
 from .reporting import Report, timer
 
@@ -40,8 +41,7 @@ def lsystem_info(seed: int = 42, shuffles: int = 1000, det_shuffles: int = 500, 
             nulls = np.array([
                 information_rate(shuffle_preserving_counts(strings[d], seed * 881 + i).text)
                 for i in range(shuffles)])
-            p = (1 + int(np.sum(nulls >= observed - 1e-12))) / (shuffles + 1)
-            report.add(f"ir_depth{d}_permutation_p", p, anchor)
+            report.add(f"ir_depth{d}_permutation_p", permutation_test(observed, nulls), anchor)
         nulls4 = np.array([
             information_rate(shuffle_preserving_counts(strings[4], seed * 881 + i).text)
             for i in range(shuffles)])
@@ -62,8 +62,8 @@ def lsystem_info(seed: int = 42, shuffles: int = 1000, det_shuffles: int = 500, 
         nulls = np.array([
             rqa_determinism(shuffle_preserving_counts(strings[8], seed * 37 + i).text)
             for i in range(det_shuffles)])
-        p_det = (1 + int(np.sum(nulls >= observed - 1e-12))) / (det_shuffles + 1)
-        report.add("det_depth8_permutation_p", p_det, "sequence.det.depth8.permutation_p")
+        report.add("det_depth8_permutation_p", permutation_test(observed, nulls),
+                   "sequence.det.depth8.permutation_p")
 
         # hierarchical self-similarity of the rendered stream
         symbols = strings[4]

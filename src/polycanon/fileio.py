@@ -291,8 +291,9 @@ def _transpose(rows: list[tuple], width: int = len(COLUMNS)) -> list[tuple]:
     return list(zip(*rows)) or [()] * width
 
 
-# the JSON event keys in column order, with the type each value is read as
-_JSON_FIELDS = (("onset_s", float), ("pitch", int), ("velocity10", int), ("duration_s", float),
+# the JSON event keys in column order, with the type each value is read as;
+# pitch and velocity are read as given, so Piece.from_columns rejects a fraction
+_JSON_FIELDS = (("onset_s", float), ("pitch", None), ("velocity10", None), ("duration_s", float),
                 ("voice", int), ("symbol", str), ("generation", int), ("section", int))
 
 
@@ -338,7 +339,8 @@ def read_events(path) -> Piece:
             raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
         try:
             events = doc["events"]
-            columns = [[read(d[key]) for d in events] for key, read in _JSON_FIELDS]
+            columns = [[d[key] for d in events] if read is None else [read(d[key]) for d in events]
+                       for key, read in _JSON_FIELDS]
             sections = tuple(tuple(s) for s in doc.get("sections", []))
             return Piece.from_columns(*columns, sections=sections,
                                       metadata=doc.get("metadata", {}))

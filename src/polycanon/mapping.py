@@ -10,16 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stochastic import (
-    Constant,
-    ConfigError,
-    Distribution,
-    Exponential,
-    Gaussian,
-    Uniform,
-    dist_from_config,
-    dist_to_config,
-)
+from .stochastic import ConfigError, Distribution, dist_from_config, dist_to_config
 
 
 class MappingError(KeyError):
@@ -60,33 +51,45 @@ class PitchSet:
         # the class CDF, and each class's octave placements in the register
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_notes", notes)
-        # the placements as arrays for sample_n: lowest note and count per class
+        # the placements as arrays for vector draws: lowest note and count per class
         object.__setattr__(self, "_first", np.array([p[0] for p in notes]))
         object.__setattr__(self, "_counts", np.array([len(p) for p in notes]))
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: np.random.Generator, size=None):
         """Pick a class (uniform or weighted), then a uniform octave placement.
 
-        Draws exactly what ``rng.choice(len(classes), p=weights)`` followed by
+        One draw (``size`` None) is the class then its octave, exactly what
+        ``rng.choice(len(classes), p=weights)`` followed by
         ``rng.integers(len(notes))`` draws: an unweighted class is one
-        ``rng.integers`` call, a weighted one inverts the normalised CDF at one
-        ``rng.random()``, as numpy's ``choice`` does.
+        ``rng.integers`` call, a weighted one inverts the normalised CDF at
+        one ``rng.random()``, as numpy's ``choice`` does. ``size`` draws come
+        from the same law in another order, two vector draws: all the
+        classes first, then all the octave placements.
         """
+        if size is None:
+            if self._cdf is None:
+                idx = rng.integers(len(self.classes))
+            else:
+                idx = self._cdf.searchsorted(rng.random(), side="right")
+            notes = self._notes[idx]
+            return notes[rng.integers(len(notes))]
         if self._cdf is None:
-            idx = rng.integers(len(self.classes))
+            idx = rng.integers(len(self.classes), size=size)
         else:
-            idx = self._cdf.searchsorted(rng.random(), side="right")
-        notes = self._notes[idx]
-        return notes[rng.integers(len(notes))]
-
-    def sample_n(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n pitches from the same law as :meth:`sample`, in two vector draws:
-        all n classes first, then all n octave placements."""
-        if self._cdf is None:
-            idx = rng.integers(len(self.classes), size=n)
-        else:
-            idx = self._cdf.searchsorted(rng.random(n), side="right")
+            idx = self._cdf.searchsorted(rng.random(size), side="right")
         return self._first[idx] + 12 * rng.integers(self._counts[idx])
+
+    def pmf(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact (pitches, probabilities) of the sampler, in pitch order."""
+        values, probs = [], []
+        n_classes = len(self.classes)
+        for i, notes in enumerate(self._notes):
+            w = self.weights[i] if self.weights else 1.0 / n_classes
+            for note in notes:
+                values.append(note)
+                probs.append(w / len(notes))
+        order = np.argsort(values)
+        return np.array(values)[order], np.array(probs)[order]
 
     def widened(self, factor: float) -> "PitchSet":
         """Register scaled about its centre by `factor`, clamped to 0..127."""
@@ -142,30 +145,6 @@ class MappingTable:
         return sorted(self.configs)
 
 
-def _scale_ioi_dist(dist: Distribution, factor: float) -> Distribution:
-    if isinstance(dist, Constant):
-        return Constant(dist.value * factor)
-    if isinstance(dist, Exponential):
-        return Exponential(dist.rate / factor)  # scale 1/rate multiplied by factor
-    if isinstance(dist, Uniform):
-        return Uniform(dist.lo * factor, dist.hi * factor)
-    if isinstance(dist, Gaussian):
-        return Gaussian(dist.mu * factor, dist.sigma * factor)
-    return dist
-
-
-def _widen_pitch(source: PitchSource, factor: float) -> PitchSource:
-    if isinstance(source, PitchSet):
-        return source.widened(factor)
-    if isinstance(source, Gaussian):
-        return Gaussian(source.mu, source.sigma * factor)
-    if isinstance(source, Uniform):
-        center = 0.5 * (source.lo + source.hi)
-        half = 0.5 * (source.hi - source.lo) * factor
-        return Uniform(center - half, center + half)
-    return source
-
-
 def resolve(table: MappingTable, symbol: str, generation: int) -> ParameterConfig:
     """Config for (symbol, generation): base regime with depth modulation applied."""
     if symbol not in table.configs:
@@ -179,10 +158,10 @@ def resolve(table: MappingTable, symbol: str, generation: int) -> ParameterConfi
         return base
     pitch = base.pitch
     if isinstance(pitch, tuple):
-        pitch = tuple(_widen_pitch(p, pitch_factor) for p in pitch)
+        pitch = tuple(p.widened(pitch_factor) for p in pitch)
     else:
-        pitch = _widen_pitch(pitch, pitch_factor)
-    return replace(base, ioi=_scale_ioi_dist(base.ioi, ioi_factor), pitch=pitch)
+        pitch = pitch.widened(pitch_factor)
+    return replace(base, ioi=base.ioi.scaled(ioi_factor), pitch=pitch)
 
 
 # ---------------------------------------------------------------------------

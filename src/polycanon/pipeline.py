@@ -10,7 +10,7 @@ import numpy as np
 from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_until
 from .events import KEY_RESET_WINDOW, NoteEvent, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
-from .mapping import MappingTable, ParameterConfig, PitchSet, resolve
+from .mapping import MappingTable, ParameterConfig, resolve
 from .stochastic import (
     ConfigError,
     Constant,
@@ -18,9 +18,7 @@ from .stochastic import (
     InhomogeneousPoisson,
     MIN_IOI,
     WrongVariantError,
-    sample,
     sample_ioi_stream,
-    sample_many,
 )
 
 MAX_EVENTS_PER_SECTION = 1_000_000
@@ -36,17 +34,7 @@ def _clamp_round(value: float, hi: int) -> int:
 
 def _clamp_round_many(values: np.ndarray, hi: int) -> np.ndarray:
     """Vector form of :func:`_clamp_round`; both round half to even."""
-    return np.clip(np.round(values), 0, hi).astype(int)
-
-
-def _sample_pitch(source, rng) -> int:
-    if isinstance(source, PitchSet):
-        return source.sample(rng)
-    return _clamp_round(sample(source, rng), PITCH_MAX)
-
-
-def _sample_velocity(dist: Distribution, rng) -> int:
-    return _clamp_round(sample(dist, rng), VELOCITY_MAX)
+    return np.rint(values).clip(0, hi).astype(int)
 
 
 def _voice_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float,
@@ -77,7 +65,7 @@ def _voice_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float,
         expected = (t_end - t) / mean_tau
         block = min(int(expected + 4.0 * np.sqrt(expected)) + 8,
                     MAX_EVENTS_PER_SECTION - drawn)
-        tau = np.maximum(sample_many(ioi, block, rng) / ratio, MIN_IOI)
+        tau = np.maximum(ioi.sample(rng, block) / ratio, MIN_IOI)
         # a sequential cumsum from the current onset: the same float additions
         # as advancing one event at a time
         ends = np.cumsum(np.concatenate(([t], tau)))
@@ -114,12 +102,8 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
             onsets, taus = _voice_onsets(cfg.ioi, ratio, t_cur, t_end, rng,
                                          f"section {index} ({symbol!r})")
             n = len(onsets)
-            source = cfg.pitch_for_voice(voice)
-            if isinstance(source, PitchSet):
-                pitches = source.sample_n(n, rng)
-            else:
-                pitches = _clamp_round_many(sample_many(source, n, rng), PITCH_MAX)
-            velocities = _clamp_round_many(sample_many(cfg.velocity, n, rng), VELOCITY_MAX)
+            pitches = _clamp_round_many(cfg.pitch_for_voice(voice).sample(rng, n), PITCH_MAX)
+            velocities = _clamp_round_many(cfg.velocity.sample(rng, n), VELOCITY_MAX)
             blocks.append((onsets, pitches, velocities, taus, np.full(n, voice),
                            np.full(n, symbol, dtype=object), np.full(n, generation),
                            np.full(n, index)))
@@ -148,8 +132,8 @@ def _render_fixed_onsets(onsets, voice: int, cfg_for, rng, section_of) -> list[N
     out = []
     for t in onsets:
         cfg = cfg_for(t)
-        pitch = _sample_pitch(cfg.pitch_for_voice(0), rng)
-        velocity = _sample_velocity(cfg.velocity, rng)
+        pitch = _clamp_round(cfg.pitch_for_voice(0).sample(rng), PITCH_MAX)
+        velocity = _clamp_round(cfg.velocity.sample(rng), VELOCITY_MAX)
         ioi = cfg.ioi.mean() if hasattr(cfg.ioi, "mean") else 0.1
         out.append(NoteEvent(float(t), pitch, velocity, max(ioi, MIN_IOI), voice,
                              section_of(t)[0], 0, section_of(t)[1]))

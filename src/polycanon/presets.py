@@ -89,7 +89,7 @@ def default_latency_model() -> LatencyModel:
 
 
 def load_bundled_config(name: str = "canonical") -> dict:
-    """Bundled JSON configuration document (grammar + mapping + canon + HAL)."""
+    """Bundled JSON configuration document (grammar, mapping, HAL and MIDI)."""
     path = resources.files("polycanon").joinpath("data", f"{name}.json")
     with path.open() as fh:
         return json.load(fh)

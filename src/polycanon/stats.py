@@ -219,22 +219,23 @@ def bootstrap_ci(data, statistic: Callable, n_boot: int = 2000, level: float = 0
     return float(lo), float(hi)
 
 
-def permutation_test(observed: float, null_fn: Callable[[int], float], trials: int,
-                     side: str = "greater") -> float:
-    """Monte Carlo permutation p-value: (1 + #extreme) / (trials + 1).
+def permutation_test(observed: float, nulls, side: str = "greater") -> float:
+    """Monte Carlo permutation p-value: (1 + #extreme) / (len(nulls) + 1).
 
-    ``null_fn(i)`` must return the statistic of the i-th null draw.
+    ``nulls`` holds the statistic of each null draw. A null within 1e-12 of
+    ``observed`` counts as extreme, so float dust in a recomputed statistic
+    cannot make a tie look less extreme than the observation.
     """
-    if trials < 100:
+    nulls = np.asarray(nulls, dtype=float)
+    if len(nulls) < 100:
         raise ValueError("permutation_test needs >= 100 trials")
-    nulls = np.array([null_fn(i) for i in range(trials)], dtype=float)
     if side == "greater":
-        extreme = np.sum(nulls >= observed)
+        extreme = np.sum(nulls >= observed - 1e-12)
     elif side == "less":
-        extreme = np.sum(nulls <= observed)
+        extreme = np.sum(nulls <= observed + 1e-12)
     else:
         raise ValueError(f"unknown side {side!r}")
-    return float((1 + extreme) / (trials + 1))
+    return (1 + int(extreme)) / (len(nulls) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,29 @@ seeded through ``SeedSequence``. Identical seeds give identical sample streams
 within this implementation; cross-implementation reproducibility is statistical
 (tests use tolerances, never exact draw values). Parallel work derives
 independent generators from (master seed, stream label).
+
+Each law is a frozen dataclass that carries its own behaviour, so this module
+(with ``mapping.PitchSet``) is the only place that knows which families exist:
+
+- ``sample(rng, size=None)`` follows numpy's ``size`` convention (a Python
+  scalar when ``size`` is None, else an array) and makes the numpy call the
+  law names: ``rng.uniform(lo, hi, size)``, ``rng.normal(mu, sigma, size)``,
+  ``rng.exponential(scale, size)``; a constant draws nothing.
+- ``scaled(factor)`` is the IOI law under depth modulation, ``widened(factor)``
+  the pitch law (spread scaled about the centre).
+- ``cdf(x)``, the closed-form CDF, exists for constant, uniform and exponential.
+- Config I/O is one type-name table plus the dataclass fields.
+
+``PitchSet.sample`` has the same signature and two draw orders: one draw is a
+class then its octave, ``size`` draws are all classes, then all octaves.
+``InhomogeneousPoisson`` describes event times, not values: its ``sample``
+raises :class:`WrongVariantError`, and :func:`sample_ioi_stream` thins it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -38,7 +55,7 @@ def derive_rng(master_seed: int, stream: str | int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Distribution variants (tagged union)
+# Distribution laws
 # ---------------------------------------------------------------------------
 
 
@@ -48,6 +65,19 @@ class Constant:
 
     def mean(self) -> float:
         return self.value
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return self.value if size is None else np.full(size, self.value, dtype=float)
+
+    def scaled(self, factor: float) -> "Constant":
+        return Constant(self.value * factor)
+
+    def widened(self, factor: float) -> "Constant":
+        return self
+
+    def cdf(self, x):
+        # float-tolerant step so de-scaled constants (value/r * r) score zero
+        return (np.asarray(x) >= self.value - 1e-12).astype(float)
 
 
 @dataclass(frozen=True)
@@ -62,6 +92,21 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
+    def sample(self, rng: np.random.Generator, size=None):
+        return rng.uniform(self.lo, self.hi, size)
+
+    def scaled(self, factor: float) -> "Uniform":
+        return Uniform(self.lo * factor, self.hi * factor)
+
+    def widened(self, factor: float) -> "Uniform":
+        center = 0.5 * (self.lo + self.hi)
+        half = 0.5 * (self.hi - self.lo) * factor
+        return Uniform(center - half, center + half)
+
+    def cdf(self, x):
+        # for integer-rounded draws the lattice step is tiny relative to the span
+        return np.clip((np.asarray(x, float) - self.lo) / (self.hi - self.lo), 0, 1)
+
 
 @dataclass(frozen=True)
 class Gaussian:
@@ -74,6 +119,15 @@ class Gaussian:
 
     def mean(self) -> float:
         return self.mu
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return rng.normal(self.mu, self.sigma, size)
+
+    def scaled(self, factor: float) -> "Gaussian":
+        return Gaussian(self.mu * factor, self.sigma * factor)
+
+    def widened(self, factor: float) -> "Gaussian":
+        return Gaussian(self.mu, self.sigma * factor)
 
 
 @dataclass(frozen=True)
@@ -93,10 +147,26 @@ class Exponential:
     def scale(self) -> float:
         return 1.0 / self.rate
 
+    def sample(self, rng: np.random.Generator, size=None):
+        return rng.exponential(self.scale, size)
+
+    def scaled(self, factor: float) -> "Exponential":
+        return Exponential(self.rate / factor)  # scale 1/rate multiplied by factor
+
+    def widened(self, factor: float) -> "Exponential":
+        return self
+
+    def cdf(self, x):
+        return 1.0 - np.exp(-self.rate * np.maximum(np.asarray(x, float), 0.0))
+
 
 @dataclass(frozen=True)
 class InhomogeneousPoisson:
-    """Time-varying event rate; sampled by thinning against the peak bound."""
+    """Time-varying event rate; sampled by thinning against the peak bound.
+
+    It describes event *times*, not single values: draw them with
+    :func:`sample_ioi_stream`. Depth modulation leaves it unchanged.
+    """
 
     rate_fn: Callable[[float], float]
     rate_max: float
@@ -105,42 +175,18 @@ class InhomogeneousPoisson:
         if self.rate_max <= 0:
             raise ConfigError("rate_max must be > 0")
 
+    def sample(self, rng: np.random.Generator, size=None):
+        raise WrongVariantError(
+            "inhomogeneous Poisson samples event times; use sample_ioi_stream")
+
+    def scaled(self, factor: float) -> "InhomogeneousPoisson":
+        return self
+
+    def widened(self, factor: float) -> "InhomogeneousPoisson":
+        return self
+
 
 Distribution = Constant | Uniform | Gaussian | Exponential | InhomogeneousPoisson
-
-
-def sample(dist: Distribution, rng: np.random.Generator) -> float:
-    """One draw from a scalar distribution.
-
-    The inhomogeneous variant describes event *times*, not single values, and
-    must go through :func:`sample_ioi_stream`.
-    """
-    if isinstance(dist, Constant):
-        return dist.value
-    if isinstance(dist, Uniform):
-        return float(rng.uniform(dist.lo, dist.hi))
-    if isinstance(dist, Gaussian):
-        return float(rng.normal(dist.mu, dist.sigma))
-    if isinstance(dist, Exponential):
-        return float(rng.exponential(dist.scale))
-    if isinstance(dist, InhomogeneousPoisson):
-        raise WrongVariantError(
-            "inhomogeneous Poisson samples event times; use sample_ioi_stream"
-        )
-    raise TypeError(f"not a distribution: {dist!r}")
-
-
-def sample_many(dist: Distribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised draws (same laws as :func:`sample`)."""
-    if isinstance(dist, Constant):
-        return np.full(n, dist.value, dtype=float)
-    if isinstance(dist, Uniform):
-        return rng.uniform(dist.lo, dist.hi, n)
-    if isinstance(dist, Gaussian):
-        return rng.normal(dist.mu, dist.sigma, n)
-    if isinstance(dist, Exponential):
-        return rng.exponential(dist.scale, n)
-    raise WrongVariantError("inhomogeneous Poisson samples event times; use sample_ioi_stream")
 
 
 # IOI draws below this are clipped up, so onset sequences stay strictly increasing
@@ -177,7 +223,7 @@ def sample_ioi_stream(dist: Distribution, duration: float, rng: np.random.Genera
     t = 0.0
     while t < duration:
         onsets.append(t)
-        step = sample(dist, rng)
+        step = dist.sample(rng)
         if isinstance(dist, Constant) and step <= 0:
             raise ConfigError("constant IOI must be positive to terminate the stream")
         t += max(step, MIN_IOI)
@@ -189,29 +235,27 @@ def sample_ioi_stream(dist: Distribution, duration: float, rng: np.random.Genera
 # ---------------------------------------------------------------------------
 
 
+_TYPES = {"constant": Constant, "uniform": Uniform, "gaussian": Gaussian,
+          "exponential": Exponential}
+_TYPE_NAMES = {law: kind for kind, law in _TYPES.items()}
+
+
 def dist_from_config(cfg: dict) -> Distribution:
-    """Build a distribution from its JSON form, e.g. {"type": "exponential", "rate": 40.0}."""
+    """Build a distribution from its JSON form, e.g. {"type": "exponential", "rate": 40.0}.
+
+    An exponential may give its ``scale`` in place of its ``rate``.
+    """
     kind = cfg.get("type")
-    if kind == "constant":
-        return Constant(float(cfg["value"]))
-    if kind == "uniform":
-        return Uniform(float(cfg["lo"]), float(cfg["hi"]))
-    if kind == "gaussian":
-        return Gaussian(float(cfg["mu"]), float(cfg["sigma"]))
-    if kind == "exponential":
-        if "rate" in cfg:
-            return Exponential(float(cfg["rate"]))
+    if kind not in _TYPES:
+        raise ConfigError(f"unknown distribution type: {kind!r}")
+    if kind == "exponential" and "rate" not in cfg:
         return Exponential(1.0 / float(cfg["scale"]))
-    raise ConfigError(f"unknown distribution type: {kind!r}")
+    law = _TYPES[kind]
+    return law(*(float(cfg[f.name]) for f in fields(law)))
 
 
 def dist_to_config(dist: Distribution) -> dict:
-    if isinstance(dist, Constant):
-        return {"type": "constant", "value": dist.value}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, Gaussian):
-        return {"type": "gaussian", "mu": dist.mu, "sigma": dist.sigma}
-    if isinstance(dist, Exponential):
-        return {"type": "exponential", "rate": dist.rate}
-    raise ConfigError("rate-function distributions have no JSON form")
+    kind = _TYPE_NAMES.get(type(dist))
+    if kind is None:
+        raise ConfigError("rate-function distributions have no JSON form")
+    return {"type": kind, **{f.name: getattr(dist, f.name) for f in fields(dist)}}

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from polycanon.cli import main
+from polycanon.presets import load_bundled_config
 
 
 def test_expand_prints_canonical_string(capsys):
@@ -72,3 +73,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["expand"])  # missing --depth
     assert err.value.code == 2
+
+
+def test_generate_reads_the_midi_section_of_the_config(tmp_path, capsys):
+    cfg = load_bundled_config("canonical")
+    cfg["midi"]["ppq"] = 480
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path), "--depth", "2"]) == 0
+    assert (tmp_path / "piece.mid").read_bytes()[12:14] == (480).to_bytes(2, "big")
+
+
+@pytest.mark.parametrize("section,key", [(None, "canon"), ("midi", "ppqn")])
+def test_generate_rejects_an_unknown_config_key(tmp_path, capsys, section, key):
+    cfg = load_bundled_config("canonical")
+    (cfg[section] if section else cfg)[key] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert (f"{section}.{key}" if section else key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

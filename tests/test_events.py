@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +53,9 @@ BAD_ROWS = [
     (0.0, 60, 500, 0.0), (0.0, 60, 500, -0.5), (0.0, 60, 500, math.nan),
     (0.0, 60, 500, math.inf), (math.nan, 60, 500, 0.1), (math.inf, 60, 500, 0.1),
     (-math.inf, 60, 500, 0.1), (-0.031, 60, 500, 0.1), (math.nan, 60, 500, math.nan),
-    (-1.0, 200, 2000, -1.0),
+    (-1.0, 200, 2000, -1.0), (0.0, 60.7, 500, 0.1), (0.0, 60, 500.9, 0.1),
+    (0.0, 60.5, 500.5, 0.1), (0.0, math.inf, 500, 0.1), (0.0, 60, math.nan, 0.1),
+    (0.0, 1e300, 500, 0.1),
 ]
 
 
@@ -75,6 +78,21 @@ def test_note_event_rejects_non_finite_times():
         NoteEvent(0.0, 60, 500, math.inf)
     with pytest.raises(ValueError, match="onset must be finite"):
         NoteEvent(math.inf, 60, 500, 0.1)
+
+
+def test_fractional_pitch_or_velocity_is_rejected_not_truncated():
+    with pytest.raises(ValueError, match="pitch 60.7 is not an integer"):
+        Piece.from_events([NoteEvent(0.0, 60.7, 500.9, 0.1)])
+    with pytest.raises(ValueError, match="velocity 500.9 is not an integer"):
+        Piece.from_columns([0.0, 0.1], [60, 61], np.array([500.0, 500.9]), 0.1)
+    with pytest.raises(ValueError, match="velocity 1024 outside"):  # the first bad row
+        Piece.from_columns([0.0, 0.1], [60.0, 60.5], [1024, 500], 0.1)
+    with pytest.raises(ValueError, match="pitch 60.5 is not an integer"):
+        Piece.from_columns([0.0, 0.1], 60.5, 500, 0.1)
+    piece = Piece.from_columns([0.0, 0.1], np.array([60.0, 61.0]), [500.0, 700.0], 0.1)
+    assert piece.pitches().dtype == np.int64 and piece.pitches().tolist() == [60, 61]
+    assert piece.velocities().tolist() == [500, 700]
+    assert NoteEvent(0.0, 60.0, 500.0, 0.1) == NoteEvent(0.0, 60, 500, 0.1)
 
 
 def test_from_columns_broadcasts_scalars_and_rejects_ragged_columns():

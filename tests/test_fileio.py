@@ -343,3 +343,25 @@ def test_csv_reader_names_the_line_of_an_out_of_range_value(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 4: pitch 300 outside"):
         read_events(path)
+
+
+@pytest.mark.parametrize("field,value", [("pitch", 60.7), ("velocity10", 500.9)])
+def test_json_reader_rejects_a_fractional_pitch_or_velocity(tmp_path, field, value):
+    path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
+    doc = json.loads(path.read_text())
+    doc["events"][1][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"{value} is not an integer"):
+        read_events(path)
+
+
+@pytest.mark.parametrize("column,value", [(1, "60.7"), (2, "500.9")])
+def test_csv_reader_rejects_a_fractional_pitch_or_velocity_with_the_line(tmp_path, column, value):
+    path = write_events_csv(sample_piece(n=3), tmp_path / "p.csv")
+    lines = path.read_text().splitlines()
+    parts = lines[2].split(",")
+    parts[column] = value
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line 3: .*{value}"):
+        read_events(path)

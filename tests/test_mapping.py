@@ -10,7 +10,7 @@ from polycanon.mapping import (
     parse,
     resolve,
 )
-from polycanon.experiments._common import discrete_cdf, pitch_pmf
+from polycanon.experiments._common import discrete_cdf
 from polycanon.presets import canonical_table
 from polycanon.stats import ks_distance_to_cdf
 from polycanon.stochastic import ConfigError, Constant, Exponential, Gaussian, Uniform, make_rng
@@ -81,6 +81,27 @@ def choice_reference(ps, rng):
     return int(notes[rng.integers(len(notes))])
 
 
+def choice_reference_n(ps, rng, n):
+    """n draws written as rng.choice of every class, then every placement."""
+    idx = rng.choice(len(ps.classes), size=n, p=ps.weights)
+    first = np.array([ps.lo + (c - ps.lo) % 12 for c in ps.classes])[idx]
+    counts = (ps.hi - first) // 12 + 1
+    return first + 12 * rng.integers(counts)
+
+
+def pitch_pmf(ps):
+    """The pmf helper that PitchSet.pmf replaced, kept as a reference."""
+    values, probs = [], []
+    n_classes = len(ps.classes)
+    for i, notes in enumerate(ps._notes):
+        w = ps.weights[i] if ps.weights else 1.0 / n_classes
+        for note in notes:
+            values.append(note)
+            probs.append(w / len(notes))
+    order = np.argsort(values)
+    return np.array(values)[order], np.array(probs)[order]
+
+
 @pytest.mark.parametrize("ps", [
     PitchSet((0, 4, 7), 48, 84),
     PitchSet((0, 2, 5, 7, 11), 21, 108, weights=(0.4, 0.3, 0.0, 0.2, 0.1)),
@@ -89,6 +110,7 @@ def test_pitch_set_sample_follows_choice_stream(ps):
     rng, ref_rng = make_rng(17), make_rng(17)
     draws = [ps.sample(rng) for _ in range(3000)]
     assert draws == [choice_reference(ps, ref_rng) for _ in range(3000)]
+    assert np.array_equal(ps.sample(rng, 3000), choice_reference_n(ps, ref_rng, 3000))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -99,13 +121,15 @@ def test_pitch_set_sample_follows_choice_stream(ps):
 ])
 def test_pitch_set_sample_n_support_and_pmf(ps):
     n = 40_000
-    draws = ps.sample_n(n, make_rng(23))
-    values, probs = pitch_pmf(ps)
+    draws = ps.sample(make_rng(23), n)
+    values, probs = ps.pmf()
+    ref_values, ref_probs = pitch_pmf(ps)
+    assert np.array_equal(values, ref_values) and np.array_equal(probs, ref_probs)
     assert draws.shape == (n,)
     assert set(draws.tolist()) == set(values[probs > 0].tolist())
     # one-sample KS at alpha = 0.001 (conservative for a discrete law)
     assert ks_distance_to_cdf(draws, discrete_cdf(values, probs)) < 1.95 / np.sqrt(n)
-    assert ps.sample_n(0, make_rng(23)).shape == (0,)
+    assert ps.sample(make_rng(23), 0).shape == (0,)
 
 
 @pytest.mark.parametrize("weights", [(1.5, -0.5), (float("nan"), 0.5), (float("inf"), 0.5)])

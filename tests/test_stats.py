@@ -144,10 +144,22 @@ def test_bootstrap_ci_brackets_point_estimate():
 
 
 def test_permutation_test_extreme_observation():
-    p = permutation_test(100.0, lambda i: float(i % 7), trials=999, side="greater")
+    p = permutation_test(100.0, np.array([float(i % 7) for i in range(999)]), side="greater")
     assert p == pytest.approx(1 / 1000)
-    p = permutation_test(-5.0, lambda i: float(i % 7), trials=999, side="less")
+    p = permutation_test(-5.0, np.array([float(i % 7) for i in range(999)]), side="less")
     assert p == pytest.approx(1 / 1000)
+
+
+def test_permutation_test_counts_float_ties_as_extreme():
+    # a null 1e-13 short of the observation is a tie recomputed with float dust
+    nulls = np.array([0.7 - 1e-13] * 3 + [0.7 - 1e-11] * 97 + [0.1] * 100)
+    assert permutation_test(0.7, nulls, side="greater") == 4 / 201
+    assert permutation_test(-0.7, -nulls, side="less") == 4 / 201
+    assert permutation_test(0.7, list(nulls)) == 4 / 201
+    with pytest.raises(ValueError):
+        permutation_test(0.7, nulls[:99])
+    with pytest.raises(ValueError):
+        permutation_test(0.7, nulls, side="both")
 
 
 def test_p_values_uniform_under_null():
