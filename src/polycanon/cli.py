@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .pipeline import generate
 from .presets import load_bundled_config
-from .stochastic import make_rng
+from .stochastic import ConfigError, make_rng, reject_unknown_keys
 
 EXIT_OK = 0
 EXIT_EXPERIMENT_FAILED = 3
@@ -65,20 +65,20 @@ CONFIG_KEYS = ("grammar", "mapping", "depth", "seed", "hal", "midi")
 
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    unknown = [k for k in cfg if k not in CONFIG_KEYS]
-    unknown += [f"midi.{k}" for k in cfg.get("midi", {})
-                if k not in {f.name for f in fields(MidiRenderConfig)}]
-    if unknown:
-        print(f"unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
+    try:
+        reject_unknown_keys(cfg, CONFIG_KEYS, "")
+        reject_unknown_keys(cfg.get("midi", {}), {f.name for f in fields(MidiRenderConfig)}, "midi")
+        table = table_from_config(cfg["mapping"])
+        model = model_from_config(cfg.get("hal", {}))
+    except ConfigError as err:
+        print(err, file=sys.stderr)
         return 2
     grammar = grammar_from_config(cfg["grammar"])
-    table = table_from_config(cfg["mapping"])
     depth = args.depth if args.depth is not None else int(cfg.get("depth", 4))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", _default_seed()))
     symbols = grammar_expand(grammar, depth)
     piece = generate(symbols, table, make_rng(seed), seed=seed)
     piece, violations = enforce_constraints(piece, ConstraintSet())
-    model = model_from_config(cfg.get("hal", {}))
     compensated = precompensate(piece, model)
 
     out = Path(args.out)

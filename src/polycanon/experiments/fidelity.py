@@ -11,7 +11,8 @@ from ..grammar import expand, shuffle_preserving_counts
 from ..hal import ConstraintSet, LatencyModel, enforce_constraints, latency
 from ..mapping import MappingTable
 from ..metrics import (
-    melodic_coherence,
+    contour,
+    pairwise_levenshtein,
     pitch_class_concentration,
     rhythmic_coherence,
     separation_components,
@@ -26,14 +27,19 @@ from .reporting import Report, timer
 
 
 def _pair_metrics(piece: Piece):
-    """Same- and cross-symbol MC/RC values over all section pairs."""
+    """Same- and cross-symbol MC/RC values over all section pairs.
+
+    MC is :func:`melodic_coherence` per pair, with every section-pair
+    contour distance from one :func:`pairwise_levenshtein` call.
+    """
     streams = section_streams(piece)
+    dist = pairwise_levenshtein([contour(p) for _, p, _, _, _ in streams]).tolist()
     same_mc, cross_mc, same_rc, cross_rc = [], [], [], []
     for i in range(len(streams)):
         for j in range(i + 1, len(streams)):
             si, pi, ii, _, _ = streams[i]
             sj, pj, ij, _, _ = streams[j]
-            mc = melodic_coherence(pi, pj)
+            mc = 1.0 - dist[i][j] / max(pi.size, pj.size)
             rc = rhythmic_coherence(ii, ij)
             (same_mc if si == sj else cross_mc).append(mc)
             (same_rc if si == sj else cross_rc).append(rc)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import COLUMNS, NoteEvent, Piece
+from .events import COLUMNS, Piece
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
               "generation", "section"]
@@ -344,7 +344,7 @@ def read_events(path) -> Piece:
             sections = tuple(tuple(s) for s in doc.get("sections", []))
             return Piece.from_columns(*columns, sections=sections,
                                       metadata=doc.get("metadata", {}))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"{path}: malformed event document: {err}") from err
     if suffix == ".csv":
         rows, linenos = [], []
@@ -365,7 +365,7 @@ def read_events(path) -> Piece:
             linenos.append(lineno)
         try:
             return Piece.from_columns(*_transpose(rows))
-        except ValueError as err:
+        except (ValueError, OverflowError) as err:
             # the error is the first invalid row's; name its line
             lineno = next(n for n, row in zip(linenos, rows) if not _is_valid(row))
             raise ParseError(f"{path}: line {lineno}: {err}") from err
@@ -376,7 +376,7 @@ def read_events(path) -> Piece:
 
 def _is_valid(row: tuple) -> bool:
     try:
-        NoteEvent(*row)
-    except ValueError:
+        Piece.from_columns(*_transpose([row]))
+    except (ValueError, OverflowError):
         return False
     return True

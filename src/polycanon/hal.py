@@ -351,6 +351,11 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
 
 
 def model_from_config(cfg: dict) -> LatencyModel:
+    """The ``hal`` section's latency model; missing keys take the defaults,
+    and a key it does not read raises ConfigError naming it, e.g. ``hal.lmax``."""
+    from .stochastic import reject_unknown_keys
+
+    reject_unknown_keys(cfg, ("variant", "l_max", "l_min", "c", "k"), "hal")
     return LatencyModel(
         variant=cfg.get("variant", "power"),
         l_max=float(cfg.get("l_max", 30.0)),

@@ -10,7 +10,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .stochastic import ConfigError, Distribution, dist_from_config, dist_to_config
+from .stochastic import (
+    ConfigError,
+    Distribution,
+    dist_from_config,
+    dist_to_config,
+    reject_unknown_keys,
+)
 
 
 class MappingError(KeyError):
@@ -179,12 +185,13 @@ def _pitch_to_config(source: PitchSource) -> dict:
     return dist_to_config(source)
 
 
-def _pitch_from_config(cfg: dict) -> PitchSource:
+def _pitch_from_config(cfg: dict, path: str) -> PitchSource:
     if cfg.get("type") == "pitch_set":
+        reject_unknown_keys(cfg, ("type", "classes", "lo", "hi", "weights"), path)
         weights = cfg.get("weights")
         return PitchSet(tuple(cfg["classes"]), int(cfg["lo"]), int(cfg["hi"]),
                         tuple(weights) if weights else None)
-    return dist_from_config(cfg)
+    return dist_from_config(cfg, path)
 
 
 def config_to_dict(pc: ParameterConfig) -> dict:
@@ -201,16 +208,20 @@ def config_to_dict(pc: ParameterConfig) -> dict:
     }
 
 
-def config_from_dict(cfg: dict) -> ParameterConfig:
+def config_from_dict(cfg: dict, path: str = "") -> ParameterConfig:
+    """A symbol's parameters from their JSON form; a key it does not read
+    raises ConfigError naming it under ``path``."""
+    at = f"{path}." if path else ""
+    reject_unknown_keys(cfg, ("ioi", "pitch", "velocity", "ratios", "duration"), path)
     pitch_cfg = cfg["pitch"]
     if isinstance(pitch_cfg, list):
-        pitch = tuple(_pitch_from_config(p) for p in pitch_cfg)
+        pitch = tuple(_pitch_from_config(p, f"{at}pitch.{i}") for i, p in enumerate(pitch_cfg))
     else:
-        pitch = _pitch_from_config(pitch_cfg)
+        pitch = _pitch_from_config(pitch_cfg, f"{at}pitch")
     return ParameterConfig(
-        ioi=dist_from_config(cfg["ioi"]),
+        ioi=dist_from_config(cfg["ioi"], f"{at}ioi"),
         pitch=pitch,
-        velocity=dist_from_config(cfg["velocity"]),
+        velocity=dist_from_config(cfg["velocity"], f"{at}velocity"),
         ratios=tuple(float(r) for r in cfg["ratios"]),
         duration=float(cfg["duration"]),
     )
@@ -225,8 +236,11 @@ def table_to_config(table: MappingTable) -> dict:
 
 
 def table_from_config(cfg: dict) -> MappingTable:
+    """The ``mapping`` section's table; a key it does not read raises
+    ConfigError naming its path, e.g. ``mapping.symbols.A.ioi.sigma``."""
+    reject_unknown_keys(cfg, ("symbols", "scale_ioi", "scale_pitch"), "mapping")
     return MappingTable(
-        configs={s: config_from_dict(c) for s, c in cfg["symbols"].items()},
+        configs={s: config_from_dict(c, f"mapping.symbols.{s}") for s, c in cfg["symbols"].items()},
         scale_ioi=float(cfg.get("scale_ioi", 1.0)),
         scale_pitch=float(cfg.get("scale_pitch", 1.0)),
     )

@@ -41,6 +41,13 @@ class ConfigError(ValueError):
     """A distribution or pipeline configuration is unusable."""
 
 
+def reject_unknown_keys(cfg: dict, known, path: str) -> None:
+    """Raise ConfigError naming every key of ``cfg`` outside ``known`` as ``path.key``."""
+    unknown = [f"{path}.{key}" if path else str(key) for key in cfg if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Project-standard generator: PCG64 seeded via SeedSequence."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -240,17 +247,20 @@ _TYPES = {"constant": Constant, "uniform": Uniform, "gaussian": Gaussian,
 _TYPE_NAMES = {law: kind for kind, law in _TYPES.items()}
 
 
-def dist_from_config(cfg: dict) -> Distribution:
+def dist_from_config(cfg: dict, path: str = "") -> Distribution:
     """Build a distribution from its JSON form, e.g. {"type": "exponential", "rate": 40.0}.
 
-    An exponential may give its ``scale`` in place of its ``rate``.
+    An exponential may give its ``scale`` in place of its ``rate``. A key
+    the law does not have raises ConfigError naming it under ``path``.
     """
     kind = cfg.get("type")
     if kind not in _TYPES:
         raise ConfigError(f"unknown distribution type: {kind!r}")
     if kind == "exponential" and "rate" not in cfg:
+        reject_unknown_keys(cfg, ("type", "scale"), path)
         return Exponential(1.0 / float(cfg["scale"]))
     law = _TYPES[kind]
+    reject_unknown_keys(cfg, ("type", *(f.name for f in fields(law))), path)
     return law(*(float(cfg[f.name]) for f in fields(law)))
 
 

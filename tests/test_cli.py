@@ -93,3 +93,19 @@ def test_generate_rejects_an_unknown_config_key(tmp_path, capsys, section, key):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert (f"{section}.{key}" if section else key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", ["hal.lmax", "mapping.scale_iot",
+                                  "mapping.symbols.A.ioi.sigma", "mapping.symbols.B.pitch.step"])
+def test_generate_rejects_an_unknown_nested_config_key(tmp_path, capsys, path):
+    cfg = load_bundled_config("canonical")
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[key] = 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

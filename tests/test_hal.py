@@ -364,3 +364,14 @@ def test_simulate_mismatch_directions():
     assert res.corrected_mean == pytest.approx(2.0 / np.sqrt(3), rel=0.1)
     assert res.corrected_mean < res.uncorrected_mean
     assert res.p_value < 1e-6
+
+
+def test_model_from_config_rejects_an_unknown_key_by_path():
+    from polycanon.hal import model_from_config
+    from polycanon.presets import load_bundled_config
+    from polycanon.stochastic import ConfigError
+
+    cfg = load_bundled_config("canonical")["hal"]
+    assert model_from_config(cfg) == LatencyModel()
+    with pytest.raises(ConfigError, match=r"hal\.lmax"):
+        model_from_config({**cfg, "lmax": 40.0})

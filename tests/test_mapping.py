@@ -163,3 +163,31 @@ def test_describe_empty_table():
 def test_describe_lists_every_symbol():
     text = describe(canonical_table())
     assert '"A"' in text and '"B"' in text and "exponential" in text and "constant" in text
+
+
+def _canonical_mapping():
+    from polycanon.presets import load_bundled_config
+
+    return load_bundled_config("canonical")["mapping"]
+
+
+def test_table_from_config_reads_the_bundled_mapping():
+    from polycanon.mapping import table_from_config
+
+    assert table_from_config(_canonical_mapping()) == canonical_table()
+
+
+@pytest.mark.parametrize("path", ["scale_iot", "symbols.A.ioi.sigma", "symbols.A.tempo",
+                                  "symbols.A.pitch.1.weight", "symbols.B.pitch.octave",
+                                  "symbols.B.velocity.mu"])
+def test_table_from_config_rejects_an_unknown_key_by_path(path):
+    from polycanon.mapping import table_from_config
+
+    cfg = _canonical_mapping()
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[key] = 1
+    with pytest.raises(ConfigError, match=rf"unknown config key\(s\): mapping\.{path}$"):
+        table_from_config(cfg)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polycanon import metrics
 from polycanon.events import NoteEvent
 from polycanon.grammar import expand
 from polycanon.metrics import (
@@ -13,10 +14,12 @@ from polycanon.metrics import (
     discretize_events,
     estimate_weights,
     information_rate,
+    lane_levenshtein,
     levenshtein,
     lz_complexity,
     melodic_coherence,
     normalized_lz,
+    pairwise_levenshtein,
     pcs_distance,
     pitch_class_concentration,
     rhythmic_coherence,
@@ -85,6 +88,50 @@ def test_levenshtein_long_sequences_match_reference_dp(alphabet):
     assert levenshtein(a, a[::-1].copy()) == levenshtein(a[::-1].copy(), a)
     assert levenshtein(a, a) == 0
     assert levenshtein(a, []) == levenshtein([], a) == 1500
+
+
+# lane widths on both sides of the 64-bit word boundaries
+lane_symbols = st.sampled_from([0, 1, 63, 64, 65, 128]).flatmap(
+    lambda n: st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=140), st.lists(lane_symbols, max_size=5))
+@example([], [[0] * 64, [], [1] * 65])
+@example([0, 1], [[0, 1, 2] * 43, [2] * 63, [0]])
+@example([0] * 70, [[0] * 64, [0] * 65, [0], [1] * 63, [0] * 128])  # carries reach every guard bit
+def test_lane_kernel_matches_reference_dp(walker, lanes):
+    # ragged lanes, empty lanes, an empty walker and walkers shorter than
+    # their lanes: a carry or shift must never cross a lane's guard bit
+    assert lane_levenshtein(walker, lanes) == [brute_levenshtein(walker, b) for b in lanes]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(lane_symbols, st.lists(st.integers(-1, 1), max_size=20)),
+                max_size=6))
+def test_pairwise_levenshtein_matches_reference_dp(seqs):
+    dist = pairwise_levenshtein(seqs)
+    assert dist.shape == (len(seqs), len(seqs))
+    assert np.array_equal(dist, dist.T)
+    for i, a in enumerate(seqs):
+        for j, b in enumerate(seqs):
+            assert dist[i, j] == brute_levenshtein(a, b)
+
+
+def test_pair_metrics_equal_a_per_pair_melodic_coherence_loop(canonical):
+    from polycanon.experiments._common import section_streams
+    from polycanon.experiments.fidelity import _pair_metrics
+
+    streams = section_streams(canonical)
+    same_mc, cross_mc = [], []
+    for i in range(len(streams)):
+        for j in range(i + 1, len(streams)):
+            mc = melodic_coherence(streams[i][1], streams[j][1])
+            (same_mc if streams[i][0] == streams[j][0] else cross_mc).append(mc)
+    got_same, got_cross, _, _ = _pair_metrics(canonical)
+    assert len(same_mc) + len(cross_mc) == 28
+    assert got_same.tolist() == same_mc
+    assert got_cross.tolist() == cross_mc
 
 
 def test_melodic_coherence_examples():
@@ -250,6 +297,61 @@ def test_det_hand_derivation_depth4():
 
 def test_det_no_recurrence():
     assert rqa_determinism("ABCD") == 0.0
+
+
+def per_diagonal_determinism(seq, min_line=2):
+    """The one-diagonal-at-a-time loop that the block form replaced."""
+    seq = list(seq)
+    n = len(seq)
+    labels = {s: i for i, s in enumerate(dict.fromkeys(seq))}
+    codes = np.array([labels[s] for s in seq])
+    total = 0
+    on_lines = 0
+    for d in range(1, n):
+        eq = codes[:-d] == codes[d:]
+        total += int(eq.sum())
+        if not eq.any():
+            continue
+        padded = np.concatenate([[0], eq.astype(np.int8), [0]])
+        edges = np.flatnonzero(np.diff(padded))
+        runs = edges[1::2] - edges[0::2]
+        on_lines += int(runs[runs >= min_line].sum())
+    if total == 0:
+        return 0.0
+    return on_lines / total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.text(alphabet="AB", min_size=2, max_size=80),
+                 st.text(alphabet="ABCDEFGHIJ", min_size=2, max_size=80),
+                 st.integers(2, 80).map(lambda n: "A" * n)),
+       st.integers(1, 4), st.sampled_from([1, 7, 64, 500, metrics.RQA_BLOCK_CELLS]))
+def test_det_blocks_equal_the_per_diagonal_loop(s, min_line, block_cells):
+    # small block bounds split the triangle into many blocks, down to one
+    # diagonal per block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "RQA_BLOCK_CELLS", block_cells)
+        assert rqa_determinism(s, min_line) == per_diagonal_determinism(s, min_line)
+
+
+LONG_TEXTS = {"periodic": "AB" * 750 + "A", "thirteen": "ABCDEFGHIJKLM" * 116,
+              "fibonacci": STRINGS[8] * 28, "random": "".join(
+                  np.random.default_rng(5).choice(list("ABC"), 1500).tolist())}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TEXTS))
+def test_det_beyond_one_block_equals_the_per_diagonal_loop(name):
+    # 1,500 symbols or more: the triangle takes more than one block of the bound
+    text = LONG_TEXTS[name]
+    assert len(text) ** 2 // 2 > metrics.RQA_BLOCK_CELLS
+    for min_line in (1, 2, 4):
+        assert rqa_determinism(text, min_line) == per_diagonal_determinism(text, min_line)
+
+
+def test_det_no_recurrence_and_all_equal_strings():
+    text = "".join(chr(0x100 + i) for i in range(1200))
+    assert rqa_determinism(text) == per_diagonal_determinism(text) == 0.0
+    assert rqa_determinism("A" * 1200, 1) == 1.0
 
 
 @settings(max_examples=40, deadline=None)

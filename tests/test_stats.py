@@ -29,6 +29,29 @@ def test_ks_distance_examples():
         ks_distance([], [1])
 
 
+def sorted_pool_ks_distance(x, y):
+    """The formula before the pooled sample lost its sort."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    pooled = np.concatenate([x, y])
+    pooled.sort(kind="mergesort")
+    fx = np.searchsorted(np.sort(x), pooled, side="right") / x.size
+    fy = np.searchsorted(np.sort(y), pooled, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+# few distinct values make ties inside and across the samples
+ks_samples = st.one_of(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]), min_size=1, max_size=30),
+                       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ks_samples, ks_samples)
+def test_ks_distance_equals_the_sorted_pool_formula(x, y):
+    assert ks_distance(x, y) == sorted_pool_ks_distance(x, y)
+    assert ks_distance(x + x, y) == sorted_pool_ks_distance(x + x, y)  # duplicated sample
+
+
 def test_ks_distance_to_cdf_discrete_atom():
     # sample identical to a degenerate law scores zero
     cdf = lambda x: (np.asarray(x) >= 0.2 - 1e-12).astype(float)

@@ -155,6 +155,16 @@ def test_config_round_trip():
         dist_to_config(InhomogeneousPoisson(lambda t: 1.0, 2.0))
 
 
+def test_dist_from_config_rejects_an_unknown_key_by_path():
+    with pytest.raises(ConfigError, match=r"ioi\.sigma"):
+        dist_from_config({"type": "constant", "value": 0.2, "sigma": 0.1}, "ioi")
+    with pytest.raises(ConfigError, match=r": scale$"):
+        dist_from_config({"type": "exponential", "rate": 2.0, "scale": 0.5})
+    with pytest.raises(ConfigError, match="lambda"):
+        dist_from_config({"type": "exponential", "scale": 0.5, "lambda": 2.0})
+    assert dist_from_config({"type": "exponential", "scale": 0.25}, "ioi") == Exponential(4.0)
+
+
 # The per-law dispatch that the law methods replaced, kept as references.
 
 
