@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import COLUMNS, Piece
+from .events import COLUMNS, NoteEvent, Piece
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
               "generation", "section"]
@@ -374,9 +374,13 @@ def read_events(path) -> Piece:
     raise ParseError(f"unsupported file type: {path}")
 
 
+_INT64 = range(-2**63, 2**63)
+
+
 def _is_valid(row: tuple) -> bool:
     try:
-        Piece.from_columns(*_transpose([row]))
-    except (ValueError, OverflowError):
+        NoteEvent(*row)
+    except ValueError:
         return False
-    return True
+    # NoteEvent bounds pitch and velocity only; the other int64 columns overflow
+    return all(v in _INT64 for v, dtype in zip(row, COLUMNS.values()) if dtype is np.int64)

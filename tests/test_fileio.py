@@ -367,20 +367,22 @@ def test_csv_reader_rejects_a_fractional_pitch_or_velocity_with_the_line(tmp_pat
         read_events(path)
 
 
-def test_json_reader_rejects_a_pitch_beyond_int64(tmp_path):
+@pytest.mark.parametrize("field", ["pitch", "voice"])
+def test_json_reader_rejects_an_integer_beyond_int64(tmp_path, field):
     path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
     doc = json.loads(path.read_text())
-    doc["events"][1]["pitch"] = 10**30
+    doc["events"][1][field] = 10**30
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="malformed event document"):
         read_events(path)
 
 
-def test_csv_reader_rejects_a_pitch_beyond_int64_with_the_line(tmp_path):
+@pytest.mark.parametrize("column", [1, 4])  # pitch, and voice, which NoteEvent does not bound
+def test_csv_reader_rejects_an_integer_beyond_int64_with_the_line(tmp_path, column):
     path = write_events_csv(sample_piece(n=3), tmp_path / "p.csv")
     lines = path.read_text().splitlines()
     parts = lines[2].split(",")
-    parts[1] = str(10**30)
+    parts[column] = str(10**30)
     lines[2] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 3: "):
