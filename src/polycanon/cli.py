@@ -33,7 +33,7 @@ from .metrics import (
 )
 from .pipeline import generate
 from .presets import load_bundled_config
-from .stochastic import ConfigError, make_rng, reject_unknown_keys
+from .stochastic import ConfigError, make_rng, reject_unknown_keys, require_keys
 
 EXIT_OK = 0
 EXIT_EXPERIMENT_FAILED = 3
@@ -51,7 +51,11 @@ def _load_config(path: str | None) -> dict:
 
 def _cmd_expand(args) -> int:
     cfg = _load_config(args.grammar)
-    grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
+    try:
+        grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
+    except ConfigError as err:
+        print(err, file=sys.stderr)
+        return 2
     result = grammar_expand(grammar, args.depth)
     print(result.text)
     if args.tags:
@@ -67,13 +71,14 @@ def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     try:
         reject_unknown_keys(cfg, CONFIG_KEYS, "")
+        require_keys(cfg, ("grammar", "mapping"), "")
         reject_unknown_keys(cfg.get("midi", {}), {f.name for f in fields(MidiRenderConfig)}, "midi")
+        grammar = grammar_from_config(cfg["grammar"])
         table = table_from_config(cfg["mapping"])
         model = model_from_config(cfg.get("hal", {}))
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    grammar = grammar_from_config(cfg["grammar"])
     depth = args.depth if args.depth is not None else int(cfg.get("depth", 4))
     seed = args.seed if args.seed is not None else int(cfg.get("seed", _default_seed()))
     symbols = grammar_expand(grammar, depth)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .stochastic import make_rng
+from .stochastic import make_rng, reject_unknown_keys, require_keys
 
 
 class InvalidGrammarError(ValueError):
@@ -74,6 +74,10 @@ def grammar_from_strings(rules: dict[str, str], axiom: str, alphabet=None) -> Gr
 
 
 def grammar_from_config(cfg: dict) -> Grammar:
+    """The ``grammar`` section's grammar; a key it does not read, or one it
+    needs and lacks, raises ConfigError naming it, e.g. ``grammar.axoim``."""
+    reject_unknown_keys(cfg, ("rules", "axiom", "alphabet"), "grammar")
+    require_keys(cfg, ("rules", "axiom"), "grammar")
     return grammar_from_strings(
         dict(cfg["rules"]), cfg["axiom"], alphabet=cfg.get("alphabet")
     )

@@ -16,6 +16,7 @@ from .stochastic import (
     dist_from_config,
     dist_to_config,
     reject_unknown_keys,
+    require_keys,
 )
 
 
@@ -188,6 +189,7 @@ def _pitch_to_config(source: PitchSource) -> dict:
 def _pitch_from_config(cfg: dict, path: str) -> PitchSource:
     if cfg.get("type") == "pitch_set":
         reject_unknown_keys(cfg, ("type", "classes", "lo", "hi", "weights"), path)
+        require_keys(cfg, ("classes", "lo", "hi"), path)
         weights = cfg.get("weights")
         return PitchSet(tuple(cfg["classes"]), int(cfg["lo"]), int(cfg["hi"]),
                         tuple(weights) if weights else None)
@@ -209,10 +211,12 @@ def config_to_dict(pc: ParameterConfig) -> dict:
 
 
 def config_from_dict(cfg: dict, path: str = "") -> ParameterConfig:
-    """A symbol's parameters from their JSON form; a key it does not read
-    raises ConfigError naming it under ``path``."""
+    """A symbol's parameters from their JSON form; a key it does not read, or
+    one it needs and lacks, raises ConfigError naming it under ``path``."""
     at = f"{path}." if path else ""
-    reject_unknown_keys(cfg, ("ioi", "pitch", "velocity", "ratios", "duration"), path)
+    keys = ("ioi", "pitch", "velocity", "ratios", "duration")
+    reject_unknown_keys(cfg, keys, path)
+    require_keys(cfg, keys, path)
     pitch_cfg = cfg["pitch"]
     if isinstance(pitch_cfg, list):
         pitch = tuple(_pitch_from_config(p, f"{at}pitch.{i}") for i, p in enumerate(pitch_cfg))
@@ -236,9 +240,11 @@ def table_to_config(table: MappingTable) -> dict:
 
 
 def table_from_config(cfg: dict) -> MappingTable:
-    """The ``mapping`` section's table; a key it does not read raises
-    ConfigError naming its path, e.g. ``mapping.symbols.A.ioi.sigma``."""
+    """The ``mapping`` section's table; a key it does not read, or one it
+    needs and lacks, raises ConfigError naming its path, e.g.
+    ``mapping.symbols.A.ioi.sigma`` or ``mapping.symbols.A.ratios``."""
     reject_unknown_keys(cfg, ("symbols", "scale_ioi", "scale_pitch"), "mapping")
+    require_keys(cfg, ("symbols",), "mapping")
     return MappingTable(
         configs={s: config_from_dict(c, f"mapping.symbols.{s}") for s, c in cfg["symbols"].items()},
         scale_ioi=float(cfg.get("scale_ioi", 1.0)),

@@ -346,31 +346,67 @@ def information_rate(seq: Sequence[Hashable]) -> float:
 
 
 def lz_complexity(seq: Sequence[Hashable]) -> int:
-    """Incremental-dictionary phrase count.
+    """Lempel–Ziv (1976) exhaustive-history phrase count.
 
     Each phrase is the shortest prefix of the unparsed remainder that does not
-    occur as a substring of the text before the phrase's last symbol; a
-    trailing incomplete phrase counts as one.
-    """
-    seq = tuple(seq)
-    n = len(seq)
-    if n == 0:
-        raise MetricError("lz_complexity needs a non-empty sequence")
-    # map symbols onto characters so the substring search runs at C speed
-    codebook: dict = {}
-    for s in seq:
-        codebook.setdefault(s, len(codebook))
-    text = "".join(chr(0x100 + codebook[s]) for s in seq)
+    occur as a substring of the text before the phrase's last symbol (the
+    occurrence may overlap the phrase itself); a trailing incomplete phrase
+    counts as one.
 
+    The parse runs in O(n) amortised time on an online suffix automaton
+    (Blumer et al. 1985, "The smallest automaton recognizing the subwords of
+    a text", TCS 40) over integer symbol codes, with at most 2n states. The
+    automaton is extended by one symbol per step, so it holds exactly the
+    text before the symbol being tested, and the phrase so far is always a
+    suffix of that text. When the phrase goes on, its state lies on the
+    suffix-link path at or below the first state the extension finds with
+    that symbol's transition, so it is never the state the step clones, and
+    its transition read after the extension (redirected to the clone when
+    one is made) is the phrase's state in the extended automaton.
+    """
+    codebook: dict = {}
+    codes = [codebook.setdefault(s, len(codebook)) for s in seq]
+    if not codes:
+        raise MetricError("lz_complexity needs a non-empty sequence")
+
+    # state 0 is the root; `length` is the longest string of each state
+    trans: list[dict] = [{}]
+    link = [-1]
+    length = [0]
+    last = 0
+    state = 0  # the state of the phrase so far, which is a suffix of the text
     phrases = 0
-    pos = 0
-    while pos < n:
-        k = 1
-        while pos + k <= n and text.find(text[pos:pos + k], 0, pos + k - 1) != -1:
-            k += 1
-        phrases += 1
-        pos += k
-    return phrases
+    for c in codes:
+        extends = c in trans[state]
+        # append c to the automaton's text
+        cur = len(length)
+        trans.append({})
+        link.append(0)
+        length.append(length[last] + 1)
+        p = last
+        while p != -1 and c not in trans[p]:
+            trans[p][c] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][c]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                trans.append(dict(trans[q]))
+                link.append(link[q])
+                length.append(length[p] + 1)
+                while p != -1 and trans[p].get(c) == q:
+                    trans[p][c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+        if extends:
+            state = trans[state][c]
+        else:
+            phrases += 1
+            state = 0
+    return phrases + (state != 0)
 
 
 # cells of the recurrence triangle scored in one vectorised pass

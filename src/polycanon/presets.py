@@ -16,7 +16,6 @@ from importlib import resources
 
 from .canon import VoiceSpec
 from .grammar import Grammar, grammar_from_strings
-from .hal import LatencyModel
 from .mapping import MappingTable, ParameterConfig, PitchSet
 from .stochastic import Constant, Exponential, Uniform
 
@@ -82,10 +81,6 @@ def cp_switch_configs() -> tuple[ParameterConfig, ParameterConfig]:
         duration=15.0,
     )
     return pre, post
-
-
-def default_latency_model() -> LatencyModel:
-    return LatencyModel(variant="power", c=0.5)
 
 
 def load_bundled_config(name: str = "canonical") -> dict:

@@ -48,6 +48,13 @@ def reject_unknown_keys(cfg: dict, known, path: str) -> None:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
+def require_keys(cfg: dict, required, path: str) -> None:
+    """Raise ConfigError naming every key of ``required`` missing from ``cfg`` as ``path.key``."""
+    missing = [f"{path}.{key}" if path else str(key) for key in required if key not in cfg]
+    if missing:
+        raise ConfigError(f"missing config key(s): {', '.join(missing)}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Project-standard generator: PCG64 seeded via SeedSequence."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -251,17 +258,21 @@ def dist_from_config(cfg: dict, path: str = "") -> Distribution:
     """Build a distribution from its JSON form, e.g. {"type": "exponential", "rate": 40.0}.
 
     An exponential may give its ``scale`` in place of its ``rate``. A key
-    the law does not have raises ConfigError naming it under ``path``.
+    the law does not have, or one it needs and lacks, raises ConfigError
+    naming it under ``path``.
     """
-    kind = cfg.get("type")
+    require_keys(cfg, ("type",), path)
+    kind = cfg["type"]
     if kind not in _TYPES:
         raise ConfigError(f"unknown distribution type: {kind!r}")
-    if kind == "exponential" and "rate" not in cfg:
+    if kind == "exponential" and "rate" not in cfg and "scale" in cfg:
         reject_unknown_keys(cfg, ("type", "scale"), path)
         return Exponential(1.0 / float(cfg["scale"]))
     law = _TYPES[kind]
-    reject_unknown_keys(cfg, ("type", *(f.name for f in fields(law))), path)
-    return law(*(float(cfg[f.name]) for f in fields(law)))
+    names = tuple(f.name for f in fields(law))
+    reject_unknown_keys(cfg, ("type", *names), path)
+    require_keys(cfg, names, path)
+    return law(*(float(cfg[name]) for name in names))
 
 
 def dist_to_config(dist: Distribution) -> dict:

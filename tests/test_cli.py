@@ -95,17 +95,42 @@ def test_generate_rejects_an_unknown_config_key(tmp_path, capsys, section, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("path", ["hal.lmax", "mapping.scale_iot",
+def _parent_and_key(cfg, path):
+    """The node holding the last key of a dotted config path, and that key."""
+    *parents, key = path.split(".")
+    for part in parents:
+        cfg = cfg[part]
+    return cfg, key
+
+
+@pytest.mark.parametrize("path", ["hal.lmax", "mapping.scale_iot", "grammar.axoim",
                                   "mapping.symbols.A.ioi.sigma", "mapping.symbols.B.pitch.step"])
 def test_generate_rejects_an_unknown_nested_config_key(tmp_path, capsys, path):
     cfg = load_bundled_config("canonical")
-    *parents, key = path.split(".")
-    node = cfg
-    for part in parents:
-        node = node[part]
+    node, key = _parent_and_key(cfg, path)
     node[key] = 1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert path in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", ["grammar", "grammar.rules", "mapping.symbols.A.ratios",
+                                  "mapping.symbols.B.ioi.rate"])
+def test_generate_names_a_missing_config_key(tmp_path, capsys, path):
+    cfg = load_bundled_config("canonical")
+    node, key = _parent_and_key(cfg, path)
+    del node[key]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"missing config key(s): {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_expand_rejects_an_unknown_grammar_key(tmp_path, capsys):
+    path = tmp_path / "grammar.json"
+    path.write_text(json.dumps({"rules": {"A": "AB", "B": "A"}, "axiom": "A", "axoim": "B"}))
+    assert main(["expand", "--grammar", str(path), "--depth", "2"]) == 2
+    assert "grammar.axoim" in capsys.readouterr().err

@@ -73,6 +73,20 @@ def test_empty_piece_round_trips(tmp_path):
     assert len(back) == 0
 
 
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_json_and_csv_round_trip_exactly_at_canonical_density(seed):
+    piece = generate(expand(fibonacci_grammar(), 6), canonical_table(), make_rng(seed), seed=seed)
+    piece, _ = enforce_constraints(piece)
+    piece = precompensate(piece, LatencyModel())
+    with tempfile.TemporaryDirectory() as tmp:
+        back_json = read_events(write_events_json(piece, Path(tmp) / "p.json"))
+        back_csv = read_events(write_events_csv(piece, Path(tmp) / "p.csv"))
+    assert len(piece) > 10_000  # depth 6 at 35 and 120.6 notes/s
+    assert back_json.events == piece.events
+    assert back_csv.events == piece.events
+
+
 def midi_keys(piece, shift, spt):
     """(voice, tick, pitch, velocity) of every note, as the MIDI file sees it."""
     return Counter((e.voice, round((e.onset + shift) / spt), e.pitch, e.velocity)

@@ -7,12 +7,14 @@ from polycanon.grammar import (
     InvalidGrammarError,
     expand,
     fibonacci,
+    grammar_from_config,
     grammar_from_strings,
     shuffle_preserving_counts,
     symbol_counts,
 )
 from polycanon.metrics import information_rate
-from polycanon.presets import fibonacci_grammar
+from polycanon.presets import fibonacci_grammar, load_bundled_config
+from polycanon.stochastic import ConfigError
 
 
 def test_depth4_is_the_canonical_string():
@@ -95,3 +97,22 @@ def test_shuffled_bigram_information_matches_expected_band():
     values = [information_rate(shuffle_preserving_counts(s, k).text) for k in range(1000)]
     assert abs(np.mean(values) - 0.14) < 0.03
     assert 0.10 < np.std(values) < 0.25
+
+
+def test_grammar_from_config_reads_the_bundled_grammar():
+    assert grammar_from_config(load_bundled_config("canonical")["grammar"]) == fibonacci_grammar()
+
+
+def test_grammar_from_config_rejects_an_unknown_key_by_path():
+    cfg = load_bundled_config("canonical")["grammar"]
+    cfg["axoim"] = cfg["axiom"]
+    with pytest.raises(ConfigError, match=r"unknown config key\(s\): grammar\.axoim$"):
+        grammar_from_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["rules", "axiom"])
+def test_grammar_from_config_names_a_missing_key(key):
+    cfg = load_bundled_config("canonical")["grammar"]
+    del cfg[key]
+    with pytest.raises(ConfigError, match=rf"missing config key\(s\): grammar\.{key}$"):
+        grammar_from_config(cfg)

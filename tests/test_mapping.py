@@ -171,6 +171,14 @@ def _canonical_mapping():
     return load_bundled_config("canonical")["mapping"]
 
 
+def _parent_and_key(cfg, path):
+    """The node holding the last key of a dotted path (list items by index), and that key."""
+    *parents, key = path.split(".")
+    for part in parents:
+        cfg = cfg[int(part)] if isinstance(cfg, list) else cfg[part]
+    return cfg, key
+
+
 def test_table_from_config_reads_the_bundled_mapping():
     from polycanon.mapping import table_from_config
 
@@ -184,10 +192,31 @@ def test_table_from_config_rejects_an_unknown_key_by_path(path):
     from polycanon.mapping import table_from_config
 
     cfg = _canonical_mapping()
-    *parents, key = path.split(".")
-    node = cfg
-    for part in parents:
-        node = node[int(part)] if isinstance(node, list) else node[part]
+    node, key = _parent_and_key(cfg, path)
     node[key] = 1
     with pytest.raises(ConfigError, match=rf"unknown config key\(s\): mapping\.{path}$"):
         table_from_config(cfg)
+
+
+@pytest.mark.parametrize("path", ["symbols", "symbols.A.ratios", "symbols.B.ioi.rate",
+                                  "symbols.A.pitch.0.classes", "symbols.B.velocity.type"])
+def test_table_from_config_names_a_missing_key_by_path(path):
+    from polycanon.mapping import table_from_config
+
+    cfg = _canonical_mapping()
+    node, key = _parent_and_key(cfg, path)
+    del node[key]
+    with pytest.raises(ConfigError, match=rf"missing config key\(s\): mapping\.{path}$"):
+        table_from_config(cfg)
+
+
+def test_config_from_dict_names_a_missing_key_under_its_path():
+    from polycanon.mapping import config_from_dict, config_to_dict
+
+    cfg = config_to_dict(canonical_table().configs["A"])
+    del cfg["duration"]
+    with pytest.raises(ConfigError, match=r"missing config key\(s\): A\.duration$"):
+        config_from_dict(cfg, "A")
+    del cfg["ratios"]
+    with pytest.raises(ConfigError, match=r"missing config key\(s\): ratios, duration$"):
+        config_from_dict(cfg)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -284,6 +285,83 @@ def test_lz_reference_values(depth, expected):
 def test_lz_trivial_cases():
     assert lz_complexity("A") == 1
     assert lz_complexity("AAAAAAA") == 2  # "A" then the reproducible tail
+
+
+def _lz_reference(seq):
+    """The str.find parse that the automaton replaced, kept as the reference."""
+    seq = tuple(seq)
+    n = len(seq)
+    codebook = {}
+    for s in seq:
+        codebook.setdefault(s, len(codebook))
+    text = "".join(chr(0x100 + codebook[s]) for s in seq)
+    phrases = 0
+    pos = 0
+    while pos < n:
+        k = 1
+        while pos + k <= n and text.find(text[pos:pos + k], 0, pos + k - 1) != -1:
+            k += 1
+        phrases += 1
+        pos += k
+    return phrases
+
+
+# a short seed repeated to any length, with a few substitutions: long
+# self-overlapping matches that walk the automaton's suffix links
+repeats = st.builds(
+    lambda base, n, edits: [
+        dict(edits).get(i, base[i % len(base)]) for i in range(n)],
+    st.lists(st.integers(0, 2), min_size=1, max_size=8),
+    st.integers(1, 300),
+    st.lists(st.tuples(st.integers(0, 299), st.integers(0, 2)), max_size=4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.integers(1, 3).flatmap(
+        lambda a: st.lists(st.integers(0, a - 1), min_size=1, max_size=300)),
+    repeats,
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2)), min_size=1, max_size=300),
+))
+@example([0, 1, 0, 1])  # "A", "B", then the trailing incomplete "AB"
+@example([0, 0, 1, 0, 0, 1, 0, 0])
+@example([0, 1, 1, 1, 0, 0, 1, 1, 0, 0])  # needs a clone one symbol longer than its parent
+@example([(3, 7)] * 40 + [(3, 8)])  # tuple symbols as discretize_events emits
+def test_lz_automaton_equals_the_find_parse(seq):
+    assert lz_complexity(seq) == _lz_reference(seq)
+
+
+@pytest.mark.parametrize("alphabet,max_len", [(2, 12), (3, 7)])
+def test_lz_automaton_equals_the_find_parse_on_every_short_string(alphabet, max_len):
+    for n in range(1, max_len + 1):
+        for seq in itertools.product(range(alphabet), repeat=n):
+            assert lz_complexity(seq) == _lz_reference(seq), seq
+
+
+def test_lz_trailing_incomplete_phrase_counts_once():
+    assert lz_complexity("ABAB") == _lz_reference("ABAB") == 3  # A | B | AB...
+    assert lz_complexity("ABABC") == _lz_reference("ABABC") == 3  # A | B | ABC
+    assert lz_complexity([(0, 1), (0, 2), (0, 1), (0, 2)]) == 3
+
+
+@pytest.mark.parametrize("depth", [9, 14, 18])
+def test_lz_of_a_fibonacci_word_equals_the_find_parse(depth):
+    text = expand(fibonacci_grammar(), depth).text
+    assert lz_complexity(text) == _lz_reference(text) == depth + 1
+
+
+def test_lz_pins_a_seeded_30k_symbol_stream():
+    # (IOI bin, pitch class) symbols, half drawn fresh and half copied from
+    # an earlier stretch, so the parse sees both short and long phrases
+    rng = make_rng(2026)
+    stream = list(zip(rng.integers(0, 8, 15_000).tolist(),
+                      rng.integers(0, 12, 15_000).tolist()))
+    while len(stream) < 30_000:
+        start = int(rng.integers(0, len(stream) - 200))
+        stream.extend(stream[start:start + int(rng.integers(1, 200))])
+    stream = stream[:30_000]
+    assert lz_complexity(stream) == _lz_reference(stream) == 6207
 
 
 @pytest.mark.parametrize("depth,expected", [(4, 0.692), (6, 0.764), (8, 0.781)])

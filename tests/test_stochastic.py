@@ -165,6 +165,17 @@ def test_dist_from_config_rejects_an_unknown_key_by_path():
     assert dist_from_config({"type": "exponential", "scale": 0.25}, "ioi") == Exponential(4.0)
 
 
+def test_dist_from_config_names_a_missing_key_by_path():
+    with pytest.raises(ConfigError, match=r"missing config key\(s\): ioi\.value$"):
+        dist_from_config({"type": "constant"}, "ioi")
+    with pytest.raises(ConfigError, match=r"missing config key\(s\): velocity\.hi$"):
+        dist_from_config({"type": "uniform", "lo": 100}, "velocity")
+    with pytest.raises(ConfigError, match=r"missing config key\(s\): ioi\.rate$"):
+        dist_from_config({"type": "exponential"}, "ioi")
+    with pytest.raises(ConfigError, match=r"missing config key\(s\): type$"):
+        dist_from_config({"value": 0.2})
+
+
 # The per-law dispatch that the law methods replaced, kept as references.
 
 
