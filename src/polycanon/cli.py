@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
-from .fileio import MidiRenderConfig, read_events, write_events_csv, write_events_json, write_midi
+from .fileio import midi_from_config, read_events, write_events_csv, write_events_json, write_midi
 from .grammar import expand as grammar_expand
 from .grammar import grammar_from_config
 from .hal import ConstraintSet, enforce_constraints, model_from_config, precompensate
@@ -33,7 +32,7 @@ from .metrics import (
 )
 from .pipeline import generate
 from .presets import load_bundled_config
-from .stochastic import ConfigError, make_rng, reject_unknown_keys, require_keys
+from .stochastic import ConfigError, config_value, make_rng, reject_unknown_keys, require_keys
 
 EXIT_OK = 0
 EXIT_EXPERIMENT_FAILED = 3
@@ -72,15 +71,19 @@ def _cmd_generate(args) -> int:
     try:
         reject_unknown_keys(cfg, CONFIG_KEYS, "")
         require_keys(cfg, ("grammar", "mapping"), "")
-        reject_unknown_keys(cfg.get("midi", {}), {f.name for f in fields(MidiRenderConfig)}, "midi")
+        midi = midi_from_config(cfg.get("midi", {}))
         grammar = grammar_from_config(cfg["grammar"])
         table = table_from_config(cfg["mapping"])
         model = model_from_config(cfg.get("hal", {}))
+        depth = (args.depth if args.depth is not None
+                 else config_value(cfg.get("depth", 4), int, "depth"))
+        seed = (args.seed if args.seed is not None
+                else config_value(cfg.get("seed", _default_seed()), int, "seed"))
+        if depth < 0:
+            raise ConfigError(f"depth must be >= 0, got {depth}")
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    depth = args.depth if args.depth is not None else int(cfg.get("depth", 4))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", _default_seed()))
     symbols = grammar_expand(grammar, depth)
     piece = generate(symbols, table, make_rng(seed), seed=seed)
     piece, violations = enforce_constraints(piece, ConstraintSet())
@@ -90,7 +93,7 @@ def _cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_events_json(compensated, out / "piece.json")
     write_events_csv(compensated, out / "piece.csv")
-    write_midi(compensated, MidiRenderConfig(**cfg.get("midi", {})), out / "piece.mid")
+    write_midi(compensated, midi, out / "piece.mid")
     print(f"{len(compensated)} events -> {out}/piece.[json|csv|mid] "
           f"({len(violations)} constraint repairs)")
     return EXIT_OK

@@ -173,12 +173,12 @@ def null_stream(density: float, rng, duration: float = 10.0) -> Piece:
     """Structureless baseline: uniform pitch and velocity, exponential IOIs."""
     onsets = np.cumsum(rng.exponential(1.0 / density, int(density * duration * 2) + 20))
     onsets = onsets[onsets < duration]
-    # scalar draws, pitch then velocity per note: the seeded stream depends on this order
-    pitches, velocities = np.empty((2, len(onsets)), dtype=int)
-    for i in range(len(onsets)):
-        pitches[i] = rng.integers(0, 128)
-        velocities[i] = rng.integers(0, 1024)
-    return Piece.from_columns(onsets, pitches, velocities, 0.05)
+    # pitch then velocity per note, each the top 7 or 10 bits of one 32-bit
+    # output: that is what rng.integers(0, 2**k) returns, since Lemire's
+    # method never rejects for a power-of-two range, so the values and the
+    # generator's final state are those of per-value scalar draws
+    bits = rng.integers(0, 2**32, size=(len(onsets), 2), dtype=np.uint32)
+    return Piece.from_columns(onsets, bits[:, 0] >> 25, bits[:, 1] >> 22, 0.05)
 
 
 def window_counts(piece: Piece, horizon: float, window: float = 1.0) -> np.ndarray:

@@ -26,19 +26,30 @@ from ._common import canonical_piece, discrete_cdf, section_streams
 from .reporting import Report, timer
 
 
-def _pair_metrics(piece: Piece):
-    """Same- and cross-symbol MC/RC values over all section pairs.
+def _pair_metrics(piece: Piece, cross: bool = True):
+    """Same- and cross-symbol MC/RC values over section pairs, in pair order.
 
-    MC is :func:`melodic_coherence` per pair, with every section-pair
-    contour distance from one :func:`pairwise_levenshtein` call.
+    MC is :func:`melodic_coherence` per pair, with the contour distances
+    from :func:`pairwise_levenshtein`. With ``cross=False`` only pairs of
+    one symbol are scored, one call per symbol, and both cross arrays are
+    empty.
     """
     streams = section_streams(piece)
-    dist = pairwise_levenshtein([contour(p) for _, p, _, _, _ in streams]).tolist()
+    contours = [contour(p) for _, p, _, _, _ in streams]
+    symbols = [s for s, _, _, _, _ in streams]
+    groups = [range(len(streams))] if cross else [
+        [i for i, s in enumerate(symbols) if s == symbol] for symbol in dict.fromkeys(symbols)]
+    dist = np.zeros((len(streams), len(streams)), dtype=np.int64)
+    for group in groups:
+        dist[np.ix_(group, group)] = pairwise_levenshtein([contours[i] for i in group])
+    dist = dist.tolist()
     same_mc, cross_mc, same_rc, cross_rc = [], [], [], []
     for i in range(len(streams)):
         for j in range(i + 1, len(streams)):
             si, pi, ii, _, _ = streams[i]
             sj, pj, ij, _, _ = streams[j]
+            if si != sj and not cross:
+                continue
             mc = 1.0 - dist[i][j] / max(pi.size, pj.size)
             rc = rhythmic_coherence(ii, ij)
             (same_mc if si == sj else cross_mc).append(mc)
@@ -207,7 +218,7 @@ def ablation_a(seed: int = 42, trials: int = 100, **_) -> Report:
         symbols = expand(fibonacci_grammar(), 4)
         table = canonical_table()
         full_piece = canonical_piece(seed)
-        same_mc, _, same_rc, _ = _pair_metrics(full_piece)
+        same_mc, _, same_rc, _ = _pair_metrics(full_piece, cross=False)
         ir_full = information_rate(symbols.text)
 
         perm_mc, perm_rc, perm_ir = [], [], []
@@ -216,7 +227,7 @@ def ablation_a(seed: int = 42, trials: int = 100, **_) -> Report:
             perm_ir.append(information_rate(perm.text))
             rng = derive_rng(seed, f"ablation-a-{k}")
             piece = generate(perm, table, rng)
-            mc_k, _, rc_k, _ = _pair_metrics(piece)
+            mc_k, _, rc_k, _ = _pair_metrics(piece, cross=False)
             perm_mc.append(float(np.mean(mc_k)))
             perm_rc.append(float(np.mean(rc_k)))
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .events import COLUMNS, NoteEvent, Piece
+from .stochastic import ConfigError, config_value, reject_unknown_keys
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
               "generation", "section"]
@@ -37,21 +38,35 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class MidiRenderConfig:
+    """The ``midi`` section of the config document; a value out of range
+    raises ConfigError naming its path, e.g. ``midi.ppq``."""
+
     ppq: int = 960
     tempo_us: int = 500_000
     velocity_mode: str = "sidecar"  # sidecar | cc88 | off
 
     def __post_init__(self):
         if self.ppq < 96:
-            raise ValueError(f"PPQ must be >= 96, got {self.ppq}")
+            raise ConfigError(f"midi.ppq must be >= 96, got {self.ppq}")
         if self.tempo_us <= 0:
-            raise ValueError("tempo must be positive")
+            raise ConfigError(f"midi.tempo_us must be positive, got {self.tempo_us}")
         if self.velocity_mode not in ("sidecar", "cc88", "off"):
-            raise ValueError(f"unknown velocity mode {self.velocity_mode!r}")
+            raise ConfigError(f"midi.velocity_mode {self.velocity_mode!r} is not "
+                              "sidecar, cc88 or off")
 
     @property
     def seconds_per_tick(self) -> float:
         return self.tempo_us / 1e6 / self.ppq
+
+
+def midi_from_config(cfg: dict) -> MidiRenderConfig:
+    """The ``midi`` section's render settings; a key it does not read or a
+    value of the wrong type raises ConfigError naming its path, e.g.
+    ``midi.ppqn`` or ``midi.tempo_us``."""
+    kinds = {f.name: type(f.default) for f in fields(MidiRenderConfig)}
+    reject_unknown_keys(cfg, kinds, "midi")
+    return MidiRenderConfig(**{key: config_value(value, kinds[key], f"midi.{key}")
+                               for key, value in cfg.items()})
 
 
 def velocity_to_7bit(v10):

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .stochastic import make_rng, reject_unknown_keys, require_keys
+from .stochastic import ConfigError, config_list, config_value, make_rng
+from .stochastic import reject_unknown_keys, require_keys
 
 
 class InvalidGrammarError(ValueError):
@@ -74,13 +75,21 @@ def grammar_from_strings(rules: dict[str, str], axiom: str, alphabet=None) -> Gr
 
 
 def grammar_from_config(cfg: dict) -> Grammar:
-    """The ``grammar`` section's grammar; a key it does not read, or one it
-    needs and lacks, raises ConfigError naming it, e.g. ``grammar.axoim``."""
+    """The ``grammar`` section's grammar; a key it does not read, one it
+    needs and lacks, a value of the wrong type or an invalid grammar raises
+    ConfigError naming its path, e.g. ``grammar.axoim`` or ``grammar.rules.A``."""
     reject_unknown_keys(cfg, ("rules", "axiom", "alphabet"), "grammar")
     require_keys(cfg, ("rules", "axiom"), "grammar")
-    return grammar_from_strings(
-        dict(cfg["rules"]), cfg["axiom"], alphabet=cfg.get("alphabet")
-    )
+    rules = {head: config_value(body, str, f"grammar.rules.{head}")
+             for head, body in config_value(cfg["rules"], dict, "grammar.rules").items()}
+    alphabet = cfg.get("alphabet")
+    if alphabet is not None:
+        alphabet = config_list(alphabet, str, "grammar.alphabet")
+    try:
+        return grammar_from_strings(rules, config_value(cfg["axiom"], str, "grammar.axiom"),
+                                    alphabet=alphabet)
+    except InvalidGrammarError as err:
+        raise ConfigError(f"grammar: {err}") from err
 
 
 def expand(grammar: Grammar, depth: int) -> SymbolString:

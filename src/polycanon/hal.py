@@ -352,14 +352,16 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
 
 def model_from_config(cfg: dict) -> LatencyModel:
     """The ``hal`` section's latency model; missing keys take the defaults,
-    and a key it does not read raises ConfigError naming it, e.g. ``hal.lmax``."""
-    from .stochastic import reject_unknown_keys
+    and a key it does not read, a value of the wrong type or a model out of
+    range raises ConfigError naming its path, e.g. ``hal.lmax`` or ``hal.c``."""
+    from .stochastic import ConfigError, config_value, reject_unknown_keys
 
     reject_unknown_keys(cfg, ("variant", "l_max", "l_min", "c", "k"), "hal")
-    return LatencyModel(
-        variant=cfg.get("variant", "power"),
-        l_max=float(cfg.get("l_max", 30.0)),
-        l_min=float(cfg.get("l_min", 10.0)),
-        c=float(cfg.get("c", 0.5)),
-        k=float(cfg.get("k", 9.0)),
-    )
+    defaults = LatencyModel()
+    values = {key: config_value(cfg.get(key, getattr(defaults, key)), kind, f"hal.{key}")
+              for key, kind in (("variant", str), ("l_max", float), ("l_min", float),
+                                ("c", float), ("k", float))}
+    try:
+        return LatencyModel(**values)
+    except ValueError as err:
+        raise ConfigError(f"hal: {err}") from err

@@ -13,6 +13,8 @@ import numpy as np
 from .stochastic import (
     ConfigError,
     Distribution,
+    config_list,
+    config_value,
     dist_from_config,
     dist_to_config,
     reject_unknown_keys,
@@ -187,12 +189,14 @@ def _pitch_to_config(source: PitchSource) -> dict:
 
 
 def _pitch_from_config(cfg: dict, path: str) -> PitchSource:
-    if cfg.get("type") == "pitch_set":
+    if isinstance(cfg, dict) and cfg.get("type") == "pitch_set":
         reject_unknown_keys(cfg, ("type", "classes", "lo", "hi", "weights"), path)
         require_keys(cfg, ("classes", "lo", "hi"), path)
         weights = cfg.get("weights")
-        return PitchSet(tuple(cfg["classes"]), int(cfg["lo"]), int(cfg["hi"]),
-                        tuple(weights) if weights else None)
+        return PitchSet(config_list(cfg["classes"], int, f"{path}.classes"),
+                        config_value(cfg["lo"], int, f"{path}.lo"),
+                        config_value(cfg["hi"], int, f"{path}.hi"),
+                        config_list(weights, float, f"{path}.weights") if weights else None)
     return dist_from_config(cfg, path)
 
 
@@ -226,8 +230,8 @@ def config_from_dict(cfg: dict, path: str = "") -> ParameterConfig:
         ioi=dist_from_config(cfg["ioi"], f"{at}ioi"),
         pitch=pitch,
         velocity=dist_from_config(cfg["velocity"], f"{at}velocity"),
-        ratios=tuple(float(r) for r in cfg["ratios"]),
-        duration=float(cfg["duration"]),
+        ratios=config_list(cfg["ratios"], float, f"{at}ratios"),
+        duration=config_value(cfg["duration"], float, f"{at}duration"),
     )
 
 
@@ -245,10 +249,11 @@ def table_from_config(cfg: dict) -> MappingTable:
     ``mapping.symbols.A.ioi.sigma`` or ``mapping.symbols.A.ratios``."""
     reject_unknown_keys(cfg, ("symbols", "scale_ioi", "scale_pitch"), "mapping")
     require_keys(cfg, ("symbols",), "mapping")
+    symbols = config_value(cfg["symbols"], dict, "mapping.symbols")
     return MappingTable(
-        configs={s: config_from_dict(c, f"mapping.symbols.{s}") for s, c in cfg["symbols"].items()},
-        scale_ioi=float(cfg.get("scale_ioi", 1.0)),
-        scale_pitch=float(cfg.get("scale_pitch", 1.0)),
+        configs={s: config_from_dict(c, f"mapping.symbols.{s}") for s, c in symbols.items()},
+        scale_ioi=config_value(cfg.get("scale_ioi", 1.0), float, "mapping.scale_ioi"),
+        scale_pitch=config_value(cfg.get("scale_pitch", 1.0), float, "mapping.scale_pitch"),
     )
 
 

@@ -13,6 +13,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -93,6 +94,25 @@ def contour(pitches) -> np.ndarray:
     return np.sign(np.diff(p.astype(float))).astype(np.int8)
 
 
+_ENDED = object()  # the symbol of a walker after its last one; it matches nothing
+
+
+class _StepMasks(dict):
+    """Match masks of a packed walk, keyed by the walkers' symbols at a step;
+    a key not yet seen gets the OR of each walker's mask for its symbol."""
+
+    def __init__(self, peqs: list[dict]):
+        super().__init__()
+        self.peqs = peqs
+
+    def __missing__(self, symbols: tuple) -> int:
+        eq = 0
+        for peq, symbol in zip(self.peqs, symbols):
+            eq |= peq[symbol]
+        self[symbols] = eq
+        return eq
+
+
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Exact unit-cost edit distance between 1-D sequences, bit-parallel.
 
@@ -111,11 +131,14 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     b = np.asarray(b).tolist()
     if len(a) < len(b):
         a, b = b, a
-    return lane_levenshtein(a, [b])[0]
+    return lane_levenshtein([(a, [b])])[0][0]
 
 
-def lane_levenshtein(walker: Sequence, lanes: Sequence[Sequence]) -> list[int]:
-    """Edit distances from ``walker`` to each of ``lanes``, in one walk.
+def lane_levenshtein(walks: Sequence[tuple[Sequence, Sequence[Sequence]]]) -> list[list[int]]:
+    """Edit distances from each walker to each of its lanes, in one walk.
+
+    ``walks`` holds ``(walker, lanes)`` pairs; the result holds, per pair,
+    the distance from the walker to each of its lanes.
 
     Lane layout: each lane of ``m`` symbols is ``m`` bits of one Python int
     (its match masks and its DP column), with a zero guard bit above them;
@@ -129,54 +152,81 @@ def lane_levenshtein(walker: Sequence, lanes: Sequence[Sequence]) -> list[int]:
     (``ph & (eq | mv)``) inside it too. No per-step score is kept: after
     the walk of ``n`` symbols a lane's bits hold the vertical deltas of its
     final DP column below row 0, whose value is ``n``, so its distance is
-    ``n + popcount(pv_lane) - popcount(mv_lane)``. Cost is ``n`` steps on
-    an int as wide as all lanes together. Symbols match when they compare
-    equal; lists of Python values (``.tolist()``) walk fastest.
+    ``n + popcount(pv_lane) - popcount(mv_lane)``.
+
+    Several walkers share the int: each has match masks for its own lanes
+    only, and a step's mask is the OR of every walker's mask for its symbol
+    at that step, memoised by the tuple of those symbols. A walker that has
+    ended shows a symbol whose mask is 0; its lanes go on stepping, apart
+    from every other lane, and are read from the ``(pv, mv)`` of the step
+    at which it ended. A single walker steps on its own masks directly.
+    Cost is one step per symbol of the longest walker, on an int as wide as
+    all lanes together. Symbols match when they compare equal; lists of
+    Python values (``.tolist()``) walk fastest.
     """
-    peq = dict.fromkeys(walker, 0)
-    spans = []  # (offset, width) of each lane
+    peqs, spans = [], []  # per walker: its match masks, (offset, width) of each lane
     mask = lows = offset = 0
-    for lane in lanes:
-        m = len(lane)
-        spans.append((offset, m))
-        if not m:
-            continue
-        local: dict = {}
-        for i, symbol in enumerate(lane):
-            local[symbol] = local.get(symbol, 0) | (1 << i)
-        for symbol, bits in local.items():
-            peq[symbol] = peq.get(symbol, 0) | (bits << offset)
-        mask |= ((1 << m) - 1) << offset
-        lows |= 1 << offset
-        offset += m + 1
+    for walker, lanes in walks:
+        peq = dict.fromkeys(walker, 0)
+        peq[_ENDED] = 0
+        peqs.append(peq)
+        spans.append([])
+        for lane in lanes:
+            m = len(lane)
+            spans[-1].append((offset, m))
+            if not m:
+                continue
+            local: dict = {}
+            for i, symbol in enumerate(lane):
+                local[symbol] = local.get(symbol, 0) | (1 << i)
+            for symbol, bits in local.items():
+                peq[symbol] = peq.get(symbol, 0) | (bits << offset)
+            mask |= ((1 << m) - 1) << offset
+            lows |= 1 << offset
+            offset += m + 1
+    walkers = [walker for walker, _ in walks]
+    if len(walkers) == 1:
+        eqs = map(peqs[0].__getitem__, walkers[0])
+    else:
+        eqs = map(_StepMasks(peqs).__getitem__, zip_longest(*walkers, fillvalue=_ENDED))
     pv, mv = mask, 0
-    for eq in map(peq.__getitem__, walker):
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (mask ^ (xh | pv))
-        mh = pv & xh
-        ph = (ph << 1) | lows
-        pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
-        mv = ph & xv
-    n = len(walker)
-    return [n + ((pv >> lo) & ((1 << m) - 1)).bit_count()
-            - ((mv >> lo) & ((1 << m) - 1)).bit_count() for lo, m in spans]
+    columns = {}  # (pv, mv) after each walker's last step
+    step = 0
+    for end in sorted({len(walker) for walker in walkers}):
+        for eq in islice(eqs, end - step):
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (mask ^ (xh | pv))
+            mh = pv & xh
+            ph = (ph << 1) | lows
+            pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
+            mv = ph & xv
+        columns[end] = pv, mv
+        step = end
+    out = []
+    for walker, walk_spans in zip(walkers, spans):
+        n = len(walker)
+        pv, mv = columns[n]
+        out.append([n + ((pv >> lo) & ((1 << m) - 1)).bit_count()
+                    - ((mv >> lo) & ((1 << m) - 1)).bit_count() for lo, m in walk_spans])
+    return out
 
 
 def pairwise_levenshtein(seqs: Sequence[Sequence]) -> np.ndarray:
     """Symmetric matrix of edit distances between every pair of sequences.
 
-    Sequences are ranked by (length, index); each one is walked once with
-    every sequence ranked below it as a lane of :func:`lane_levenshtein`,
-    so ``k`` sequences take ``k - 1`` walks instead of ``k (k - 1) / 2``
-    scalar calls.
+    Sequences are ranked by (length, index), and each one is a walker with
+    every sequence ranked below it as its lanes; :func:`lane_levenshtein`
+    runs these ``k - 1`` walkers as one walk, so ``k`` sequences take one
+    walk instead of ``k (k - 1) / 2`` scalar calls.
     """
     seqs = [np.asarray(s).tolist() for s in seqs]
     ranked = sorted(range(len(seqs)), key=lambda i: (len(seqs[i]), i))
+    walks = [(seqs[i], [seqs[j] for j in ranked[:rank]]) for rank, i in enumerate(ranked) if rank]
     out = np.zeros((len(seqs), len(seqs)), dtype=np.int64)
-    for rank in range(1, len(ranked)):
+    for rank, dists in enumerate(lane_levenshtein(walks), 1):
         i, below = ranked[rank], ranked[:rank]
-        out[i, below] = out[below, i] = lane_levenshtein(seqs[i], [seqs[j] for j in below])
+        out[i, below] = out[below, i] = dists
     return out
 
 

@@ -27,6 +27,7 @@ raises :class:`WrongVariantError`, and :func:`sample_ioi_stream` thins it.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -41,15 +42,40 @@ class ConfigError(ValueError):
     """A distribution or pipeline configuration is unusable."""
 
 
+_JSON_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an integer"),
+               str: (str, "a string"), list: (list, "a list"), dict: (dict, "a mapping")}
+
+
+def config_value(value, kind: type, path: str):
+    """``value`` as ``kind`` (float, int, str, list or dict); a value of
+    another JSON type raises ConfigError naming ``path``. A bool is not a
+    number, and a float is not an integer."""
+    types, name = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{path or 'the config'} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def config_list(values, kind: type, path: str) -> tuple:
+    """``values``, a JSON list, with each item as ``kind``; anything else
+    raises ConfigError naming its path, e.g. ``path.2`` for the third item."""
+    return tuple(config_value(v, kind, f"{path}.{i}")
+                 for i, v in enumerate(config_value(values, list, path)))
+
+
 def reject_unknown_keys(cfg: dict, known, path: str) -> None:
-    """Raise ConfigError naming every key of ``cfg`` outside ``known`` as ``path.key``."""
+    """Raise ConfigError naming every key of ``cfg`` outside ``known`` as
+    ``path.key``, or naming ``path`` when ``cfg`` is not a mapping."""
+    config_value(cfg, dict, path)
     unknown = [f"{path}.{key}" if path else str(key) for key in cfg if key not in known]
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
 def require_keys(cfg: dict, required, path: str) -> None:
-    """Raise ConfigError naming every key of ``required`` missing from ``cfg`` as ``path.key``."""
+    """Raise ConfigError naming every key of ``required`` missing from ``cfg``
+    as ``path.key``, or naming ``path`` when ``cfg`` is not a mapping."""
+    config_value(cfg, dict, path)
     missing = [f"{path}.{key}" if path else str(key) for key in required if key not in cfg]
     if missing:
         raise ConfigError(f"missing config key(s): {', '.join(missing)}")
@@ -261,18 +287,19 @@ def dist_from_config(cfg: dict, path: str = "") -> Distribution:
     the law does not have, or one it needs and lacks, raises ConfigError
     naming it under ``path``.
     """
+    at = f"{path}." if path else ""
     require_keys(cfg, ("type",), path)
-    kind = cfg["type"]
+    kind = config_value(cfg["type"], str, f"{at}type")
     if kind not in _TYPES:
         raise ConfigError(f"unknown distribution type: {kind!r}")
     if kind == "exponential" and "rate" not in cfg and "scale" in cfg:
         reject_unknown_keys(cfg, ("type", "scale"), path)
-        return Exponential(1.0 / float(cfg["scale"]))
+        return Exponential(1.0 / config_value(cfg["scale"], float, f"{at}scale"))
     law = _TYPES[kind]
     names = tuple(f.name for f in fields(law))
     reject_unknown_keys(cfg, ("type", *names), path)
     require_keys(cfg, names, path)
-    return law(*(float(cfg[name]) for name in names))
+    return law(*(config_value(cfg[name], float, f"{at}{name}") for name in names))
 
 
 def dist_to_config(dist: Distribution) -> dict:

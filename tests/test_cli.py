@@ -103,12 +103,24 @@ def _parent_and_key(cfg, path):
     return cfg, key
 
 
-@pytest.mark.parametrize("path", ["hal.lmax", "mapping.scale_iot", "grammar.axoim",
-                                  "mapping.symbols.A.ioi.sigma", "mapping.symbols.B.pitch.step"])
-def test_generate_rejects_an_unknown_nested_config_key(tmp_path, capsys, path):
+@pytest.mark.parametrize("path,value", [
+    *(pytest.param(path, 1, id=path)
+      for path in ["hal.lmax", "mapping.scale_iot", "grammar.axoim",
+                   "mapping.symbols.A.ioi.sigma", "mapping.symbols.B.pitch.step"]),
+    # a known key holding a value of the wrong type or range is named the same way
+    pytest.param("mapping.symbols.A.ioi", 0.2, id="mapping.symbols.A.ioi=0.2"),
+    pytest.param("mapping.symbols.A.ratios", "3:4", id="mapping.symbols.A.ratios=3:4"),
+    pytest.param("depth", "four", id="depth=four"),
+    pytest.param("depth", -1, id="depth=-1"),
+    pytest.param("midi.ppq", 10, id="midi.ppq=10"),
+    pytest.param("hal.l_max", "30", id="hal.l_max=30"),
+    pytest.param("grammar.rules.A", 5, id="grammar.rules.A=5"),
+    pytest.param("mapping.symbols.B.pitch.lo", 48.5, id="mapping.symbols.B.pitch.lo=48.5"),
+])
+def test_generate_rejects_an_unknown_nested_config_key(tmp_path, capsys, path, value):
     cfg = load_bundled_config("canonical")
     node, key = _parent_and_key(cfg, path)
-    node[key] = 1
+    node[key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

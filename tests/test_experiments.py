@@ -13,8 +13,9 @@ from polycanon.experiments import (
     run_all,
     summarize,
 )
-from polycanon.experiments._common import window_counts
+from polycanon.experiments._common import null_stream, window_counts
 from polycanon.experiments.reporting import Report, Row
+from polycanon.stochastic import make_rng
 
 
 def test_registry_covers_all_conditions():
@@ -108,3 +109,33 @@ def test_window_counts_matches_the_window_loop(window, horizon, marks):
     got = window_counts(piece, horizon, window)
     expected = window_counts_reference(piece, horizon, window)
     assert got.tolist() == expected.tolist()
+
+
+def null_stream_reference(density, rng, duration=10.0):
+    """Onset, pitch and velocity columns of ``null_stream`` from scalar draws,
+    pitch then velocity per note."""
+    onsets = np.cumsum(rng.exponential(1.0 / density, int(density * duration * 2) + 20))
+    onsets = onsets[onsets < duration]
+    pitches, velocities = np.empty((2, len(onsets)), dtype=int)
+    for i in range(len(onsets)):
+        pitches[i] = rng.integers(0, 128)
+        velocities[i] = rng.integers(0, 1024)
+    return onsets, pitches, velocities
+
+
+@pytest.mark.parametrize("density", [0.01, 3.0, 20.0, 120.0, 500.0])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_null_stream_matches_the_scalar_draw_loop(density, seed):
+    # 0.01 notes/s draws no note in 10 s; the generator then goes on to a
+    # second stream, as the density sweeps reuse it, after one more 32-bit
+    # draw that leaves half of a 64-bit output buffered
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    for _ in range(2):
+        assert rng.integers(0, 128) == ref_rng.integers(0, 128)
+        piece = null_stream(density, rng)
+        onsets, pitches, velocities = null_stream_reference(density, ref_rng)
+        assert piece.onsets().tolist() == onsets.tolist()
+        assert piece.pitches().tolist() == pitches.tolist()
+        assert piece.velocities().tolist() == velocities.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(null_stream(0.01, make_rng(seed))) == 0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycanon.events import NoteEvent, Piece
+from polycanon.grammar import expand
 from polycanon.hal import (
     CalibrationData,
     ConstraintSet,
@@ -21,6 +22,8 @@ from polycanon.hal import (
     robustness_filter,
     simulate_mismatch,
 )
+from polycanon.pipeline import generate
+from polycanon.presets import canonical_table, fibonacci_grammar
 from polycanon.stochastic import make_rng
 
 ALL_VARIANTS = [LatencyModel(variant="linear"), LatencyModel(variant="power", c=0.5),
@@ -351,6 +354,19 @@ def test_enforce_constraints_matches_reference_on_a_wide_chord_and_narrow_range(
         assert enforce_constraints(canonical, cs) == enforce_reference(canonical, cs)
 
 
+@pytest.mark.parametrize("depth", [4, 6])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_enforce_constraints_is_idempotent_at_canonical_density(depth, seed):
+    piece = generate(expand(fibonacci_grammar(), depth), canonical_table(), make_rng(seed),
+                     seed=seed)
+    repaired, first = enforce_constraints(piece)
+    again, second = enforce_constraints(repaired)
+    assert first  # canonical density needs repairs, so the second pass has work to skip
+    assert second == []
+    assert again == repaired
+
+
 def test_simulate_mismatch_directions():
     rng = make_rng(3)
     v = rng.integers(100, 1001, 526).astype(float)
@@ -375,3 +391,7 @@ def test_model_from_config_rejects_an_unknown_key_by_path():
     assert model_from_config(cfg) == LatencyModel()
     with pytest.raises(ConfigError, match=r"hal\.lmax"):
         model_from_config({**cfg, "lmax": 40.0})
+    with pytest.raises(ConfigError, match=r"hal\.variant must be a string"):
+        model_from_config({**cfg, "variant": 2})
+    with pytest.raises(ConfigError, match=r"hal: power exponent"):  # out of range
+        model_from_config({**cfg, "c": 2.0})

@@ -96,15 +96,25 @@ lane_symbols = st.sampled_from([0, 1, 63, 64, 65, 128]).flatmap(
     lambda n: st.lists(st.integers(0, 2), min_size=n, max_size=n))
 
 
+walks = st.lists(st.tuples(st.lists(st.integers(0, 2), max_size=140),
+                           st.lists(lane_symbols, max_size=4)), max_size=3)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(0, 2), max_size=140), st.lists(lane_symbols, max_size=5))
-@example([], [[0] * 64, [], [1] * 65])
-@example([0, 1], [[0, 1, 2] * 43, [2] * 63, [0]])
-@example([0] * 70, [[0] * 64, [0] * 65, [0], [1] * 63, [0] * 128])  # carries reach every guard bit
-def test_lane_kernel_matches_reference_dp(walker, lanes):
-    # ragged lanes, empty lanes, an empty walker and walkers shorter than
-    # their lanes: a carry or shift must never cross a lane's guard bit
-    assert lane_levenshtein(walker, lanes) == [brute_levenshtein(walker, b) for b in lanes]
+@given(walks)
+@example([([], [[0] * 64, [], [1] * 65])])
+@example([([0, 1], [[0, 1, 2] * 43, [2] * 63, [0]])])
+@example([([0] * 70, [[0] * 64, [0] * 65, [0], [1] * 63, [0] * 128])])  # carries reach every guard bit
+@example([([], [[0] * 63, [1] * 64]), ([0, 1] * 40, [[0] * 65, [], [1] * 64]),
+          ([2] * 5, [[2] * 64, [0] * 63]), ([1, 0, 2] * 50, [[1] * 65, [2, 0] * 32])])
+@example([([5, 6, 5], [[5, 5]]), ([7] * 90, [[7, 5] * 40]), ([0, 1], [])])  # walkers' own alphabets
+def test_lane_kernel_matches_reference_dp(walks):
+    # ragged lanes, empty lanes, empty walkers and walkers shorter than their
+    # lanes or than the other walkers of the same walk: a carry or shift must
+    # never cross a lane's guard bit, and an ended walker's lanes must be read
+    # at its last step
+    assert lane_levenshtein(walks) == [[brute_levenshtein(walker, b) for b in lanes]
+                                       for walker, lanes in walks]
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,6 +143,24 @@ def test_pair_metrics_equal_a_per_pair_melodic_coherence_loop(canonical):
     assert len(same_mc) + len(cross_mc) == 28
     assert got_same.tolist() == same_mc
     assert got_cross.tolist() == cross_mc
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
+def test_pair_metrics_without_cross_pairs_equal_the_same_symbol_part(canonical, shuffled):
+    from polycanon.experiments.fidelity import _pair_metrics
+    from polycanon.grammar import shuffle_preserving_counts
+    from polycanon.pipeline import generate
+    from polycanon.presets import canonical_table
+    from polycanon.stochastic import derive_rng
+
+    piece = canonical
+    if shuffled:
+        symbols = shuffle_preserving_counts(expand(fibonacci_grammar(), 4), 42_000)
+        piece = generate(symbols, canonical_table(), derive_rng(42, "ablation-a-0"))
+    same_mc, cross_mc, same_rc, cross_rc = _pair_metrics(piece)
+    got = list(_pair_metrics(piece, cross=False))
+    assert len(same_mc) == 13 and len(cross_mc) == 15
+    assert [a.tolist() for a in got] == [same_mc.tolist(), [], same_rc.tolist(), []]
 
 
 def test_melodic_coherence_examples():
