@@ -81,6 +81,8 @@ def _cmd_generate(args) -> int:
                 else config_value(cfg.get("seed", _default_seed()), int, "seed"))
         if depth < 0:
             raise ConfigError(f"depth must be >= 0, got {depth}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2

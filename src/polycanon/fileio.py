@@ -38,21 +38,17 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class MidiRenderConfig:
-    """The ``midi`` section of the config document; a value out of range
-    raises ConfigError naming its path, e.g. ``midi.ppq``."""
-
     ppq: int = 960
     tempo_us: int = 500_000
     velocity_mode: str = "sidecar"  # sidecar | cc88 | off
 
     def __post_init__(self):
         if self.ppq < 96:
-            raise ConfigError(f"midi.ppq must be >= 96, got {self.ppq}")
+            raise ValueError(f"PPQ must be >= 96, got {self.ppq}")
         if self.tempo_us <= 0:
-            raise ConfigError(f"midi.tempo_us must be positive, got {self.tempo_us}")
+            raise ValueError("tempo must be positive")
         if self.velocity_mode not in ("sidecar", "cc88", "off"):
-            raise ConfigError(f"midi.velocity_mode {self.velocity_mode!r} is not "
-                              "sidecar, cc88 or off")
+            raise ValueError(f"unknown velocity mode {self.velocity_mode!r}")
 
     @property
     def seconds_per_tick(self) -> float:
@@ -62,11 +58,15 @@ class MidiRenderConfig:
 def midi_from_config(cfg: dict) -> MidiRenderConfig:
     """The ``midi`` section's render settings; a key it does not read or a
     value of the wrong type raises ConfigError naming its path, e.g.
-    ``midi.ppqn`` or ``midi.tempo_us``."""
+    ``midi.ppqn`` or ``midi.tempo_us``, and one out of range raises
+    ConfigError under ``midi``."""
     kinds = {f.name: type(f.default) for f in fields(MidiRenderConfig)}
     reject_unknown_keys(cfg, kinds, "midi")
-    return MidiRenderConfig(**{key: config_value(value, kinds[key], f"midi.{key}")
-                               for key, value in cfg.items()})
+    values = {key: config_value(value, kinds[key], f"midi.{key}") for key, value in cfg.items()}
+    try:
+        return MidiRenderConfig(**values)
+    except ValueError as err:
+        raise ConfigError(f"midi: {err}") from err
 
 
 def velocity_to_7bit(v10):

@@ -159,10 +159,9 @@ def lane_levenshtein(walks: Sequence[tuple[Sequence, Sequence[Sequence]]]) -> li
     at that step, memoised by the tuple of those symbols. A walker that has
     ended shows a symbol whose mask is 0; its lanes go on stepping, apart
     from every other lane, and are read from the ``(pv, mv)`` of the step
-    at which it ended. A single walker steps on its own masks directly.
-    Cost is one step per symbol of the longest walker, on an int as wide as
-    all lanes together. Symbols match when they compare equal; lists of
-    Python values (``.tolist()``) walk fastest.
+    at which it ended. Cost is one step per symbol of the longest walker,
+    on an int as wide as all lanes together. Symbols match when they compare
+    equal; lists of Python values (``.tolist()``) walk fastest.
     """
     peqs, spans = [], []  # per walker: its match masks, (offset, width) of each lane
     mask = lows = offset = 0
@@ -185,10 +184,7 @@ def lane_levenshtein(walks: Sequence[tuple[Sequence, Sequence[Sequence]]]) -> li
             lows |= 1 << offset
             offset += m + 1
     walkers = [walker for walker, _ in walks]
-    if len(walkers) == 1:
-        eqs = map(peqs[0].__getitem__, walkers[0])
-    else:
-        eqs = map(_StepMasks(peqs).__getitem__, zip_longest(*walkers, fillvalue=_ENDED))
+    eqs = map(_StepMasks(peqs).__getitem__, zip_longest(*walkers, fillvalue=_ENDED))
     pv, mv = mask, 0
     columns = {}  # (pv, mv) after each walker's last step
     step = 0

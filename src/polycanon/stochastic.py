@@ -48,12 +48,16 @@ _JSON_KINDS = {float: (numbers.Real, "a number"), int: (numbers.Integral, "an in
 
 def config_value(value, kind: type, path: str):
     """``value`` as ``kind`` (float, int, str, list or dict); a value of
-    another JSON type raises ConfigError naming ``path``. A bool is not a
-    number, and a float is not an integer."""
+    another JSON type, or an integer too large for a float, raises
+    ConfigError naming ``path``. A bool is not a number, and a float is not
+    an integer."""
     types, name = _JSON_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{path or 'the config'} must be {name}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{path} is too large for a float") from None
 
 
 def config_list(values, kind: type, path: str) -> tuple:
@@ -294,7 +298,10 @@ def dist_from_config(cfg: dict, path: str = "") -> Distribution:
         raise ConfigError(f"unknown distribution type: {kind!r}")
     if kind == "exponential" and "rate" not in cfg and "scale" in cfg:
         reject_unknown_keys(cfg, ("type", "scale"), path)
-        return Exponential(1.0 / config_value(cfg["scale"], float, f"{at}scale"))
+        scale = config_value(cfg["scale"], float, f"{at}scale")
+        if scale <= 0:
+            raise ConfigError(f"{at}scale must be > 0, got {scale}")
+        return Exponential(1.0 / scale)
     law = _TYPES[kind]
     names = tuple(f.name for f in fields(law))
     reject_unknown_keys(cfg, ("type", *names), path)

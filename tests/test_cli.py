@@ -112,8 +112,11 @@ def _parent_and_key(cfg, path):
     pytest.param("mapping.symbols.A.ratios", "3:4", id="mapping.symbols.A.ratios=3:4"),
     pytest.param("depth", "four", id="depth=four"),
     pytest.param("depth", -1, id="depth=-1"),
-    pytest.param("midi.ppq", 10, id="midi.ppq=10"),
+    pytest.param("seed", -5, id="seed=-5"),
     pytest.param("hal.l_max", "30", id="hal.l_max=30"),
+    pytest.param("hal.l_max", 10**400, id="hal.l_max=1e400-int"),
+    pytest.param("mapping.symbols.B.ioi", {"type": "exponential", "scale": 0},
+                 id="mapping.symbols.B.ioi.scale=0"),
     pytest.param("grammar.rules.A", 5, id="grammar.rules.A=5"),
     pytest.param("mapping.symbols.B.pitch.lo", 48.5, id="mapping.symbols.B.pitch.lo=48.5"),
 ])
@@ -125,6 +128,16 @@ def test_generate_rejects_an_unknown_nested_config_key(tmp_path, capsys, path, v
     cfg_path.write_text(json.dumps(cfg))
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert path in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_rejects_a_midi_setting_out_of_range(tmp_path, capsys):
+    cfg = load_bundled_config("canonical")
+    cfg["midi"]["ppq"] = 10
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "midi: PPQ must be >= 96, got 10" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
