@@ -2,8 +2,8 @@
 
 Subcommands: expand, generate, compensate, analyze, experiment, report.
 All outputs are deterministic for a fixed seed; the default seed comes from
-POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse),
-3 experiment gate failure.
+POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse) or
+an unusable config or latency model, 3 experiment gate failure.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def _cmd_generate(args) -> int:
             raise ConfigError(f"depth must be >= 0, got {depth}")
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
+        symbols = grammar_expand(grammar, depth)
+        piece = generate(symbols, table, make_rng(seed), seed=seed)
+        piece, violations = enforce_constraints(piece, ConstraintSet())
+        compensated = _precompensate(piece, model)
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
-    symbols = grammar_expand(grammar, depth)
-    piece = generate(symbols, table, make_rng(seed), seed=seed)
-    piece, violations = enforce_constraints(piece, ConstraintSet())
-    compensated = precompensate(piece, model)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -101,11 +101,25 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _precompensate(piece, model):
+    """``precompensate``, raising ConfigError on the ``hal`` section when the
+    latency model moves an onset before the earliest legal one: the model
+    checks cannot see the piece, so such a model shows only here."""
+    try:
+        return precompensate(piece, model)
+    except ValueError as err:
+        raise ConfigError(f"hal: the latency model cannot be compensated: {err}") from err
+
+
 def _cmd_compensate(args) -> int:
     piece = read_events(args.infile)
-    model = model_from_config(json.loads(Path(args.model).read_text())
-                              if args.model else {})
-    compensated = precompensate(piece, model)
+    try:
+        model = model_from_config(json.loads(Path(args.model).read_text())
+                                  if args.model else {})
+        compensated = _precompensate(piece, model)
+    except ConfigError as err:
+        print(err, file=sys.stderr)
+        return 2
     write_events_json(compensated, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

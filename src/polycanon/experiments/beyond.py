@@ -4,13 +4,14 @@ polyphony, repetition-rate and speed/span showcase presets."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from ..pipeline import InfeasibleError, generate_beyond_human
 from .reporting import Report, timer
 
 
 def beyond_human(seed: int = 42, **_) -> Report:
+    from scipy import stats as sps
+
     report = Report("beyond_human", seed)
     with timer(report):
         chords = generate_beyond_human("polyphony", chord_size=40, period=0.5, n_chords=8)

@@ -15,6 +15,7 @@ from ..hal import (
     robustness_filter,
     simulate_mismatch,
 )
+from ..stats import paired_t_test
 from ..stochastic import derive_rng
 from .reporting import Report, timer
 
@@ -159,8 +160,7 @@ def robustness(seed: int = 42, trials: int = 200, **_) -> Report:
             sd_filtered.append(err_filt.std())
         sd_unfiltered = np.array(sd_unfiltered)
         sd_filtered = np.array(sd_filtered)
-        from scipy import stats as sps
-        p = float(sps.ttest_rel(sd_filtered, sd_unfiltered).pvalue)
+        p = paired_t_test(sd_filtered, sd_unfiltered).p_value
         p_one_sided = p / 2 if sd_filtered.mean() < sd_unfiltered.mean() else 1 - p / 2
         report.add("uncalibrated_sd", (round(float(sd_unfiltered.mean()), 3),
                                        round(float(sd_filtered.mean()), 3)),

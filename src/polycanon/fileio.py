@@ -4,9 +4,13 @@ plus lossless JSON/CSV event dumps and round-trip reading.
 Standard MIDI carries 7-bit velocities, so the full 10-bit value travels by
 one of three modes: a JSON sidecar file keyed by note order (default, exact),
 a CC#88 high-resolution prefix before each note-on (the hardware convention
-for the 3 extra bits; :func:`read_midi` ignores control changes and widens
-the 7-bit velocity), or nothing. Onsets are quantised to the tick grid; at
-the default 960 PPQ / 500000 us per quarter one tick is ~0.52 ms.
+for the 3 extra bits), or nothing. :func:`read_midi` decodes a CC#88 prefix
+and the note-on after it on the same channel to the 10-bit value, written as
+that pair, nearest the widened 7-bit velocity: exact for all but the 22
+velocities :func:`velocity_from_cc88` lists, 11 pairs that each read back as
+one of the two. A note-on without a prefix is widened. Onsets are quantised
+to the tick grid; at the default 960 PPQ / 500000 us per quarter one tick is
+~0.52 ms.
 
 The writers format every note from the piece's columns; the readers parse
 into lists and build the piece with :meth:`Piece.from_columns`.
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import COLUMNS, NoteEvent, Piece
+from .events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece
 from .stochastic import ConfigError, config_value, reject_unknown_keys
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
@@ -80,6 +84,29 @@ def velocity_to_7bit(v10):
 
 def velocity_from_7bit(v7):
     v10 = np.rint(np.asarray(v7) * 1023 / 127).astype(np.int64)
+    return v10 if v10.ndim else int(v10)
+
+
+def velocity_from_cc88(v7, low3):
+    """10-bit velocities for note-on bytes ``v7`` (>= 1) and the low 3 bits
+    their CC#88 prefixes carry: of the values written as that pair, the one
+    nearest the widened 7-bit velocity, the lower one on a tie.
+
+    This is exact for every velocity but 22: the 11 (v7, low3) pairs that two
+    velocities share, (1, 0) to (1, 4) below the note-on floor and (18, 5),
+    (36, 6), (54, 7), (73, 0), (91, 1), (109, 2), decode to one of the two.
+    A pair no velocity is written as decodes to the nearest value with its
+    low bits.
+    """
+    v7 = np.asarray(v7)
+    wide = velocity_from_7bit(v7)
+    # the values with these low bits next to the widened one; a value written
+    # as (v7, low3) lies within 4.6 of it, so it is one of the two
+    below = wide - ((wide - low3) & 7)  # >= 0, since wide >= 8
+    above = below + 8
+    fits_below = velocity_to_7bit(below) == v7
+    fits_above = (above <= VELOCITY_MAX) & (velocity_to_7bit(above) == v7)
+    v10 = np.where(fits_above & (~fits_below | (above - wide < wide - below)), above, below)
     return v10 if v10.ndim else int(v10)
 
 
@@ -201,9 +228,11 @@ def _meta_text(text: str) -> bytes:
 def read_midi(path) -> Piece:
     """Read an SMF written by :func:`write_midi` or a foreign format-0/1 file.
 
-    Without a velocity sidecar, 10-bit velocities are widened from the 7-bit
-    bytes. Note-ons with velocity 0 are treated as note-offs (running-status
-    files are supported).
+    Without a velocity sidecar, a note-on's 10-bit velocity is decoded from
+    its 7-bit byte and the CC#88 prefix before it on its channel
+    (:func:`velocity_from_cc88`), or widened from the byte when it has none.
+    Note-ons with velocity 0 are treated as note-offs (running-status files
+    are supported).
     """
     path = Path(path)
     data = path.read_bytes()
@@ -230,7 +259,9 @@ def read_midi(path) -> Piece:
         p = 0
         status = None
         # per key, the notes still sounding; a note-off ends the oldest one
-        open_notes: dict[int, list[tuple[int, int]]] = {}
+        open_notes: dict[int, list[tuple[int, int, int]]] = {}
+        # per channel, the low 3 velocity bits of a CC#88 prefix not yet used
+        low_bits: dict[int, int] = {}
         while p < len(body):
             delta, p = _read_vlq(body, p)
             tick += delta
@@ -270,12 +301,16 @@ def read_midi(path) -> Piece:
                 raise ParseError(f"unknown status byte 0x{status:02x} at byte {p}")
 
             if kind == 0x90 and d2 > 0:
-                open_notes.setdefault(d1, []).append((tick, d2))
+                low = low_bits.pop(status & 0x0F, -1)
+                open_notes.setdefault(d1, []).append((tick, d2, low))
             elif (kind == 0x80 or (kind == 0x90 and d2 == 0)) and open_notes.get(d1):
-                start, v7 = open_notes[d1].pop(0)
-                notes.append((track_index, start, tick, d1, v7))
+                start, v7, low = open_notes[d1].pop(0)
+                notes.append((track_index, start, tick, d1, v7, low))
+            elif kind == 0xB0 and d1 == 88:
+                low_bits[status & 0x0F] = d2 >> 4
         for pitch, sounding in open_notes.items():
-            notes.extend((track_index, start, start + 1, pitch, v7) for start, v7 in sounding)
+            notes.extend((track_index, start, start + 1, pitch, v7, low)
+                         for start, v7, low in sounding)
 
     spt = tempo_us / 1e6 / division
     sidecar_path = Path(str(path) + ".velocity.json")
@@ -286,9 +321,9 @@ def read_midi(path) -> Piece:
         shift = payload.get("onset_shift_s", shift)
 
     notes.sort(key=lambda n: (n[1], n[0], n[3]))
-    track, on_tick, off_tick, pitch, v7 = (np.array(c, dtype=np.int64)
-                                           for c in _transpose(notes, 5))
-    velocity = velocity_from_7bit(v7)
+    track, on_tick, off_tick, pitch, v7, low = (np.array(c, dtype=np.int64)
+                                                for c in _transpose(notes, 6))
+    velocity = np.where(low >= 0, velocity_from_cc88(v7, low), velocity_from_7bit(v7))
     if sidecar is not None:
         k = min(len(sidecar), len(notes))
         velocity[:k] = np.asarray(sidecar[:k]).astype(np.int64)

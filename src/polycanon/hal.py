@@ -12,10 +12,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy import stats as sps
 
 from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept
+from .stats import paired_t_test
 
 
 class FitError(ValueError):
@@ -179,6 +178,8 @@ def fit_power_law(data: CalibrationData, fit_bounds: bool = False,
     The fitted RMSE is reported as-is; a poor fit on non-power-law data is
     visible, not hidden.
     """
+    from scipy import optimize
+
     v = np.asarray(data.velocities, dtype=float)
     y = np.asarray(data.latencies_ms, dtype=float)
     if np.unique(v).size < 3:
@@ -344,7 +345,7 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
         raw[t] = actual.std()
         hal[t] = (actual - assumed_ms).std()
     if trials >= 2 and not np.allclose(raw, hal):
-        p = float(sps.ttest_rel(hal, raw).pvalue)
+        p = paired_t_test(hal, raw).p_value
     else:
         p = float("nan")
     return MismatchResult(raw, hal, p)

@@ -1,11 +1,16 @@
 """Statistics kernel: distances, hypothesis tests, effect sizes, resampling,
 and two-segment breakpoint regression.
 
-Only what the experiment harness needs. Standard machinery (Mann-Whitney,
-t/noncentral-t, Kruskal-Wallis, rank correlation, W1 distance) is delegated
-to scipy; KS distances, bootstrap, permutation tests and the breakpoint fit
-are implemented here because their exact conventions are part of the
-project contract.
+Only what the experiment harness needs. Standard machinery (the KS test,
+Mann-Whitney, paired and pooled t with the noncentral-t CI, Kruskal-Wallis,
+correlations) is delegated to scipy, which each of those functions imports
+when it is called: ``ks_test``, ``mann_whitney``, ``paired_t_test``,
+``cohens_d_ci``, ``t_test_with_d``, ``kruskal_wallis`` and ``correlation``.
+Everything else runs on numpy alone, so importing this module, or calling
+the metrics that use its distances, never loads scipy: KS distances, the W1
+distance (scipy's own arithmetic, so both give the same float), bootstrap,
+permutation tests and the breakpoint fit, whose exact conventions are part
+of the project contract.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 class UndefinedStatisticError(ValueError):
@@ -78,17 +82,28 @@ def ks_distance_to_cdf(x, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
 
 def ks_test(x, y) -> TestResult:
     """Two-sample KS test (distance + asymptotic p)."""
+    from scipy import stats as sps
+
     res = sps.ks_2samp(x, y, method="asymp")
     return TestResult(float(res.statistic), float(res.pvalue), effect_name="D")
 
 
 def wasserstein1(x, y) -> float:
-    """First Wasserstein distance between two empirical distributions."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """First Wasserstein distance between two empirical distributions.
+
+    The integral of |F_x - F_y| over the pooled sample, computed with the
+    operations of scipy's ``wasserstein_distance`` in the same order, so the
+    two return the same float.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
     if x.size == 0 or y.size == 0:
         raise ValueError("wasserstein1 needs non-empty samples")
-    return float(sps.wasserstein_distance(x, y))
+    pooled = np.concatenate([x, y])
+    pooled.sort(kind="mergesort")
+    fx = np.searchsorted(x, pooled[:-1], side="right") / x.size
+    fy = np.searchsorted(y, pooled[:-1], side="right") / y.size
+    return float(np.dot(np.abs(fx - fy), np.diff(pooled)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +119,8 @@ def mann_whitney(x, y) -> TestResult:
     Exact null for combined n <= 20 without ties, normal approximation with
     tie correction otherwise.
     """
+    from scipy import stats as sps
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
@@ -119,6 +136,8 @@ def mann_whitney(x, y) -> TestResult:
 
 def _nct_inverse(t_obs: float, df: float, tail_prob: float, tol: float = 1e-6) -> float:
     """Noncentrality delta with P(T_{df,delta} > t_obs) = tail_prob, by bisection."""
+    from scipy import stats as sps
+
     lo = -abs(t_obs) - 50.0
     hi = abs(t_obs) + 50.0
     # sf is increasing in the noncentrality parameter
@@ -150,6 +169,8 @@ def t_test_with_d(x, y) -> TestResult:
     Zero pooled variance leaves d undefined; the result is flagged rather
     than raising, since constant-vs-anything contrasts are legitimate inputs.
     """
+    from scipy import stats as sps
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2 or y.size < 2:
@@ -170,8 +191,19 @@ def t_test_with_d(x, y) -> TestResult:
                       ci=ci, df=float(df))
 
 
+def paired_t_test(x, y) -> TestResult:
+    """Two-sided paired t test of the differences x - y (scipy's ``ttest_rel``)."""
+    from scipy import stats as sps
+
+    res = sps.ttest_rel(x, y)
+    return TestResult(float(res.statistic), float(res.pvalue), effect_name="t",
+                      df=float(res.df))
+
+
 def kruskal_wallis(groups: Sequence) -> TestResult:
     """Kruskal-Wallis H across two or more groups."""
+    from scipy import stats as sps
+
     if len(groups) < 2:
         raise ValueError("kruskal_wallis needs >= 2 groups")
     arrays = [np.asarray(g, dtype=float) for g in groups]
@@ -183,6 +215,8 @@ def kruskal_wallis(groups: Sequence) -> TestResult:
 
 
 def correlation(x, y, kind: str = "pearson") -> TestResult:
+    from scipy import stats as sps
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 3:

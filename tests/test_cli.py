@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polycanon
 from polycanon.cli import main
 from polycanon.presets import load_bundled_config
 
@@ -131,6 +136,34 @@ def test_generate_rejects_an_unknown_nested_config_key(tmp_path, capsys, path, v
     assert not (tmp_path / "out").exists()
 
 
+UNCOMPENSABLE = "hal: the latency model cannot be compensated"
+
+
+@pytest.mark.parametrize("command,hal,code,message", [
+    # the model checks accept l_max = 1e308, but no onset can move 1e305 s early
+    pytest.param("generate", {"l_max": 1e308}, 2, UNCOMPENSABLE, id="generate-l_max=1e308"),
+    pytest.param("generate", {"l_max": 31}, 0, "", id="generate-l_max=31"),
+    pytest.param("generate", {"l_max": 45}, 0, "", id="generate-l_max=45"),
+    pytest.param("compensate", {"lmax": 30}, 2, "hal.lmax", id="compensate-lmax"),
+    pytest.param("compensate", {"l_max": 1e308}, 2, UNCOMPENSABLE, id="compensate-l_max=1e308"),
+])
+def test_latency_model_errors_exit_2(tmp_path, capsys, command, hal, code, message):
+    cfg = load_bundled_config("canonical")
+    if command == "generate":
+        cfg["hal"].update(hal)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["generate", "--config", str(tmp_path / "cfg.json"), "--depth", "4"]
+    else:
+        assert main(["generate", "--out", str(tmp_path / "gen"), "--depth", "4"]) == 0
+        (tmp_path / "model.json").write_text(json.dumps(hal))
+        argv = ["compensate", "--in", str(tmp_path / "gen" / "piece.json"),
+                "--model", str(tmp_path / "model.json")]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "out").exists() == (code == 0)
+
+
 def test_generate_rejects_a_midi_setting_out_of_range(tmp_path, capsys):
     cfg = load_bundled_config("canonical")
     cfg["midi"]["ppq"] = 10
@@ -152,6 +185,30 @@ def test_generate_names_a_missing_config_key(tmp_path, capsys, path):
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert f"missing config key(s): {path}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_generate_and_analyze_never_load_scipy(tmp_path):
+    # a fresh interpreter, since this test process has loaded scipy already
+    script = """if True:
+        import sys
+        import polycanon
+        loaded = ["scipy" in sys.modules]
+        from polycanon import cli
+        loaded.append("scipy" in sys.modules)
+        out = sys.argv[1]
+        cli.main(["generate", "--depth", "4", "--out", out])
+        loaded.append("scipy" in sys.modules)
+        for name in ("piece.json", "piece.csv", "piece.mid"):
+            cli.main(["analyze", "--in", f"{out}/{name}", "--metrics", "pcc,nlz,mc,rc,vss"])
+        loaded.append("scipy" in sys.modules)
+        print(loaded)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(polycanon.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[False, False, False, False]"
 
 
 def test_expand_rejects_an_unknown_grammar_key(tmp_path, capsys):

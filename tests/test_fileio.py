@@ -319,10 +319,26 @@ def test_midi_keeps_voices_that_are_not_contiguous(tmp_path):
     assert path.read_bytes()[10:12] == (4).to_bytes(2, "big")  # tempo track + voices 0, 1, 2
 
 
-def test_cc88_mode_reads_back_the_widened_7bit_velocity(tmp_path):
-    piece = Piece.from_events([NoteEvent(0.0, 60, 517, 0.1)])
+# the (note-on byte, CC#88 low bits) pairs written for two velocities each,
+# and the one velocity each reads back as: the nearest the widened byte
+CC88_AMBIGUOUS = {(1, 0): ((0, 8), 8), (1, 1): ((1, 9), 9), (1, 2): ((2, 10), 10),
+                  (1, 3): ((3, 11), 11), (1, 4): ((4, 12), 4), (18, 5): ((141, 149), 141),
+                  (36, 6): ((286, 294), 286), (54, 7): ((431, 439), 431),
+                  (73, 0): ((584, 592), 584), (91, 1): ((729, 737), 729),
+                  (109, 2): ((874, 882), 874)}
+
+
+def test_cc88_mode_reads_back_the_10bit_velocity(tmp_path):
+    velocities = np.arange(1024)
+    piece = Piece.from_columns(velocities * 0.01, 60, velocities, 0.005)
     back = read_midi(write_midi(piece, MidiRenderConfig(velocity_mode="cc88"), tmp_path / "c.mid"))
-    assert back.events[0].velocity == velocity_from_7bit(velocity_to_7bit(517)) == 516
+    read = dict(zip(velocities.tolist(), back.velocities().tolist()))
+    for (v7, low3), (pair, decoded) in CC88_AMBIGUOUS.items():
+        for v in pair:
+            assert (velocity_to_7bit(v), v & 7) == (v7, low3)
+            assert read.pop(v) == decoded
+    assert len(read) == 1002
+    assert [v for v, got in read.items() if got != v] == []
 
 
 @pytest.mark.parametrize("field,value", [("onset_s", float("nan")), ("duration_s", float("nan")),

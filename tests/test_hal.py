@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycanon.events import NoteEvent, Piece
+from polycanon.events import COLUMNS, NoteEvent, Piece
 from polycanon.grammar import expand
 from polycanon.hal import (
     CalibrationData,
@@ -365,6 +365,30 @@ def test_enforce_constraints_is_idempotent_at_canonical_density(depth, seed):
     assert first  # canonical density needs repairs, so the second pass has work to skip
     assert second == []
     assert again == repaired
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from(ALL_VARIANTS))
+def test_precompensate_is_undone_by_adding_the_latency_back(depth, seed, model):
+    piece = generate(expand(fibonacci_grammar(), depth), canonical_table(), make_rng(seed),
+                     seed=seed)
+    compensated = precompensate(piece, model)
+    restored = compensated.with_columns(
+        onset=compensated.onsets() + latency(model, compensated.velocities()) / 1000)
+
+    def by_voice(p):
+        # onsets within a voice are strictly increasing, while notes of
+        # different voices on one onset may come back in either order
+        order = np.lexsort((p.onsets(), p.column("voice")))
+        return {name: p.column(name)[order] for name in COLUMNS}
+
+    want, got = by_voice(piece), by_voice(restored)
+    for name in COLUMNS:
+        if name == "onset":
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got[name], want[name])
 
 
 def test_simulate_mismatch_directions():

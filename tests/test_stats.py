@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from polycanon import stats
 from polycanon.stats import (
@@ -13,6 +14,7 @@ from polycanon.stats import (
     ks_distance_to_cdf,
     kruskal_wallis,
     mann_whitney,
+    paired_t_test,
     permutation_test,
     piecewise_breakpoint_ci,
     piecewise_fit,
@@ -75,6 +77,19 @@ def test_wasserstein_equal_size_sorted_pairing_oracle(x, y):
         assert wasserstein1(x, y) == pytest.approx(oracle, abs=1e-9)
 
 
+# samples of unequal sizes: heavy ties, integer pitches, and free floats
+w1_samples = st.one_of(
+    st.lists(st.integers(0, 3).map(float), min_size=1, max_size=400),
+    st.lists(st.integers(21, 108).map(float), min_size=1, max_size=400),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=400))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w1_samples, w1_samples)
+def test_wasserstein_equals_scipy_exactly(x, y):
+    assert wasserstein1(x, y) == sps.wasserstein_distance(x, y)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-20, 20), min_size=1, max_size=10),
        st.lists(st.floats(-20, 20), min_size=1, max_size=10),
@@ -120,6 +135,14 @@ def test_cohens_d_ci_reference_inversion():
     d = 14.09 * np.sqrt(1 / 13 + 1 / 15)
     assert d == pytest.approx(5.34, abs=0.01)
     assert lo < d < hi
+
+
+def test_paired_t_test_on_the_differences():
+    # differences 1, 2, 3: mean 2, SD 1, so t = 2 / (1 / sqrt(3)) on 2 df
+    res = paired_t_test([2.0, 4, 6], [1.0, 2, 3])
+    assert res.statistic == pytest.approx(2 * np.sqrt(3))
+    assert res.df == 2
+    assert res.p_value == pytest.approx(2 * sps.t.sf(2 * np.sqrt(3), 2))
 
 
 def test_t_test_with_constant_group_flags_undefined():
