@@ -2,8 +2,9 @@
 
 Subcommands: expand, generate, compensate, analyze, experiment, report.
 All outputs are deterministic for a fixed seed; the default seed comes from
-POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse) or
-an unusable config or latency model, 3 experiment gate failure.
+POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse), an
+unusable config or latency model or an unreadable event file, 3 experiment
+gate failure.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .fileio import midi_from_config, read_events, write_events_csv, write_events_json, write_midi
+from .fileio import (
+    ParseError,
+    midi_from_config,
+    read_events,
+    write_events_csv,
+    write_events_json,
+    write_midi,
+)
 from .grammar import expand as grammar_expand
 from .grammar import grammar_from_config
 from .hal import ConstraintSet, enforce_constraints, model_from_config, precompensate
@@ -112,12 +120,12 @@ def _precompensate(piece, model):
 
 
 def _cmd_compensate(args) -> int:
-    piece = read_events(args.infile)
     try:
+        piece = read_events(args.infile)
         model = model_from_config(json.loads(Path(args.model).read_text())
                                   if args.model else {})
         compensated = _precompensate(piece, model)
-    except ConfigError as err:
+    except (ConfigError, ParseError, OSError) as err:
         print(err, file=sys.stderr)
         return 2
     write_events_json(compensated, args.out)
@@ -126,9 +134,13 @@ def _cmd_compensate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    piece = read_events(args.infile)
+    try:
+        piece = read_events(args.infile)
+        other = read_events(args.pair) if args.pair else None
+    except (ParseError, OSError) as err:
+        print(err, file=sys.stderr)
+        return 2
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    other = read_events(args.pair) if args.pair else None
     values: dict = {}
     pitches = piece.pitches()
     iois = np.diff(np.sort(piece.onsets()))

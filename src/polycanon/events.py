@@ -100,7 +100,9 @@ class Piece:
     order by a stable sort, so full ties keep their input order.
 
     ``events`` is the iteration view: a tuple of :class:`NoteEvent` built
-    from the columns on first access and cached. Build pieces with
+    from the columns on first access and cached. ``text`` is the writers'
+    view, each column as the strings the JSON and CSV writers print, cached
+    the same way; neither view is serialised or compared. Build pieces with
     :meth:`from_columns` or :meth:`from_events`; two pieces are equal when
     their events, sections and metadata are.
     """
@@ -189,6 +191,26 @@ class Piece:
             set_se(e, se)
             events.append(e)
         return tuple(events)
+
+    @cached_property
+    def text(self) -> dict[str, list[str]]:
+        """Each column's values as the text the JSON and CSV writers print,
+        keyed by column name, built on first access and cached like ``events``:
+        ``float.__repr__`` for onset and duration, ``int.__repr__`` for the
+        int64 columns and the symbols as they are."""
+        text = {}
+        for name, col in self._columns.items():
+            if col.dtype.kind == "f":
+                # floats never go through np.unique: it merges -0.0 with 0.0
+                text[name] = list(map(float.__repr__, col.tolist()))
+            elif col.dtype.kind == "i":
+                # an int column has few distinct values: each is formatted once
+                values, inverse = np.unique(col, return_inverse=True)
+                reprs = np.array(list(map(int.__repr__, values.tolist())), dtype=object)
+                text[name] = reprs[inverse].tolist()
+            else:
+                text[name] = col.tolist()
+        return text
 
     def __len__(self):
         return len(self._columns["onset"])

@@ -12,8 +12,11 @@ one of the two. A note-on without a prefix is widened. Onsets are quantised
 to the tick grid; at the default 960 PPQ / 500000 us per quarter one tick is
 ~0.52 ms.
 
-The writers format every note from the piece's columns; the readers parse
-into lists and build the piece with :meth:`Piece.from_columns`.
+The JSON and CSV writers print each value's text from the piece's cached
+text view, :attr:`Piece.text`, so a piece written both ways formats each
+value once, and they write a chunk of rows at a time; the MIDI writer works
+on the columns. The readers parse into lists and build the piece with
+:meth:`Piece.from_columns`.
 """
 
 from __future__ import annotations
@@ -249,6 +252,8 @@ def read_midi(path) -> Piece:
     for track_index in range(n_tracks):
         if data[pos:pos + 4] != b"MTrk":
             raise ParseError(f"missing MTrk chunk at byte {pos}")
+        if len(data) < pos + 8:
+            raise ParseError(f"truncated track {track_index} at byte {pos}")
         length = struct.unpack(">I", data[pos + 4:pos + 8])[0]
         body = data[pos + 8:pos + 8 + length]
         if len(body) < length:
@@ -345,6 +350,34 @@ def _transpose(rows: list[tuple], width: int = len(COLUMNS)) -> list[tuple]:
 # pitch and velocity are read as given, so Piece.from_columns rejects a fraction
 _JSON_FIELDS = (("onset_s", float), ("pitch", None), ("velocity10", None), ("duration_s", float),
                 ("voice", int), ("symbol", str), ("generation", int), ("section", int))
+# the text after each value of a JSON event: the last closes the event and
+# opens the next; _JSON_OPEN opens the first
+_JSON_SEPS = (*(f',\n   "{key}": ' for key, _ in _JSON_FIELDS[1:]), '\n  },\n  {\n   "onset_s": ')
+_JSON_OPEN = '[\n  {\n   "onset_s": '
+_CSV_SEPS = (",",) * (len(COLUMNS) - 1) + ("\n",)
+# rows per write: the text of a whole piece at once, and its encoded copy,
+# would sit in memory next to the piece's text view
+_CHUNK_ROWS = 2048
+
+
+def _write_rows(path: Path, head: str, columns: list[list[str]], seps: tuple[str, ...],
+                tail: str) -> Path:
+    """Write ``head``, every row's parts (each column's text followed by its
+    separator, the last row's final separator replaced by ``tail``), a chunk
+    of rows at a time."""
+    n, width = len(columns[0]), 2 * len(seps)
+    with path.open("w") as f:
+        f.write(head)
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = min(n - start, _CHUNK_ROWS)
+            parts = [""] * (width * rows)
+            for k, (col, sep) in enumerate(zip(columns, seps)):
+                parts[2 * k::width] = col[start:start + rows]
+                parts[2 * k + 1::width] = [sep] * rows
+            if start + rows == n:
+                parts[-1] = tail
+            f.write("".join(parts))
+    return path
 
 
 def write_events_json(piece: Piece, path) -> Path:
@@ -354,28 +387,21 @@ def write_events_json(piece: Piece, path) -> Path:
     text = json.dumps({"metadata": piece.metadata,
                        "sections": [list(s) for s in piece.sections],
                        "events": []}, indent=1)
-    if len(piece):
-        cols = [piece.column(name).tolist() for name in COLUMNS]
-        quoted = {s: json.dumps(s) for s in set(cols[5])}
-        cols[5] = [quoted[s] for s in cols[5]]
-        # json.dumps writes ints with repr and floats with float.__repr__
-        events = ",\n".join([
-            f'  {{\n   "onset_s": {t!r},\n   "pitch": {p},\n   "velocity10": {v},\n'
-            f'   "duration_s": {d!r},\n   "voice": {vo},\n   "symbol": {s},\n'
-            f'   "generation": {g},\n   "section": {se}\n  }}'
-            for t, p, v, d, vo, s, g, se in zip(*cols)])
-        text = text[:-len("[]\n}")] + "[\n" + events + "\n ]\n}"
-    path.write_text(text)
-    return path
+    if not len(piece):
+        path.write_text(text)
+        return path
+    # the text view holds each value as json.dumps writes it (repr of an int,
+    # float.__repr__ of a float); symbols are quoted here, once per distinct one
+    columns = [piece.text[name] for name in COLUMNS]
+    quoted = {s: json.dumps(s) for s in set(columns[5])}
+    columns[5] = list(map(quoted.__getitem__, columns[5]))
+    return _write_rows(path, text[:-len("[]\n}")] + _JSON_OPEN, columns, _JSON_SEPS,
+                       "\n  }\n ]\n}")
 
 
 def write_events_csv(piece: Piece, path) -> Path:
-    path = Path(path)
-    rows = [f"{t!r},{p},{v},{d!r},{vo},{s},{g},{se}"
-            for t, p, v, d, vo, s, g, se in zip(*(piece.column(name).tolist()
-                                                   for name in COLUMNS))]
-    path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
-    return path
+    return _write_rows(Path(path), ",".join(CSV_HEADER) + "\n",
+                       [piece.text[name] for name in COLUMNS], _CSV_SEPS, "\n")
 
 
 def read_events(path) -> Piece:
@@ -384,7 +410,7 @@ def read_events(path) -> Piece:
     suffix = path.suffix.lower()
     if suffix == ".json":
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(_read_text(path))
         except json.JSONDecodeError as err:
             raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
         try:
@@ -398,7 +424,7 @@ def read_events(path) -> Piece:
             raise ParseError(f"{path}: malformed event document: {err}") from err
     if suffix == ".csv":
         rows, linenos = [], []
-        lines = path.read_text().splitlines()
+        lines = _read_text(path).splitlines()
         if not lines or lines[0].split(",") != CSV_HEADER:
             raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
         for lineno, line in enumerate(lines[1:], start=2):
@@ -420,8 +446,18 @@ def read_events(path) -> Piece:
             lineno = next(n for n, row in zip(linenos, rows) if not _is_valid(row))
             raise ParseError(f"{path}: line {lineno}: {err}") from err
     if suffix in (".mid", ".midi"):
-        return read_midi(path)
+        try:
+            return read_midi(path)
+        except ParseError as err:
+            raise ParseError(f"{path}: {err}") from err
     raise ParseError(f"unsupported file type: {path}")
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not text: {err}") from err
 
 
 _INT64 = range(-2**63, 2**63)

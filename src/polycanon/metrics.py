@@ -164,6 +164,7 @@ def lane_levenshtein(walks: Sequence[tuple[Sequence, Sequence[Sequence]]]) -> li
     equal; lists of Python values (``.tolist()``) walk fastest.
     """
     peqs, spans = [], []  # per walker: its match masks, (offset, width) of each lane
+    local: dict = {}  # per lane object: its match masks at offset 0, built once
     mask = lows = offset = 0
     for walker, lanes in walks:
         peq = dict.fromkeys(walker, 0)
@@ -175,10 +176,11 @@ def lane_levenshtein(walks: Sequence[tuple[Sequence, Sequence[Sequence]]]) -> li
             spans[-1].append((offset, m))
             if not m:
                 continue
-            local: dict = {}
-            for i, symbol in enumerate(lane):
-                local[symbol] = local.get(symbol, 0) | (1 << i)
-            for symbol, bits in local.items():
+            if id(lane) not in local:  # walks holds every lane, so no id is reused
+                masks = local[id(lane)] = {}
+                for i, symbol in enumerate(lane):
+                    masks[symbol] = masks.get(symbol, 0) | (1 << i)
+            for symbol, bits in local[id(lane)].items():
                 peq[symbol] = peq.get(symbol, 0) | (bits << offset)
             mask |= ((1 << m) - 1) << offset
             lows |= 1 << offset
@@ -214,7 +216,8 @@ def pairwise_levenshtein(seqs: Sequence[Sequence]) -> np.ndarray:
     Sequences are ranked by (length, index), and each one is a walker with
     every sequence ranked below it as its lanes; :func:`lane_levenshtein`
     runs these ``k - 1`` walkers as one walk, so ``k`` sequences take one
-    walk instead of ``k (k - 1) / 2`` scalar calls.
+    walk instead of ``k (k - 1) / 2`` scalar calls. Each sequence is one
+    list object in every walk it serves, so its lane masks are built once.
     """
     seqs = [np.asarray(s).tolist() for s in seqs]
     ranked = sorted(range(len(seqs)), key=lambda i: (len(seqs[i]), i))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,58 @@ def test_analyze_unknown_metric_is_usage_error(tmp_path, capsys):
     out = tmp_path / "gen"
     main(["generate", "--out", str(out), "--seed", "3", "--depth", "2"])
     assert main(["analyze", "--in", str(out / "piece.json"), "--metrics", "zzz"]) == 2
+
+
+# the sha256 of each file of `polycanon generate --depth 4 --seed 0`; a change
+# that moves these bytes on purpose updates them and says so
+GENERATE_DIGESTS = {
+    "piece.json": "83aed3cdd0e75a2e4e35b263a45838eefbf7b0f381ee7cb88ac1201468c8694a",
+    "piece.csv": "0b3d8dab0e87314adff1d4d925338afe81555698dd721c7b083d5754e88e0138",
+    "piece.mid": "786cc90dc214ad0e7bc68c09f4f6a7dc486d337c9ae778f49ffb45dfc54248dd",
+    "piece.mid.velocity.json": "ecc42b03d0ecb48d5ac5cc64da2d6279b4354d39b9db7ad1df14c9d7f9561ccd",
+}
+
+
+def test_generate_writes_the_pinned_bytes(tmp_path, capsys):
+    assert main(["generate", "--depth", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (f"4480 events -> {tmp_path}/piece.[json|csv|mid] "
+                                       "(193 constraint repairs)\n")
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GENERATE_DIGESTS} == GENERATE_DIGESTS
+
+
+MALFORMED = '{"events": [{"onset_s": 1}]}'
+
+
+@pytest.mark.parametrize("argv,content,message", [
+    pytest.param(["analyze", "--in", "BAD"], MALFORMED, ": malformed event document: 'pitch'",
+                 id="analyze-malformed"),
+    pytest.param(["analyze", "--in", "BAD"], None, "No such file or directory",
+                 id="analyze-missing"),
+    pytest.param(["analyze", "--in", "GOOD", "--pair", "BAD"], None, "No such file or directory",
+                 id="analyze-pair-missing"),
+    pytest.param(["analyze", "--in", "GOOD", "--pair", "BAD"], MALFORMED, "malformed",
+                 id="analyze-pair-malformed"),
+    pytest.param(["analyze", "--in", "BAD.mid"], "MThd", ": not a Standard MIDI File",
+                 id="analyze-not-midi"),
+    pytest.param(["compensate", "--in", "BAD", "--out", "OUT"], None, "No such file or directory",
+                 id="compensate-missing"),
+    pytest.param(["compensate", "--in", "BAD", "--out", "OUT"], MALFORMED, "malformed",
+                 id="compensate-malformed"),
+])
+def test_an_unreadable_event_file_exits_2(tmp_path, capsys, argv, content, message):
+    good = tmp_path / "gen" / "piece.json"
+    assert main(["generate", "--depth", "2", "--out", str(good.parent)]) == 0
+    bad = tmp_path / ("bad.mid" if "BAD.mid" in argv else "bad.json")
+    if content is not None:
+        bad.write_text(content)
+    paths = {"GOOD": good, "BAD": bad, "BAD.mid": bad, "OUT": tmp_path / "out.json"}
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(bad) in err and message in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_compensate_round_trip(tmp_path, capsys):

@@ -127,6 +127,18 @@ def test_equality_covers_events_sections_and_metadata():
     assert Piece.from_events([]) == Piece.from_columns([], [], [], [])
 
 
+@settings(max_examples=60, deadline=None)
+@given(note_rows, st.sampled_from([-1, 2**63 - 1]))
+def test_text_view_is_each_value_as_the_writers_print_it(rows, extreme):
+    cols = columns_of(rows)
+    piece = Piece.from_columns(*cols[:6], [extreme] * len(rows), cols[7])
+    # note_rows draws -0.0 and 0.0 onsets, whose reprs differ
+    assert piece.text == {name: [v if name == "symbol" else repr(v)
+                                 for v in piece.column(name).tolist()] for name in COLUMNS}
+    assert piece.text is piece.text
+    assert piece == Piece.from_columns(*cols[:6], [extreme] * len(rows), cols[7])
+
+
 def key_reset_reference(events, window):
     """The per-key mask one event at a time."""
     last_kept, kept = {}, []

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycanon.events import NoteEvent, Piece
+from polycanon.fileio import _CHUNK_ROWS as CHUNK_ROWS
 from polycanon.fileio import (
     CSV_HEADER,
     MidiRenderConfig,
@@ -198,6 +199,24 @@ def test_unsupported_extension(tmp_path):
         read_events(path)
 
 
+def test_every_cut_midi_file_is_a_parse_error_naming_it(tmp_path):
+    data = write_midi(sample_piece(), MidiRenderConfig(velocity_mode="cc88"),
+                      tmp_path / "whole.mid").read_bytes()
+    cut = tmp_path / "cut.mid"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ParseError, match=f"^{cut}: "):
+            read_events(cut)
+
+
+@pytest.mark.parametrize("name", ["bin.json", "bin.csv"])
+def test_an_undecodable_text_file_is_a_parse_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe\x00\x81")
+    with pytest.raises(ParseError, match=f"^{path}: "):
+        read_events(path)
+
+
 def test_render_config_validation():
     with pytest.raises(ValueError):
         MidiRenderConfig(ppq=10)
@@ -273,22 +292,31 @@ def midi_reference(piece, cfg):
     return header + b"".join(chunks), json.dumps(sidecar)
 
 
-# a grid near the 0.52 ms tick puts notes of different voices on one tick
+# a grid near the 0.52 ms tick puts notes of different voices on one tick;
+# -0.0 and 0.0 onsets print apart, generation and section reach -1 and the
+# int64 top, and durations and velocities repeat
+TOP = 2**63 - 1
 writer_rows = st.lists(st.tuples(
-    st.one_of(st.integers(0, 400).map(lambda k: k * 0.00026 - 0.03),
+    st.one_of(st.integers(0, 400).map(lambda k: k * 0.00026 - 0.03), st.sampled_from([-0.0, 0.0]),
               st.floats(-0.03, 3000.0, allow_nan=False)),
-    st.integers(0, 127), st.integers(0, 1023),
+    st.integers(0, 127), st.one_of(st.sampled_from([1, 512, 1023]), st.integers(0, 1023)),
     st.one_of(st.sampled_from([1e-4, 0.05, 0.3]), st.floats(1e-6, 10.0)),
     st.integers(0, 3), st.sampled_from(["A", "B", 'say "hi"', "é", "\\", "日本", ""]),
-    st.integers(0, 5), st.integers(0, 5)), max_size=60)
+    st.one_of(st.integers(-1, 5), st.just(TOP)),
+    st.one_of(st.integers(-1, 5), st.just(TOP))), max_size=60)
 
 
 @settings(max_examples=60, deadline=None)
 @given(writer_rows, st.sampled_from(["sidecar", "cc88", "off"]))
+@example([(-0.0, 60, 500, 0.05, 0, "A", -1, TOP), (0.0, 61, 500, 0.05, 1, "B", TOP, -1),
+          (-0.0, 62, 500, 0.05, 0, "A", 0, 0)], "sidecar")
+@example([(k * 0.01, 60 + k % 12, (100, 900)[k % 2], (0.05, 0.3)[k % 3 == 0], k % 3, "A",
+           -(k % 2), k % 4) for k in range(40)], "cc88")
+@example([(0.5, 60, 1023, 0.3, 2, "é", TOP, -1)], "off")
 def test_column_writers_match_per_event_references(rows, mode):
     metadata = {"seed": 3, "label": 'x"é', "nested": {"a": [1, 2.5]}}
-    piece = Piece.from_events([NoteEvent(*row) for row in rows],
-                              (("A", 0.0, 1.5), ('B"', 1.5, 3.0)), metadata)
+    sections = (("A", 0.0, 1.5), ('B"', 1.5, 3.0))
+    piece = Piece.from_events([NoteEvent(*row) for row in rows], sections, metadata)
     cfg = MidiRenderConfig(velocity_mode=mode)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -300,6 +328,19 @@ def test_column_writers_match_per_event_references(rows, mode):
         assert sidecar_path.exists() == (mode == "sidecar")
         if mode == "sidecar":
             assert sidecar_path.read_text() == sidecar
+        # the text view is built by whichever writer runs first
+        fresh = Piece.from_events([NoteEvent(*row) for row in rows], sections, metadata)
+        assert (write_events_csv(fresh, tmp / "q.csv").read_bytes()
+                == (tmp / "p.csv").read_bytes())
+        assert (write_events_json(fresh, tmp / "q.json").read_bytes()
+                == (tmp / "p.json").read_bytes())
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+def test_text_writers_match_references_across_chunks(tmp_path, n):
+    piece = sample_piece(n, seed=n, negative=True)
+    assert write_events_json(piece, tmp_path / "p.json").read_text() == json_reference(piece)
+    assert write_events_csv(piece, tmp_path / "p.csv").read_text() == csv_reference(piece)
 
 
 def test_empty_piece_writers_match_references(tmp_path):
