@@ -22,9 +22,8 @@ piece = generate(expand(fibonacci_grammar(), 4), canonical_table(), make_rng(42)
 # coherence between two sections of the same symbol vs different symbols
 sections = {}
 for index, (symbol, lo, hi) in enumerate(piece.sections):
-    events = sorted(piece.section_events(index), key=lambda e: e.onset)
-    sections[index] = (symbol, np.array([e.pitch for e in events]),
-                       np.diff([e.onset for e in events]))
+    rows = piece.column("section") == index  # the piece's rows are in onset order
+    sections[index] = (symbol, piece.pitches()[rows], np.diff(piece.onsets()[rows]))
 
 sym0, p0, i0 = sections[0]   # A
 sym2, p2, i2 = sections[2]   # A
@@ -36,8 +35,8 @@ print(f"RC({sym0},{sym2}) = {rhythmic_coherence(i0, i2):.3f}   "
 print(f"concentration: A section {pitch_class_concentration(p0):.3f}, "
       f"B section {pitch_class_concentration(p1):.3f}")
 
-v0 = piece.voice_events(0)
-v1 = piece.voice_events(1)
+v0 = piece.with_columns(rows=piece.column("voice") == 0)
+v1 = piece.with_columns(rows=piece.column("voice") == 1)
 vss, wvss, nwvss = voice_separation(v0, v1)
 print(f"voice separation: VSS {vss:.2f}, range-normalised {nwvss:.4f}")
 

@@ -3,8 +3,8 @@
 Subcommands: expand, generate, compensate, analyze, experiment, report.
 All outputs are deterministic for a fixed seed; the default seed comes from
 POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse), an
-unusable config or latency model or an unreadable event file, 3 experiment
-gate failure.
+unusable or unreadable config or latency model or an unreadable event file,
+3 experiment gate failure.
 """
 
 from __future__ import annotations
@@ -50,15 +50,24 @@ def _default_seed() -> int:
     return int(os.environ.get("POLYCANON_SEED", "42"))
 
 
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; a missing or unreadable
+    file, or one that is not JSON, raises ConfigError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def _load_config(path: str | None) -> dict:
     if path is None or path == "canonical":
         return load_bundled_config("canonical")
-    return json.loads(Path(path).read_text())
+    return _read_json(path)
 
 
 def _cmd_expand(args) -> int:
-    cfg = _load_config(args.grammar)
     try:
+        cfg = _load_config(args.grammar)
         grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
     except ConfigError as err:
         print(err, file=sys.stderr)
@@ -75,8 +84,8 @@ CONFIG_KEYS = ("grammar", "mapping", "depth", "seed", "hal", "midi")
 
 
 def _cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
     try:
+        cfg = _load_config(args.config)
         reject_unknown_keys(cfg, CONFIG_KEYS, "")
         require_keys(cfg, ("grammar", "mapping"), "")
         midi = midi_from_config(cfg.get("midi", {}))
@@ -122,8 +131,7 @@ def _precompensate(piece, model):
 def _cmd_compensate(args) -> int:
     try:
         piece = read_events(args.infile)
-        model = model_from_config(json.loads(Path(args.model).read_text())
-                                  if args.model else {})
+        model = model_from_config(_read_json(args.model) if args.model else {})
         compensated = _precompensate(piece, model)
     except (ConfigError, ParseError, OSError) as err:
         print(err, file=sys.stderr)
@@ -148,7 +156,7 @@ def _cmd_analyze(args) -> int:
         if metric == "pcc":
             values["pcc"] = pitch_class_concentration(pitches)
         elif metric == "nlz":
-            values["nlz"] = normalized_lz(piece.events)
+            values["nlz"] = normalized_lz(piece)
         elif metric == "mc":
             # pairwise against --pair, otherwise split-half self coherence
             ref = other.pitches() if other is not None else pitches[len(pitches) // 2:]
@@ -161,8 +169,8 @@ def _cmd_analyze(args) -> int:
         elif metric in ("vss", "wvss", "nwvss"):
             voices = piece.voices()
             if len(voices) >= 2:
-                vss, wvss, nwvss = voice_separation(piece.voice_events(voices[0]),
-                                                    piece.voice_events(voices[1]))
+                vss, wvss, nwvss = voice_separation(
+                    *(piece.with_columns(rows=piece.column("voice") == v) for v in voices[:2]))
                 values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
         else:
             print(f"unknown metric: {metric}", file=sys.stderr)

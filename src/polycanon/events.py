@@ -75,10 +75,6 @@ class NoteEvent:
             raise ValueError(f"onset {self.onset} below {MIN_ONSET}")
 
 
-def _sort_key(e: NoteEvent):
-    return (e.onset, e.voice, e.pitch, e.velocity)
-
-
 # the NoteEvent fields in constructor order, with each column's dtype
 COLUMNS = {"onset": np.float64, "pitch": np.int64, "velocity": np.int64,
            "duration": np.float64, "voice": np.int64, "symbol": object,
@@ -104,7 +100,9 @@ class Piece:
     view, each column as the strings the JSON and CSV writers print, cached
     the same way; neither view is serialised or compared. Build pieces with
     :meth:`from_columns` or :meth:`from_events`; two pieces are equal when
-    their events, sections and metadata are.
+    their events, sections and metadata are. The metrics take a piece (or a
+    row selection of one, by :meth:`with_columns`) or a sequence of
+    :class:`NoteEvent` alike, and read both through :func:`field`.
     """
 
     __hash__ = None
@@ -158,10 +156,6 @@ class Piece:
         rows = [_fields(e) for e in events]
         cols = list(zip(*rows)) if rows else [()] * len(COLUMNS)
         return Piece.from_columns(*cols, sections=sections, metadata=metadata)
-
-    def with_events(self, events: Iterable[NoteEvent]) -> "Piece":
-        """Same sections/metadata, new (re-sorted) event list."""
-        return Piece.from_events(events, self.sections, dict(self.metadata))
 
     def with_columns(self, rows=None, **columns) -> "Piece":
         """Same sections/metadata; the named columns replaced by full-length
@@ -266,7 +260,9 @@ class Piece:
         return float(np.max(self.onsets() + self.durations()))
 
 
-def voice_iois(events: Sequence[NoteEvent]) -> np.ndarray:
-    """Inter-onset intervals of one voice's (time-ordered) events."""
-    onsets = np.sort(np.array([e.onset for e in events], dtype=float))
-    return np.diff(onsets)
+def field(notes: Piece | Sequence[NoteEvent], name: str) -> np.ndarray:
+    """The ``name`` column of a piece, or the same values, with the column's
+    dtype, read from a sequence of :class:`NoteEvent` in its order."""
+    if isinstance(notes, Piece):
+        return notes.column(name)
+    return np.fromiter(map(attrgetter(name), notes), COLUMNS[name], len(notes))

@@ -77,7 +77,7 @@ def cp_continuous(seed: int = 42, **_) -> Report:
         piece = generate_cp_continuous(voices, rate_fn, 45.0, HORIZON, post, rng)
         # the modulation target is the stochastic voice; the canon pair is a
         # steady backdrop and is excluded from the density profile
-        modulated = piece.with_events(piece.voice_events(2))
+        modulated = piece.with_columns(rows=piece.column("voice") == 2)
         report.add("n_events", len(modulated), "cp.continuous.n_events")
 
         counts = window_counts(modulated, HORIZON)

@@ -71,8 +71,7 @@ def density_sweep(seed: int = 42, n_boot: int = 2000, trials: int = 10,
             for _ in range(max(3, trials // 2)):
                 voices, piece = sweep_condition(rho, "exponential", rng, n_events=100)
                 vals.append(np.mean([
-                    _interval_entropy_coherence(np.array([e.pitch for e in piece.events
-                                                          if e.voice == v]))
+                    _interval_entropy_coherence(piece.pitches()[piece.column("voice") == v])
                     for v in (0, 1)]))
             coherence.append(float(np.mean(vals)))
             ts_means.append(float(np.mean(sweep_concentration(rho, rng, trials=trials))))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..events import Piece, voice_iois
+from ..events import Piece
 from ..grammar import expand, shuffle_preserving_counts
 from ..hal import ConstraintSet, LatencyModel, enforce_constraints, latency
 from ..mapping import MappingTable
@@ -100,9 +100,9 @@ def fidelity(seed: int = 42, **_) -> Report:
         report.add("velocity_d_undefined", vel_t.undefined, "fidelity.velocity.d_undefined")
 
         # registral separation of the deterministic sections' two voices
-        a_events = [e for e in piece.events if e.symbol == "A"]
-        mean0 = np.mean([e.pitch for e in a_events if e.voice == 0])
-        mean1 = np.mean([e.pitch for e in a_events if e.voice == 1])
+        in_a, voice = piece.column("symbol") == "A", piece.column("voice")
+        mean0 = np.mean(piece.pitches()[in_a & (voice == 0)])
+        mean1 = np.mean(piece.pitches()[in_a & (voice == 1)])
         report.add("pitch_separation", abs(float(mean1 - mean0)), "fidelity.pitch_separation")
     return report
 
@@ -128,20 +128,21 @@ def _pitch_cdf(table: MappingTable, symbol: str):
 def _layer_measurements(piece: Piece, table: MappingTable):
     """KS distances per (parameter, symbol) on a generated stream."""
     out = {}
+    onsets, voices, sections = piece.onsets(), piece.column("voice"), piece.column("section")
     for symbol in table.symbols():
         cfg = table.configs[symbol]
-        events = [e for e in piece.events if e.symbol == symbol]
+        rows = piece.column("symbol") == symbol
         # de-scaled per-voice IOIs within sections, pooled over voices
         iois = []
         for voice, ratio in enumerate(cfg.ratios):
-            for section in {e.section for e in events}:
-                sect = [e for e in events if e.voice == voice and e.section == section]
+            for section in np.unique(sections[rows]).tolist():
+                sect = onsets[rows & (voices == voice) & (sections == section)]
                 if len(sect) >= 2:
                     # onsets are microsecond-resolution; sub-ns float dust is not signal
-                    iois.append(np.round(voice_iois(sect) * ratio, 9))
+                    iois.append(np.round(np.diff(sect) * ratio, 9))
         iois = np.concatenate(iois) if iois else np.array([])
-        pitches = np.array([e.pitch for e in events], dtype=float)
-        velocities = np.array([e.velocity for e in events], dtype=float)
+        pitches = piece.pitches()[rows].astype(float)
+        velocities = piece.velocities()[rows].astype(float)
         out[("ioi", symbol)] = ks_distance_to_cdf(iois, cfg.ioi.cdf)
         out[("pitch", symbol)] = ks_distance_to_cdf(pitches, _pitch_cdf(table, symbol))
         out[("velocity", symbol)] = ks_distance_to_cdf(velocities, cfg.velocity.cdf)
@@ -166,8 +167,7 @@ def degradation(seed: int = 42, **_) -> Report:
         l2 = {}
         for symbol in table.symbols():
             cfg = table.configs[symbol]
-            events = [e for e in piece.events if e.symbol == symbol]
-            n = len(events)
+            n = int(np.count_nonzero(piece.column("symbol") == symbol))
             l2[("ioi", symbol)] = ks_distance_to_cdf(cfg.ioi.sample(rng, n), cfg.ioi.cdf)
             ratio_w = np.array(cfg.ratios) / sum(cfg.ratios)
             draws = []
@@ -247,10 +247,10 @@ def ablation_a(seed: int = 42, trials: int = 100, **_) -> Report:
 def _section_temporal_separation(piece: Piece):
     """Per-section W1 between the two voices' log-IOI marginals."""
     values = []
+    sections, voices = piece.column("section"), piece.column("voice")
     for index in range(len(piece.sections)):
-        events = piece.section_events(index)
-        v0 = [e for e in events if e.voice == 0]
-        v1 = [e for e in events if e.voice == 1]
+        v0 = piece.with_columns(rows=(sections == index) & (voices == 0))
+        v1 = piece.with_columns(rows=(sections == index) & (voices == 1))
         if len(v0) < 2 or len(v1) < 2:
             continue
         _, _, w_t = separation_components(v0, v1)

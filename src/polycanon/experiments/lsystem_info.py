@@ -71,8 +71,8 @@ def lsystem_info(seed: int = 42, shuffles: int = 1000, det_shuffles: int = 500, 
                             derive_rng(seed, "nlz-depth-weighted"))
         plain = generate(symbols, canonical_table(depth_weighted=False),
                          derive_rng(seed, "nlz-symbol-only"))
-        nlz_weighted = normalized_lz(weighted.events)
-        nlz_plain = normalized_lz(plain.events)
+        nlz_weighted = normalized_lz(weighted)
+        nlz_plain = normalized_lz(plain)
         report.add("nlz_values", (round(nlz_weighted, 4), round(nlz_plain, 4)),
                    "sequence.nlz.values")
         report.add("nlz_depth_weighted_lower", bool(nlz_weighted < nlz_plain),

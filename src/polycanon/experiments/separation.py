@@ -61,7 +61,7 @@ def _four_voice_piece(condition: str, aggregate_rate: float, duration: float, rn
 
 
 def _pairwise_vss(piece: Piece) -> list[float]:
-    voices = [piece.voice_events(v) for v in piece.voices()]
+    voices = [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
     values = []
     for i in range(len(voices)):
         for j in range(i + 1, len(voices)):
@@ -98,8 +98,8 @@ def constraints(seed: int = 42, trials: int = 10, duration: float = 25.0, **_) -
 
         # harmonic-territory check independent of dynamics
         piece = _four_voice_piece("pitch", 20.0, duration, rng)
-        voices = [piece.voice_events(v) for v in (0, 3)]
-        report.add("pcs_distance_outer_pair", pcs_distance(voices[0], voices[1]),
+        outer = [piece.with_columns(rows=piece.column("voice") == v) for v in (0, 3)]
+        report.add("pcs_distance_outer_pair", pcs_distance(*outer),
                    "constraints.pcs_distance")
 
         # explicit pitch-velocity coupling
@@ -113,7 +113,7 @@ def constraints(seed: int = 42, trials: int = 10, duration: float = 25.0, **_) -
 
 def _stratified_voices(aggregate_rate: float, duration: float, rng):
     piece = _four_voice_piece("stratified", aggregate_rate, duration, rng, mask=True)
-    return [piece.voice_events(v) for v in piece.voices()]
+    return [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
 
 
 def wvss_weights(seed: int = 42, **_) -> Report:
@@ -130,7 +130,7 @@ def wvss_weights(seed: int = 42, **_) -> Report:
 
         halves = []
         for parity in (0, 1):
-            halves.append([voice[parity::2] for voice in high])
+            halves.append([voice.with_columns(rows=slice(parity, None, 2)) for voice in high])
         w_even = estimate_weights(halves[0], normalized=True)
         w_odd = estimate_weights(halves[1], normalized=True)
         deviation_pp = 100.0 * max(abs(a - b) for a, b in

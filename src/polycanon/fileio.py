@@ -244,6 +244,8 @@ def read_midi(path) -> Piece:
     header_len, fmt, n_tracks, division = struct.unpack(">IHHH", data[4:14])
     if division & 0x8000:
         raise ParseError("SMPTE time division is not supported")
+    if division == 0:
+        raise ParseError("time division of 0 ticks per quarter note")
     pos = 14
     tempo_us = 500_000
     shift = 0.0
@@ -267,52 +269,54 @@ def read_midi(path) -> Piece:
         open_notes: dict[int, list[tuple[int, int, int]]] = {}
         # per channel, the low 3 velocity bits of a CC#88 prefix not yet used
         low_bits: dict[int, int] = {}
-        while p < len(body):
-            delta, p = _read_vlq(body, p)
-            tick += delta
-            if p >= len(body):
-                raise ParseError(f"track {track_index} ends inside an event")
-            byte = body[p]
-            if byte >= 0x80:
-                status = byte
-                p += 1
-            elif status is None:
-                raise ParseError(f"running status without prior status at byte {p}")
-            if status == 0xFF:
-                meta_type = body[p]
-                p += 1
-                mlen, p = _read_vlq(body, p)
-                payload = body[p:p + mlen]
-                p += mlen
-                if meta_type == 0x51 and mlen == 3:
-                    tempo_us = int.from_bytes(payload, "big")
-                elif meta_type == 0x01 and payload.startswith(b"onset_shift_s="):
-                    shift = float(payload.split(b"=", 1)[1])
-                continue
-            if status in (0xF0, 0xF7):  # sysex
-                mlen, p = _read_vlq(body, p)
-                p += mlen
-                continue
-            kind = status & 0xF0
-            if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
-                if p + 2 > len(body):
-                    raise ParseError(f"truncated channel event at byte {p}")
-                d1, d2 = body[p], body[p + 1]
-                p += 2
-            elif kind in (0xC0, 0xD0):
-                d1, d2 = body[p], 0
-                p += 1
-            else:
-                raise ParseError(f"unknown status byte 0x{status:02x} at byte {p}")
+        # an index past the body's end is an event cut off by the track's end
+        try:
+            while p < len(body):
+                delta, p = _read_vlq(body, p)
+                tick += delta
+                byte = body[p]
+                if byte >= 0x80:
+                    status = byte
+                    p += 1
+                elif status is None:
+                    raise ParseError(f"running status without prior status at byte {p}")
+                if status == 0xFF:
+                    meta_type = body[p]
+                    p += 1
+                    mlen, p = _read_vlq(body, p)
+                    payload = body[p:p + mlen]
+                    p += mlen
+                    if meta_type == 0x51 and mlen == 3:
+                        tempo_us = int.from_bytes(payload, "big")
+                    elif meta_type == 0x01 and payload.startswith(b"onset_shift_s="):
+                        shift = float(payload.split(b"=", 1)[1])
+                    continue
+                if status in (0xF0, 0xF7):  # sysex
+                    mlen, p = _read_vlq(body, p)
+                    p += mlen
+                    continue
+                kind = status & 0xF0
+                if kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):
+                    d1, d2 = body[p], body[p + 1]
+                    p += 2
+                elif kind in (0xC0, 0xD0):
+                    d1, d2 = body[p], 0
+                    p += 1
+                else:
+                    raise ParseError(f"unknown status byte 0x{status:02x} at byte {p}")
+                if (d1 | d2) & 0x80:
+                    raise ParseError(f"data byte above 0x7f in a channel event before byte {p}")
 
-            if kind == 0x90 and d2 > 0:
-                low = low_bits.pop(status & 0x0F, -1)
-                open_notes.setdefault(d1, []).append((tick, d2, low))
-            elif (kind == 0x80 or (kind == 0x90 and d2 == 0)) and open_notes.get(d1):
-                start, v7, low = open_notes[d1].pop(0)
-                notes.append((track_index, start, tick, d1, v7, low))
-            elif kind == 0xB0 and d1 == 88:
-                low_bits[status & 0x0F] = d2 >> 4
+                if kind == 0x90 and d2 > 0:
+                    low = low_bits.pop(status & 0x0F, -1)
+                    open_notes.setdefault(d1, []).append((tick, d2, low))
+                elif (kind == 0x80 or (kind == 0x90 and d2 == 0)) and open_notes.get(d1):
+                    start, v7, low = open_notes[d1].pop(0)
+                    notes.append((track_index, start, tick, d1, v7, low))
+                elif kind == 0xB0 and d1 == 88:
+                    low_bits[status & 0x0F] = d2 >> 4
+        except IndexError:
+            raise ParseError(f"track {track_index} ends inside an event") from None
         for pitch, sounding in open_notes.items():
             notes.extend((track_index, start, start + 1, pitch, v7, low)
                          for start, v7, low in sounding)
@@ -446,9 +450,11 @@ def read_events(path) -> Piece:
             lineno = next(n for n, row in zip(linenos, rows) if not _is_valid(row))
             raise ParseError(f"{path}: line {lineno}: {err}") from err
     if suffix in (".mid", ".midi"):
+        # besides ParseError: a bad onset-shift text or sidecar, or notes the
+        # piece's checks reject
         try:
             return read_midi(path)
-        except ParseError as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"{path}: {err}") from err
     raise ParseError(f"unsupported file type: {path}")
 

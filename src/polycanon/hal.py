@@ -251,7 +251,9 @@ def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
     velocities = np.clip(velocities, lo, hi)
 
     masked = key_reset_kept(onsets, pitches, cs.min_key_ioi)
-    dropped = np.setdiff1d(np.arange(n), masked)
+    kept = np.zeros(n, dtype=bool)
+    kept[masked] = True
+    dropped = np.flatnonzero(~kept)
     if dropped.size:
         # a dropped note's previous strike is the latest kept note before it
         # on its key; the first note on every key is kept

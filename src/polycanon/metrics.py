@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .events import NoteEvent, voice_iois
+from .events import NoteEvent, Piece, field
 from .stats import ks_distance, wasserstein1
 
 LOG2_12 = math.log2(12)
@@ -280,12 +280,12 @@ class WeightVector:
 UNIFORM_WEIGHTS = WeightVector(1 / 3, 1 / 3, 1 / 3)
 
 
-def _domain_marginals(events: Sequence[NoteEvent]):
-    if len(events) < 2:
+def _domain_marginals(notes: Piece | Sequence[NoteEvent]):
+    if len(notes) < 2:
         raise MetricError("voice separation needs >= 2 events per voice")
-    pitches = np.array([e.pitch for e in events], dtype=float)
-    velocities = np.array([e.velocity for e in events], dtype=float)
-    iois = voice_iois(events)
+    pitches = field(notes, "pitch").astype(float)
+    velocities = field(notes, "velocity").astype(float)
+    iois = np.diff(np.sort(field(notes, "onset")))
     iois = iois[iois > 0]
     if iois.size == 0:
         raise MetricError("voice has no positive inter-onset intervals")
@@ -293,7 +293,8 @@ def _domain_marginals(events: Sequence[NoteEvent]):
 
 
 def separation_components(events_i, events_j) -> tuple[float, float, float]:
-    """W1 distances between two voices' pitch, velocity and log-IOI marginals."""
+    """W1 distances between two voices' pitch, velocity and log-IOI marginals;
+    each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`."""
     pi, vi, ti = _domain_marginals(events_i)
     pj, vj, tj = _domain_marginals(events_j)
     return (wasserstein1(pi, pj), wasserstein1(vi, vj), wasserstein1(ti, tj))
@@ -305,6 +306,7 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
     VSS is the plain mean of the three W1 components; wVSS weights the raw
     components; nwVSS weights the range-normalised components. With no
     weight vector the uniform one is used, making wVSS coincide with VSS.
+    Each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`.
     """
     w = weights or UNIFORM_WEIGHTS
     wp, wv, wt = w.as_tuple()
@@ -315,8 +317,9 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
     return vss, wvss, nwvss
 
 
-def estimate_weights(voices: Sequence[Sequence[NoteEvent]], normalized: bool = False) -> WeightVector:
-    """Per-domain weights proportional to the mean pairwise W1 separation.
+def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector:
+    """Per-domain weights proportional to the mean pairwise W1 separation;
+    each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`.
 
     With ``normalized`` the components are divided by their domain ranges
     before weighting (the nwVSS convention). Degenerate all-zero separation
@@ -345,19 +348,20 @@ def estimate_weights(voices: Sequence[Sequence[NoteEvent]], normalized: bool = F
 def pcs_distance(events_i, events_j, window: float = 1.0) -> float:
     """Mean windowed (1 - cosine) distance between pitch-class histograms.
 
+    Each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`.
     Windows where either voice is silent are skipped; a voice silent in
     every shared window is an error.
     """
     if window <= 0:
         raise MetricError("window must be > 0")
-    oi = np.array([e.onset for e in events_i])
-    oj = np.array([e.onset for e in events_j])
+    oi = field(events_i, "onset")
+    oj = field(events_j, "onset")
     if oi.size == 0 or oj.size == 0:
         raise MetricError("pcs_distance needs non-empty voices")
     t_end = max(oi.max(), oj.max())
     n_windows = max(1, int(math.ceil((t_end + 1e-9) / window)))
-    pi = np.array([e.pitch for e in events_i]) % 12
-    pj = np.array([e.pitch for e in events_j]) % 12
+    pi = field(events_i, "pitch") % 12
+    pj = field(events_j, "pitch") % 12
     dists = []
     for k in range(n_windows):
         lo, hi = k * window, (k + 1) * window
@@ -512,8 +516,8 @@ IOI_LO = 0.001
 IOI_HI = 10.0
 
 
-def discretize_events(events: Sequence[NoteEvent]) -> list[tuple[int, int]]:
-    """(log-IOI bin, pitch class) joint symbols for a sorted event stream.
+def discretize_events(events: Piece | Sequence[NoteEvent]) -> list[tuple[int, int]]:
+    """(log-IOI bin, pitch class) joint symbols of a piece or NoteEvent sequence.
 
     IOIs are taken between consecutive onsets of the full stream and quantised
     into 8 logarithmic bins spanning 1 ms .. 10 s; the first event (no IOI)
@@ -521,8 +525,8 @@ def discretize_events(events: Sequence[NoteEvent]) -> list[tuple[int, int]]:
     """
     if len(events) < 2:
         raise MetricError("discretize_events needs >= 2 events")
-    onsets = np.array([e.onset for e in events])
-    pitches = np.array([e.pitch for e in events])
+    onsets = field(events, "onset")
+    pitches = field(events, "pitch")
     order = np.argsort(onsets, kind="mergesort")
     iois = np.diff(onsets[order])
     iois = np.clip(iois, IOI_LO, IOI_HI)
@@ -533,7 +537,7 @@ def discretize_events(events: Sequence[NoteEvent]) -> list[tuple[int, int]]:
     return list(zip(bins.tolist(), classes.tolist()))
 
 
-def normalized_lz(events: Sequence[NoteEvent]) -> float:
+def normalized_lz(events: Piece | Sequence[NoteEvent]) -> float:
     """Parsing complexity per event of the discretised stream."""
     symbols = discretize_events(events)
     return lz_complexity(symbols) / len(symbols)

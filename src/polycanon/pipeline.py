@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_until
-from .events import KEY_RESET_WINDOW, NoteEvent, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
+from .events import KEY_RESET_WINDOW, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, resolve
 from .stochastic import (
@@ -28,12 +28,8 @@ class InfeasibleError(ValueError):
     """A requested texture violates a hardware constraint; names the constraint."""
 
 
-def _clamp_round(value: float, hi: int) -> int:
-    return int(min(max(round(value), 0), hi))
-
-
 def _clamp_round_many(values: np.ndarray, hi: int) -> np.ndarray:
-    """Vector form of :func:`_clamp_round`; both round half to even."""
+    """Round half to even, then clamp to [0, hi]."""
     return np.rint(values).clip(0, hi).astype(int)
 
 
@@ -127,17 +123,29 @@ def apply_collision_mask(piece: Piece, window: float = KEY_RESET_WINDOW) -> Piec
 # ---------------------------------------------------------------------------
 
 
-def _render_fixed_onsets(onsets, voice: int, cfg_for, rng, section_of) -> list[NoteEvent]:
-    """Events at predetermined onsets, with pitch/velocity from the active config."""
-    out = []
-    for t in onsets:
-        cfg = cfg_for(t)
-        pitch = _clamp_round(cfg.pitch_for_voice(0).sample(rng), PITCH_MAX)
-        velocity = _clamp_round(cfg.velocity.sample(rng), VELOCITY_MAX)
+def _fixed_onset_rows(onsets, voice: int, sections, configs, rng) -> list[tuple]:
+    """Rows in :data:`events.COLUMNS` order at predetermined onsets. A note's
+    section is the last of ``sections`` starting at or before it (the first
+    when none does), and that section's config draws the note's pitch and
+    then its velocity, both unrounded."""
+    starts = [lo for _, lo, _ in sections[1:]]
+    rows = []
+    for t, k in zip(np.asarray(onsets, dtype=float).tolist(),
+                    np.searchsorted(starts, onsets, side="right").tolist()):
+        cfg = configs[k]
         ioi = cfg.ioi.mean() if hasattr(cfg.ioi, "mean") else 0.1
-        out.append(NoteEvent(float(t), pitch, velocity, max(ioi, MIN_IOI), voice,
-                             section_of(t)[0], 0, section_of(t)[1]))
-    return out
+        rows.append((t, cfg.pitch_for_voice(0).sample(rng), cfg.velocity.sample(rng),
+                     max(ioi, MIN_IOI), voice, sections[k][0], 0, k))
+    return rows
+
+
+def _fixed_onset_piece(rows: list[tuple], sections, metadata: dict) -> Piece:
+    """The piece of :func:`_fixed_onset_rows` rows, pitch and velocity rounded
+    and clamped at once."""
+    onset, pitch, velocity, *rest = list(zip(*rows)) or [()] * 8
+    return Piece.from_columns(onset, _clamp_round_many(pitch, PITCH_MAX),
+                              _clamp_round_many(velocity, VELOCITY_MAX), *rest,
+                              sections=sections, metadata=metadata)
 
 
 def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
@@ -149,6 +157,9 @@ def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
     ``switch_at`` selects the convergence nearest that time (default: the one
     closest to mid-horizon). If the query finds no convergence the piece is
     generated without a switch and metadata records ``cp_time = None``.
+
+    Draw order: each canon voice's notes, a pitch then a velocity per note;
+    then per segment of the stochastic voice its onsets, then its notes.
     """
     horizon = query.horizon
     conv = find_convergences(query)
@@ -158,51 +169,33 @@ def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
         interior = [c for c in conv if 0.0 < c.time < horizon] or conv
         cp_time = min(interior, key=lambda c: abs(c.time - target)).time
 
-    def active(t):
-        return pre if (cp_time is None or t < cp_time) else post
-
-    def section_of(t):
-        if cp_time is None or t < cp_time:
-            return ("pre", 0)
-        return ("post", 1)
-
-    events: list[NoteEvent] = []
-    for vid, vs in enumerate(canon_voices):
-        onsets = voice_times_until(vs, horizon - 1e-9)
-        events.extend(_render_fixed_onsets(onsets, vid, active, rng, section_of))
-
-    # stochastic voice: homogeneous segments on either side of the switch
-    segments = [(0.0, horizon, pre)] if cp_time is None else [
-        (0.0, cp_time, pre), (cp_time, horizon, post)]
-    for seg_start, seg_end, cfg in segments:
-        onsets = sample_ioi_stream(cfg.ioi, seg_end - seg_start, rng) + seg_start
-        events.extend(
-            _render_fixed_onsets(onsets, len(canon_voices), active, rng, section_of))
-
     sections = ((("pre", 0.0, horizon),) if cp_time is None
                 else (("pre", 0.0, cp_time), ("post", cp_time, horizon)))
-    return Piece.from_events(events, sections, {"cp_time": cp_time})
+    configs = (pre, post)
+    rows = []
+    for vid, vs in enumerate(canon_voices):
+        onsets = voice_times_until(vs, horizon - 1e-9)
+        rows += _fixed_onset_rows(onsets, vid, sections, configs, rng)
+
+    # stochastic voice: homogeneous segments on either side of the switch
+    for (_, seg_start, seg_end), cfg in zip(sections, configs):
+        onsets = sample_ioi_stream(cfg.ioi, seg_end - seg_start, rng) + seg_start
+        rows += _fixed_onset_rows(onsets, len(canon_voices), sections, configs, rng)
+    return _fixed_onset_piece(rows, sections, {"cp_time": cp_time})
 
 
 def generate_cp_continuous(canon_voices: tuple[VoiceSpec, VoiceSpec],
                            rate_fn, rate_max: float, horizon: float,
                            cfg: ParameterConfig, rng) -> Piece:
     """Canon voices plus an inhomogeneous Poisson voice thinned against rate_max."""
-    events: list[NoteEvent] = []
-
-    def active(t):
-        return cfg
-
-    def section_of(t):
-        return ("modulated", 0)
-
+    sections = (("modulated", 0.0, horizon),)
+    rows = []
     for vid, vs in enumerate(canon_voices):
         onsets = voice_times_until(vs, horizon - 1e-9)
-        events.extend(_render_fixed_onsets(onsets, vid, active, rng, section_of))
-    poisson = InhomogeneousPoisson(rate_fn, rate_max)
-    onsets = sample_ioi_stream(poisson, horizon, rng)
-    events.extend(_render_fixed_onsets(onsets, len(canon_voices), active, rng, section_of))
-    return Piece.from_events(events, (("modulated", 0.0, horizon),), {})
+        rows += _fixed_onset_rows(onsets, vid, sections, (cfg,), rng)
+    onsets = sample_ioi_stream(InhomogeneousPoisson(rate_fn, rate_max), horizon, rng)
+    rows += _fixed_onset_rows(onsets, len(canon_voices), sections, (cfg,), rng)
+    return _fixed_onset_piece(rows, sections, {})
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +226,9 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
         pitches = np.linspace(21, 108, chord_size).round().astype(int)
         if len(set(pitches.tolist())) < chord_size:
             raise InfeasibleError("polyphony: cannot place that many distinct pitches")
-        events = [NoteEvent(k * period, int(p), velocity, period * 0.9, 0, "P", 0, 0)
-                  for k in range(n_chords) for p in pitches]
-        total = n_chords * period
+        onset = np.repeat(np.arange(n_chords) * period, chord_size)
+        pitch = np.tile(pitches, n_chords)
+        hold, symbol, total = period * 0.9, "P", n_chords * period
     elif kind == "trill":
         rate_hz = float(cfg.get("rate_hz", 30.0))
         keys = tuple(cfg.get("keys", (60, 62)))
@@ -248,9 +241,8 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
                 f"{MAX_SINGLE_KEY_RATE:.0f} Hz key reset limit; add alternating keys")
         step = 1.0 / rate_hz
         n = int(round(duration * rate_hz))
-        events = [NoteEvent(k * step, keys[k % len(keys)], velocity, step * 0.9, 0, "T", 0, 0)
-                  for k in range(n)]
-        total = duration
+        onset, pitch = np.arange(n) * step, np.resize(keys, n)
+        hold, symbol, total = step * 0.9, "T", duration
     elif kind == "arpeggio":
         span = int(cfg.get("span", 72))
         ioi = float(cfg.get("ioi", 0.025))
@@ -258,9 +250,9 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
         velocity = int(cfg.get("velocity", 800))
         if start + span - 1 > PITCH_MAX:
             raise InfeasibleError("arpeggio: span leaves the 88-key range")
-        events = [NoteEvent(k * ioi, start + k, velocity, ioi, 0, "R", 0, 0)
-                  for k in range(span)]
-        total = span * ioi
+        onset, pitch = np.arange(span) * ioi, start + np.arange(span)
+        hold, symbol, total = ioi, "R", span * ioi
     else:
         raise ValueError(f"unknown beyond-human kind {kind!r}")
-    return Piece.from_events(events, ((kind, 0.0, total),), {"kind": kind})
+    return Piece.from_columns(onset, pitch, velocity, hold, 0, symbol, 0, 0,
+                              sections=((kind, 0.0, total),), metadata={"kind": kind})

@@ -71,6 +71,7 @@ def test_generate_writes_the_pinned_bytes(tmp_path, capsys):
 
 
 MALFORMED = '{"events": [{"onset_s": 1}]}'
+NOT_JSON = "{not json"
 
 
 @pytest.mark.parametrize("argv,content,message", [
@@ -88,6 +89,18 @@ MALFORMED = '{"events": [{"onset_s": 1}]}'
                  id="compensate-missing"),
     pytest.param(["compensate", "--in", "BAD", "--out", "OUT"], MALFORMED, "malformed",
                  id="compensate-malformed"),
+    pytest.param(["compensate", "--in", "GOOD", "--model", "BAD", "--out", "OUT"], None,
+                 "No such file or directory", id="compensate-model-missing"),
+    pytest.param(["compensate", "--in", "GOOD", "--model", "BAD", "--out", "OUT"], NOT_JSON,
+                 ": Expecting property name", id="compensate-model-not-json"),
+    pytest.param(["generate", "--config", "BAD", "--out", "OUT"], None,
+                 "No such file or directory", id="generate-config-missing"),
+    pytest.param(["generate", "--config", "BAD", "--out", "OUT"], NOT_JSON,
+                 ": Expecting property name", id="generate-config-not-json"),
+    pytest.param(["expand", "--grammar", "BAD", "--depth", "2"], None,
+                 "No such file or directory", id="expand-grammar-missing"),
+    pytest.param(["expand", "--grammar", "BAD", "--depth", "2"], NOT_JSON,
+                 ": Expecting property name", id="expand-grammar-not-json"),
 ])
 def test_an_unreadable_event_file_exits_2(tmp_path, capsys, argv, content, message):
     good = tmp_path / "gen" / "piece.json"

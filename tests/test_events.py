@@ -1,11 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycanon.events import COLUMNS, KEY_RESET_WINDOW, NoteEvent, Piece, _sort_key, key_reset_kept
+import polycanon
+from polycanon.events import COLUMNS, KEY_RESET_WINDOW, NoteEvent, Piece, key_reset_kept
 
 # few distinct values per field, so chords, same-key strikes and full ties are common
 note_rows = st.lists(st.tuples(
@@ -24,10 +27,11 @@ def columns_of(rows):
 def test_from_columns_order_is_the_stable_sort_key_order(rows):
     events = [NoteEvent(*row) for row in rows]
     piece = Piece.from_columns(*columns_of(rows))
-    assert piece.events == tuple(sorted(events, key=_sort_key))
+    ordered = sorted(events, key=lambda e: (e.onset, e.voice, e.pitch, e.velocity))
+    assert piece.events == tuple(ordered)
     # the fields beyond the sort key tell full ties apart
     assert [(e.duration, e.symbol, e.generation, e.section) for e in piece.events] == [
-        (e.duration, e.symbol, e.generation, e.section) for e in sorted(events, key=_sort_key)]
+        (e.duration, e.symbol, e.generation, e.section) for e in ordered]
     assert piece == Piece.from_events(events)
     assert len(piece) == len(rows)
     assert set(piece.events) == set(events)  # the view's events hash as built ones do
@@ -123,7 +127,8 @@ def test_equality_covers_events_sections_and_metadata():
     assert piece != Piece.from_events(events, (("A", 0.0, 1.0),), {"seed": 2})
     assert piece != Piece.from_events(events, (), {"seed": 1})
     assert piece != Piece.from_events(events[:1], (("A", 0.0, 1.0),), {"seed": 1})
-    assert piece != piece.with_events([NoteEvent(0.0, 60, 500, 0.1, symbol="B"), events[1]])
+    assert piece != Piece.from_events([NoteEvent(0.0, 60, 500, 0.1, symbol="B"), events[1]],
+                                      piece.sections, piece.metadata)
     assert Piece.from_events([]) == Piece.from_columns([], [], [], [])
 
 
@@ -157,3 +162,43 @@ def test_key_reset_kept_matches_the_event_scan(rows, window):
     piece = Piece.from_columns(*columns_of(rows))
     kept = key_reset_kept(piece.onsets(), piece.pitches(), window)
     assert kept.tolist() == key_reset_reference(piece.events, window)
+
+
+# the NoteEvent view of a piece and the calls that build or select NoteEvents;
+# outside events.py the package reads notes through the Piece columns
+NOTE_EVENT_CALLS = {"NoteEvent", "voice_events", "section_events", "from_events", "with_events"}
+# (module, function): fileio._is_valid finds a bad CSV row by the NoteEvent checks
+NOTE_EVENT_ALLOWED = {("fileio.py", "_is_valid")}
+
+
+class NoteEventUses(ast.NodeVisitor):
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, [""], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr == "events":
+            self.found.append((self.module, self.scope[-1], node.lineno, ".events"))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        if name in NOTE_EVENT_CALLS and (self.module, self.scope[-1]) not in NOTE_EVENT_ALLOWED:
+            self.found.append((self.module, self.scope[-1], node.lineno, name))
+        self.generic_visit(node)
+
+
+def test_only_events_py_reads_or_builds_note_events():
+    src = Path(polycanon.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        if module != "events.py":
+            visitor = NoteEventUses(module)
+            visitor.visit(ast.parse(path.read_text()))
+            found += visitor.found
+    assert found == []

@@ -1,4 +1,5 @@
 import json
+import struct
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -457,4 +458,76 @@ def test_csv_reader_rejects_an_integer_beyond_int64_with_the_line(tmp_path, colu
     lines[2] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 3: "):
+        read_events(path)
+
+
+@pytest.fixture(scope="module")
+def depth3_midi(tmp_path_factory):
+    """A rendered depth-3 piece's MIDI file and its velocity sidecar."""
+    piece = generate(expand(fibonacci_grammar(), 3), canonical_table(), make_rng(0))
+    path = write_midi(piece, MidiRenderConfig(), tmp_path_factory.mktemp("d3") / "piece.mid")
+    return path.read_bytes(), Path(str(path) + ".velocity.json").read_bytes()
+
+
+def test_a_data_byte_above_0x7f_is_a_parse_error_naming_the_file(tmp_path, depth3_midi):
+    data = bytearray(depth3_midi[0])
+    data[data.index(bytes([0x90])) + 1] = 0xF8  # the first note-on's pitch
+    path = tmp_path / "bad.mid"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{path}: data byte above 0x7f"):
+        read_events(path)
+
+
+def test_corrupt_midi_files_read_or_raise_parse_error(tmp_path, depth3_midi):
+    data = depth3_midi[0]
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(150):
+        corrupt = bytearray(data)
+        for _ in range(rng.integers(1, 5)):
+            corrupt[rng.integers(len(corrupt))] = rng.integers(256)
+        cases.append(bytes(corrupt))
+    cases += [data[:n] for n in rng.integers(0, len(data), 30)]
+    path = tmp_path / "m.mid"
+    outcomes = Counter()
+    for corrupt in cases:
+        path.write_bytes(corrupt)
+        try:
+            read_events(path)
+            outcomes["read"] += 1
+        except ParseError as err:
+            assert str(err).startswith(f"{path}: ")
+            outcomes["ParseError"] += 1
+    assert outcomes["read"] and outcomes["ParseError"]
+
+
+@pytest.mark.parametrize("shift,sidecar", [
+    (b"0.0", b"{not json"),
+    (b"0.0", b'{"onset_shift_s": 0.0}'),
+    (b"0.0", b'{"velocities": 7}'),
+    (b"0.0", b'{"velocities": [2000]}'),
+    (b"abc", None),
+])
+def test_a_bad_shift_text_or_sidecar_is_a_parse_error_naming_the_file(tmp_path, depth3_midi,
+                                                                       shift, sidecar):
+    data, _ = depth3_midi
+    path = tmp_path / "bad.mid"
+    path.write_bytes(data.replace(b"onset_shift_s=0.0", b"onset_shift_s=" + shift))
+    if sidecar is not None:
+        Path(str(path) + ".velocity.json").write_bytes(sidecar)
+    with pytest.raises(ParseError, match=f"^{path}: "):
+        read_events(path)
+
+
+@pytest.mark.parametrize("division,body", [
+    (960, bytes([0x00, 0xC0])),  # a program change cut off before its data byte
+    (960, bytes([0x00, 0xFF])),  # a meta event cut off before its type
+    (960, bytes([0x00, 0x90, 0x3C])),  # a note-on cut off before its velocity
+    (0, bytes([0x00, 0xFF, 0x2F, 0x00])),  # zero ticks per quarter note
+])
+def test_a_cut_event_or_zero_division_is_a_parse_error_naming_the_file(tmp_path, division, body):
+    path = tmp_path / "cut.mid"
+    path.write_bytes(b"MThd" + struct.pack(">IHHH", 6, 1, 1, division)
+                     + b"MTrk" + struct.pack(">I", len(body)) + body)
+    with pytest.raises(ParseError, match=f"^{path}: "):
         read_events(path)

@@ -155,13 +155,13 @@ def filter_reference(piece, cfg):
             new_v = int(np.clip(round(mean + cfg.gamma * (e.velocity - mean)), 0, 1023))
             e = replace(e, velocity=new_v)
         out.append(e)
-    return piece.with_events(out)
+    return Piece.from_events(out, piece.sections, piece.metadata)
 
 
 def precompensate_reference(piece, model):
     """Per-event pre-compensation: one scalar latency call per note."""
-    return piece.with_events([replace(e, onset=e.onset - latency(model, e.velocity) / 1000.0)
-                              for e in piece.events])
+    return Piece.from_events([replace(e, onset=e.onset - latency(model, e.velocity) / 1000.0)
+                              for e in piece.events], piece.sections, piece.metadata)
 
 
 # onsets on a 1 ms grid, so chords, duplicate onsets and crowded windows are common
@@ -321,7 +321,7 @@ def enforce_reference(piece, cs):
             cluster = []
         cluster.append(e)
     flush()
-    return piece.with_events(kept), report
+    return Piece.from_events(kept, piece.sections, piece.metadata), report
 
 
 @settings(max_examples=150, deadline=None)

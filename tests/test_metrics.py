@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycanon import metrics
-from polycanon.events import NoteEvent
+from polycanon.events import COLUMNS, NoteEvent, Piece, field
 from polycanon.grammar import expand
 from polycanon.metrics import (
     MetricError,
@@ -508,3 +509,41 @@ def test_metric_report_validation_and_serialization():
         MetricReport(mc=1.5)
     with pytest.raises(MetricError):
         MetricReport(vss=-1.0)
+
+
+def outcome(f, *args):
+    """``repr`` of what ``f(*args)`` returns, or the type and text of what it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # estimate_weights warns on all-zero separations
+        try:
+            return repr(f(*args))
+        except MetricError as err:
+            return (type(err), str(err))
+
+
+# a ms onset grid with few pitches and velocities, so ties and zero IOIs are common
+adapter_rows = st.lists(st.tuples(
+    st.integers(0, 400).map(lambda k: k / 1000), st.integers(21, 33), st.sampled_from([0, 64, 1023]),
+    st.just(0.05), st.integers(0, 2)), max_size=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(adapter_rows)
+def test_metrics_read_a_piece_as_they_read_its_note_events(rows):
+    piece = Piece.from_columns(*(list(zip(*rows)) or [()] * 5))
+    for name, dtype in COLUMNS.items():
+        assert field(piece, name) is piece.column(name)
+        from_list = field(list(piece.events), name)
+        assert from_list.dtype == dtype and from_list.tolist() == piece.column(name).tolist()
+    selections = [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
+    lists = [piece.voice_events(v) for v in piece.voices()]
+    for f in (discretize_events, normalized_lz):
+        assert outcome(f, piece) == outcome(f, piece.events)
+        for selection, events in zip(selections, lists):
+            assert outcome(f, selection) == outcome(f, events)
+    for i, j in itertools.combinations(range(len(lists)), 2):
+        for f in (metrics.separation_components, voice_separation, pcs_distance):
+            assert outcome(f, selections[i], selections[j]) == outcome(f, lists[i], lists[j])
+    for normalized in (False, True):
+        assert (outcome(estimate_weights, selections, normalized)
+                == outcome(estimate_weights, lists, normalized))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycanon.canon import ConvergenceQuery
+from polycanon.canon import ConvergenceQuery, voice_times_until
 from polycanon.events import NoteEvent, Piece
 from polycanon.fileio import write_events_json
 from polycanon.grammar import SymbolString, TaggedSymbol, expand
@@ -13,9 +13,16 @@ from polycanon.pipeline import (
     apply_collision_mask,
     generate,
     generate_beyond_human,
+    generate_cp_continuous,
     generate_cp_discrete,
 )
-from polycanon.presets import canonical_table, cp_switch_configs, fibonacci_grammar, rational_canon
+from polycanon.presets import (
+    canonical_table,
+    cp_switch_configs,
+    fibonacci_grammar,
+    rational_canon,
+    transcendental_canon,
+)
 from polycanon.stats import ks_test
 from polycanon.stochastic import (
     MIN_IOI,
@@ -27,6 +34,7 @@ from polycanon.stochastic import (
     Uniform,
     WrongVariantError,
     make_rng,
+    sample_ioi_stream,
 )
 
 
@@ -212,6 +220,82 @@ def test_cp_discrete_without_convergence_reports_none():
     piece = generate_cp_discrete((v1, v2), pre, post, query, make_rng(7))
     assert piece.metadata["cp_time"] is None
     assert [s[0] for s in piece.sections] == ["pre"]
+
+
+def fixed_onset_reference(onsets, voice, section_of, configs, rng):
+    """The per-note build the cp generators replaced: one NoteEvent per onset,
+    its pitch and velocity drawn and rounded one at a time."""
+    events = []
+    for t in onsets:
+        symbol, section = section_of(t)
+        cfg = configs[section]
+        pitch = int(min(max(round(cfg.pitch_for_voice(0).sample(rng)), 0), 127))
+        velocity = int(min(max(round(cfg.velocity.sample(rng)), 0), 1023))
+        ioi = cfg.ioi.mean() if hasattr(cfg.ioi, "mean") else 0.1
+        events.append(NoteEvent(float(t), pitch, velocity, max(ioi, MIN_IOI), voice, symbol, 0,
+                                section))
+    return events
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("switch_at", [5.0, 15.0, None])
+def test_cp_discrete_equals_the_per_note_reference(seed, switch_at):
+    pre, post = cp_switch_configs()
+    voices = rational_canon()
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    piece = generate_cp_discrete(voices, pre, post, ConvergenceQuery(0.05, 30.0, *voices), rng,
+                                 switch_at=switch_at)
+    cp = piece.metadata["cp_time"]
+
+    def section_of(t):
+        return ("pre", 0) if t < cp else ("post", 1)
+
+    events = []
+    for vid, vs in enumerate(voices):
+        events += fixed_onset_reference(voice_times_until(vs, 30.0 - 1e-9), vid, section_of,
+                                        (pre, post), ref_rng)
+    for lo, hi, cfg in ((0.0, cp, pre), (cp, 30.0, post)):
+        events += fixed_onset_reference(sample_ioi_stream(cfg.ioi, hi - lo, ref_rng) + lo, 2,
+                                        section_of, (pre, post), ref_rng)
+    assert piece == Piece.from_events(events, (("pre", 0.0, cp), ("post", cp, 30.0)),
+                                      {"cp_time": cp})
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_cp_continuous_equals_the_per_note_reference():
+    _, post = cp_switch_configs()
+    voices = transcendental_canon()
+
+    def rate_fn(t):
+        return 5.0 + 40.0 * abs(t - 15.0) / 15.0
+
+    rng, ref_rng = make_rng(3), make_rng(3)
+    piece = generate_cp_continuous(voices, rate_fn, 45.0, 30.0, post, rng)
+    events = []
+    for vid, vs in enumerate(voices):
+        events += fixed_onset_reference(voice_times_until(vs, 30.0 - 1e-9), vid,
+                                        lambda t: ("modulated", 0), (post,), ref_rng)
+    onsets = sample_ioi_stream(InhomogeneousPoisson(rate_fn, 45.0), 30.0, ref_rng)
+    events += fixed_onset_reference(onsets, 2, lambda t: ("modulated", 0), (post,), ref_rng)
+    assert piece == Piece.from_events(events, (("modulated", 0.0, 30.0),), {})
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_beyond_human_grids_equal_the_per_note_reference():
+    chord = np.linspace(21, 108, 40).round().astype(int).tolist()
+    step = 1.0 / 37.0
+    cases = [
+        ("polyphony", dict(chord_size=40, period=0.5, n_chords=8),
+         [NoteEvent(k * 0.5, p, 800, 0.5 * 0.9, 0, "P") for k in range(8) for p in chord]),
+        ("trill", dict(rate_hz=37.0, keys=(60, 62, 64), duration=1.3),
+         [NoteEvent(k * step, (60, 62, 64)[k % 3], 800, step * 0.9, 0, "T")
+          for k in range(round(1.3 * 37.0))]),
+        ("arpeggio", dict(span=72, ioi=0.025, start=24),
+         [NoteEvent(k * 0.025, 24 + k, 800, 0.025, 0, "R") for k in range(72)]),
+    ]
+    for kind, cfg, events in cases:
+        piece = generate_beyond_human(kind, **cfg)
+        assert piece == Piece.from_events(events, piece.sections, {"kind": kind})
 
 
 def test_beyond_human_polyphony_exact():
