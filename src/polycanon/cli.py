@@ -3,8 +3,9 @@
 Subcommands: expand, generate, compensate, analyze, experiment, report.
 All outputs are deterministic for a fixed seed; the default seed comes from
 POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse), an
-unusable or unreadable config or latency model or an unreadable event file,
-3 experiment gate failure.
+unusable or unreadable config or latency model, an unreadable event file or
+one too short for a requested metric, an unknown experiment or a negative
+depth, 3 experiment gate failure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .grammar import grammar_from_config
 from .hal import ConstraintSet, enforce_constraints, model_from_config, precompensate
 from .mapping import table_from_config
 from .metrics import (
+    MetricError,
     MetricReport,
     melodic_coherence,
     normalized_lz,
@@ -69,6 +71,8 @@ def _cmd_expand(args) -> int:
     try:
         cfg = _load_config(args.grammar)
         grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
+        if args.depth < 0:
+            raise ConfigError(f"depth must be >= 0, got {args.depth}")
     except ConfigError as err:
         print(err, file=sys.stderr)
         return 2
@@ -153,27 +157,33 @@ def _cmd_analyze(args) -> int:
     pitches = piece.pitches()
     iois = np.diff(np.sort(piece.onsets()))
     for metric in wanted:
-        if metric == "pcc":
-            values["pcc"] = pitch_class_concentration(pitches)
-        elif metric == "nlz":
-            values["nlz"] = normalized_lz(piece)
-        elif metric == "mc":
-            # pairwise against --pair, otherwise split-half self coherence
-            ref = other.pitches() if other is not None else pitches[len(pitches) // 2:]
-            base = pitches if other is not None else pitches[: len(pitches) // 2]
-            values["mc"] = melodic_coherence(base, ref)
-        elif metric == "rc":
-            ref = np.diff(np.sort(other.onsets())) if other is not None else iois[len(iois) // 2:]
-            base = iois if other is not None else iois[: len(iois) // 2]
-            values["rc"] = rhythmic_coherence(base, ref)
-        elif metric in ("vss", "wvss", "nwvss"):
-            voices = piece.voices()
-            if len(voices) >= 2:
-                vss, wvss, nwvss = voice_separation(
-                    *(piece.with_columns(rows=piece.column("voice") == v) for v in voices[:2]))
-                values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
-        else:
-            print(f"unknown metric: {metric}", file=sys.stderr)
+        try:
+            if metric == "pcc":
+                values["pcc"] = pitch_class_concentration(pitches)
+            elif metric == "nlz":
+                values["nlz"] = normalized_lz(piece)
+            elif metric == "mc":
+                # pairwise against --pair, otherwise split-half self coherence
+                ref = other.pitches() if other is not None else pitches[len(pitches) // 2:]
+                base = pitches if other is not None else pitches[: len(pitches) // 2]
+                values["mc"] = melodic_coherence(base, ref)
+            elif metric == "rc":
+                ref = (np.diff(np.sort(other.onsets())) if other is not None
+                       else iois[len(iois) // 2:])
+                base = iois if other is not None else iois[: len(iois) // 2]
+                values["rc"] = rhythmic_coherence(base, ref)
+            elif metric in ("vss", "wvss", "nwvss"):
+                voices = piece.voices()
+                if len(voices) >= 2:
+                    vss, wvss, nwvss = voice_separation(
+                        *(piece.with_columns(rows=piece.column("voice") == v) for v in voices[:2]))
+                    values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
+            else:
+                print(f"unknown metric: {metric}", file=sys.stderr)
+                return 2
+        except MetricError as err:
+            # a readable piece too short for the metric
+            print(f"{args.infile}: {metric}: {err}", file=sys.stderr)
             return 2
     report = MetricReport(**values)
     if args.csv:
@@ -207,8 +217,12 @@ def _cmd_experiment(args) -> int:
         if not args.name:
             print("--name or --all required", file=sys.stderr)
             return 2
-        spec = experiments.ExperimentSpec(
-            args.name, args.seed if args.seed is not None else _default_seed(), overrides)
+        try:
+            spec = experiments.ExperimentSpec(
+                args.name, args.seed if args.seed is not None else _default_seed(), overrides)
+        except experiments.UnknownExperimentError as err:
+            print(err.args[0], file=sys.stderr)
+            return 2
         reports = [experiments.run(spec)]
     failed = False
     for report in reports:

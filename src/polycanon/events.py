@@ -17,24 +17,68 @@ VELOCITY_MAX = 1023
 KEY_RESET_WINDOW = 0.050  # seconds; electromechanical per-key reset time
 
 
+def row_order(primary, *keys) -> np.ndarray:
+    """The permutation that sorts rows by ``primary``, then by each of ``keys``.
+
+    Equal to ``np.lexsort((*reversed(keys), primary))``: full ties keep their
+    input order, and -0.0 sorts equal to 0.0. Notes rarely tie on the
+    primary key (the onset or tick), so the rows are put in order by a
+    stable sort of ``primary`` alone, and only the rows in runs of equal
+    primary values are sorted again, by ``primary`` and then by ``keys``.
+    """
+    order = np.argsort(primary, kind="stable")
+    sorted_primary = primary[order]
+    tie = sorted_primary[1:] == sorted_primary[:-1]
+    if not tie.any():
+        return order
+    tied = np.flatnonzero(np.concatenate(([False], tie)) | np.concatenate((tie, [False])))
+    rows = order[tied]
+    # the runs' rows are contiguous and the runs keep their order, so the
+    # re-sorted rows go back into the same slots
+    order[tied] = rows[np.lexsort((*(k[rows] for k in reversed(keys)), sorted_primary[tied]))]
+    return order
+
+
 def key_reset_kept(onsets, pitches, window: float = KEY_RESET_WINDOW) -> np.ndarray:
     """Indices of the notes that survive the per-key reset mask.
 
-    Notes are scanned in the given (onset-sorted) order, and one is dropped
-    when it lands within ``window`` of the previous surviving note on the
-    same key, so the per-key IOI floor holds on the output. The comparison
-    carries a nanosecond tolerance: notes intended exactly at the reset
-    limit are legal and must not be masked by float dust.
+    Notes are scanned in the given order, and one is dropped when it lands
+    within ``window`` of the previous surviving note on the same key, so the
+    per-key IOI floor holds on the output. The comparison carries a
+    nanosecond tolerance: notes intended exactly at the reset limit are
+    legal and must not be masked by float dust.
+
+    Precondition: the onsets do not decrease along each key in scan order,
+    as in the columns of a :class:`Piece`; any other input raises
+    ``ValueError``. Then a note at least ``window`` after the previous note
+    on its key is also that far from the last kept one and is kept outright,
+    and only the chains of shorter gaps are scanned note by note.
     """
     limit = window - 1e-9
-    last_kept: dict[int, float] = {}
-    kept = []
-    for i, (t, p) in enumerate(zip(np.asarray(onsets).tolist(), np.asarray(pitches).tolist())):
-        prev = last_kept.get(p)
-        if prev is None or t - prev >= limit:
-            kept.append(i)
-            last_kept[p] = t
-    return np.array(kept, dtype=np.intp)
+    onsets, pitches = np.asarray(onsets), np.asarray(pitches)
+    by_key = np.argsort(pitches, kind="stable")
+    key, t = pitches[by_key], onsets[by_key]
+    same_key = key[1:] == key[:-1]
+    gap = t[1:] - t[:-1]
+    if np.any(same_key & (gap < 0)):
+        raise ValueError("onsets decrease along a key in scan order")
+    # positions (in key order) of the notes that follow their key's previous
+    # note by less than the limit (or by NaN, which the test below drops);
+    # each run of them follows a note that is kept outright
+    short = np.flatnonzero(same_key & ~(gap >= limit)) + 1
+    kept = np.ones(len(t), dtype=bool)
+    last = previous = None
+    for s, ts, before in zip(short.tolist(), t[short].tolist(), t[short - 1].tolist()):
+        if s - 1 != previous:  # the first of a run: the note before it is kept
+            last = before
+        if ts - last >= limit:
+            last = ts
+        else:
+            kept[s] = False
+        previous = s
+    mask = np.empty_like(kept)
+    mask[by_key] = kept
+    return np.flatnonzero(mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +137,8 @@ class Piece:
     are read-only: :meth:`column`, :meth:`onsets`, :meth:`pitches`,
     :meth:`velocities` and :meth:`durations` return them without copying,
     and writing to one raises. Rows are in (onset, voice, pitch, velocity)
-    order by a stable sort, so full ties keep their input order.
+    order, and full ties keep their input order: :func:`row_order` sorts
+    by onset and re-sorts only the rows that share an onset.
 
     ``events`` is the iteration view: a tuple of :class:`NoteEvent` built
     from the columns on first access and cached. ``text`` is the writers'
@@ -144,7 +189,7 @@ class Piece:
         if bad.any():
             i = int(np.argmax(bad))
             NoteEvent(t[i].item(), p[i].item(), v[i].item(), d[i].item())  # raises
-        order = np.lexsort((v, p, cols["voice"], t))
+        order = row_order(t, cols["voice"], p, v)
         for name, col in cols.items():
             col = col[order]
             col.flags.writeable = False

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece
+from .events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece, row_order
 from .stochastic import ConfigError, config_value, reject_unknown_keys
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
@@ -212,7 +212,7 @@ def write_midi(piece: Piece, cfg: MidiRenderConfig, path) -> Path:
 
     if cfg.velocity_mode == "sidecar":
         # the reader's note order: (tick, track, pitch), then piece order
-        order = np.lexsort((pitches, voices, tick_on))
+        order = row_order(tick_on, voices, pitches)
         sidecar = {"velocities": velocities[order].tolist(), "onset_shift_s": shift}
         Path(str(path) + ".velocity.json").write_text(json.dumps(sidecar))
     return path
@@ -329,9 +329,10 @@ def read_midi(path) -> Piece:
         sidecar = payload["velocities"]
         shift = payload.get("onset_shift_s", shift)
 
-    notes.sort(key=lambda n: (n[1], n[0], n[3]))
-    track, on_tick, off_tick, pitch, v7, low = (np.array(c, dtype=np.int64)
-                                                for c in _transpose(notes, 6))
+    columns = [np.array(c, dtype=np.int64) for c in _transpose(notes, 6)]
+    # by (tick, track, pitch), then in the order the notes were read
+    order = row_order(columns[1], columns[0], columns[3])
+    track, on_tick, off_tick, pitch, v7, low = (c[order] for c in columns)
     velocity = np.where(low >= 0, velocity_from_cc88(v7, low), velocity_from_7bit(v7))
     if sidecar is not None:
         k = min(len(sidecar), len(notes))

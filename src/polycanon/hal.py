@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept
+from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept, row_order
 from .stats import paired_t_test
 
 
@@ -273,7 +273,7 @@ def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
         a, b = bounds[c].item(), bounds[c + 1].item()
         rows = masked[a:b]
         # keep the loudest: order by (-velocity, pitch), ties in scan order
-        losers = np.lexsort((pitches[rows], -velocities[rows]))[cs.max_polyphony:]
+        losers = row_order(-velocities[rows], pitches[rows])[cs.max_polyphony:]
         keep[a + losers] = False
         report.extend(Violation("polyphony", t, p, f"dropped; {b - a} simultaneous notes")
                       for t, p in zip(onsets[rows[losers]].tolist(),

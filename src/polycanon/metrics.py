@@ -241,6 +241,8 @@ def melodic_coherence(x_pitches, y_pitches) -> float:
 
 def rhythmic_coherence(x_iois, y_iois) -> float:
     """One minus the KS distance between two IOI samples."""
+    if np.size(x_iois) == 0 or np.size(y_iois) == 0:
+        raise MetricError("rhythmic_coherence needs non-empty IOI samples")
     return 1.0 - ks_distance(x_iois, y_iois)
 
 

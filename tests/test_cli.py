@@ -74,6 +74,16 @@ MALFORMED = '{"events": [{"onset_s": 1}]}'
 NOT_JSON = "{not json"
 
 
+def events_doc(*notes):
+    """An event document of (onset, pitch, voice) notes."""
+    return json.dumps({"events": [
+        {"onset_s": t, "pitch": p, "velocity10": 500, "duration_s": 0.1, "voice": v,
+         "symbol": "", "generation": 0, "section": 0} for t, p, v in notes]})
+
+
+TWO_VOICES = [(0.0, 60, 0), (0.1, 62, 1), (0.2, 64, 0)]
+
+
 @pytest.mark.parametrize("argv,content,message", [
     pytest.param(["analyze", "--in", "BAD"], MALFORMED, ": malformed event document: 'pitch'",
                  id="analyze-malformed"),
@@ -101,6 +111,19 @@ NOT_JSON = "{not json"
                  "No such file or directory", id="expand-grammar-missing"),
     pytest.param(["expand", "--grammar", "BAD", "--depth", "2"], NOT_JSON,
                  ": Expecting property name", id="expand-grammar-not-json"),
+    pytest.param(["analyze", "--in", "BAD"], events_doc(),
+                 ": pcc: pitch_class_concentration needs a non-empty pitch sequence",
+                 id="analyze-empty-piece"),
+    pytest.param(["analyze", "--in", "BAD"], events_doc(*TWO_VOICES[:2]),
+                 ": vss: voice separation needs >= 2 events per voice", id="analyze-2-notes"),
+    pytest.param(["analyze", "--in", "BAD"], events_doc(*TWO_VOICES),
+                 ": vss: voice separation needs >= 2 events per voice", id="analyze-3-notes"),
+    pytest.param(["analyze", "--in", "BAD", "--metrics", "mc"], events_doc(*TWO_VOICES[:1]),
+                 ": mc: melodic_coherence needs", id="analyze-mc-1-note"),
+    pytest.param(["analyze", "--in", "BAD", "--metrics", "mc"], events_doc(*TWO_VOICES),
+                 ": mc: melodic_coherence needs", id="analyze-mc-3-notes"),
+    pytest.param(["analyze", "--in", "BAD", "--metrics", "rc"], events_doc(*TWO_VOICES[:2]),
+                 ": rc: rhythmic_coherence needs non-empty IOI samples", id="analyze-rc-2-notes"),
 ])
 def test_an_unreadable_event_file_exits_2(tmp_path, capsys, argv, content, message):
     good = tmp_path / "gen" / "piece.json"
@@ -138,6 +161,18 @@ def test_experiment_subcommand_and_report(tmp_path, capsys):
 
 def test_experiment_requires_name_or_all(capsys):
     assert main(["experiment"]) == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["experiment", "--name", "nope"], "unknown experiment 'nope'; known: ablation_a, ",
+                 id="experiment-unknown"),
+    pytest.param(["expand", "--depth", "-1"], "depth must be >= 0, got -1",
+                 id="expand-negative-depth"),
+])
+def test_an_unknown_experiment_or_a_negative_depth_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message)
 
 
 def test_usage_error_exit_code():

@@ -4,11 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polycanon
-from polycanon.events import COLUMNS, KEY_RESET_WINDOW, NoteEvent, Piece, key_reset_kept
+from polycanon.events import (
+    COLUMNS,
+    KEY_RESET_WINDOW,
+    NoteEvent,
+    Piece,
+    key_reset_kept,
+    row_order,
+)
 
 # few distinct values per field, so chords, same-key strikes and full ties are common
 note_rows = st.lists(st.tuples(
@@ -164,6 +171,83 @@ def test_key_reset_kept_matches_the_event_scan(rows, window):
     assert kept.tolist() == key_reset_reference(piece.events, window)
 
 
+# few distinct values per key, so runs of equal onsets and full ties are common
+tied_rows = st.lists(st.tuples(st.sampled_from([-0.03, -0.0, 0.0, 0.001, 0.5]),
+                               st.integers(0, 1), st.integers(60, 61), st.sampled_from([0, 1023])),
+                     max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_rows)
+@example([])
+@example([(0.0, 1, 61, 0)])
+@example([(-0.0, 1, 60, 0), (0.0, 0, 61, 5), (0.0, 0, 60, 5), (-0.0, 0, 60, 5)])
+def test_row_order_is_lexsort(rows):
+    onset, voice, pitch, velocity = (np.array(c) for c in columns_of(rows)[:4])
+    assert row_order(onset).tolist() == np.lexsort((onset,)).tolist()
+    assert row_order(onset, voice).tolist() == np.lexsort((voice, onset)).tolist()
+    assert (row_order(onset, voice, pitch, velocity).tolist()
+            == np.lexsort((velocity, pitch, voice, onset)).tolist())
+    # the polyphony cap's (-velocity, pitch) order
+    assert row_order(-velocity, pitch).tolist() == np.lexsort((pitch, -velocity)).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(59, 61)), max_size=40))
+@example([])
+@example([(5, 1, 60)])
+def test_row_order_is_the_midi_note_orders(notes):
+    """(tick, track, pitch): the order write_midi lists sidecar velocities in,
+    by np.lexsort before, and read_midi lists notes in, by a tuple sort before."""
+    tick, track, pitch = (np.array(c, dtype=np.int64) for c in (list(zip(*notes)) or [()] * 3))
+    order = row_order(tick, track, pitch).tolist()
+    assert order == np.lexsort((pitch, track, tick)).tolist()
+    assert order == sorted(range(len(notes)), key=lambda i: (notes[i][0], notes[i][1], notes[i][2]))
+
+
+def key_reset_loop(onsets, pitches, window):
+    """The per-key mask as one Python loop over the notes in scan order."""
+    limit = window - 1e-9
+    last_kept: dict[int, float] = {}
+    kept = []
+    for i, (t, p) in enumerate(zip(np.asarray(onsets).tolist(), np.asarray(pitches).tolist())):
+        prev = last_kept.get(p)
+        if prev is None or t - prev >= limit:
+            kept.append(i)
+            last_kept[p] = t
+    return kept
+
+
+# per note: its key and its step after the previous note on that key, with
+# steps at, just under and just over the windows below; the keys interleave,
+# so the scan order is sorted along each key but not overall
+key_steps = st.lists(st.tuples(st.integers(60, 62),
+                               st.sampled_from([0.0, 1e-9, 0.001, 0.0199, 0.02, 0.03,
+                                                0.049999999, 0.05, 0.0500001, 0.3])),
+                     max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_steps, st.sampled_from([-0.0, 0.0, 0.7]),
+       st.sampled_from([KEY_RESET_WINDOW, 0.02, 1e-3, 0.0]))
+def test_key_reset_kept_matches_the_per_note_loop(steps, start, window):
+    last: dict[int, float] = {}
+    onsets, pitches = [], []
+    for pitch, step in steps:
+        last[pitch] = last[pitch] + step if pitch in last else start + step
+        onsets.append(last[pitch])
+        pitches.append(pitch)
+    kept = key_reset_kept(np.array(onsets), np.array(pitches, dtype=np.int64), window)
+    assert kept.tolist() == key_reset_loop(onsets, pitches, window)
+
+
+def test_key_reset_kept_rejects_onsets_that_decrease_along_a_key():
+    # onsets may fall between keys, as long as each key's own stay in order
+    assert key_reset_kept([0.2, 0.0, 0.3], [60, 61, 60]).tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="onsets decrease along a key"):
+        key_reset_kept([0.2, 0.0, 0.1], [60, 61, 60])
+
+
 # the NoteEvent view of a piece and the calls that build or select NoteEvents;
 # outside events.py the package reads notes through the Piece columns
 NOTE_EVENT_CALLS = {"NoteEvent", "voice_events", "section_events", "from_events", "with_events"}
@@ -201,4 +285,45 @@ def test_only_events_py_reads_or_builds_note_events():
             visitor = NoteEventUses(module)
             visitor.visit(ast.parse(path.read_text()))
             found += visitor.found
+    assert found == []
+
+
+class RowOrderUses(ast.NodeVisitor):
+    """np.lexsort outside events.row_order, and key-function sorts in read_midi."""
+
+    def __init__(self, module: str):
+        self.module, self.scope, self.found = module, [""], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def _lexsort(self, node):
+        if (self.module, self.scope[-1]) != ("events.py", "row_order"):
+            self.found.append((self.module, self.scope[-1], node.lineno, "lexsort"))
+
+    def visit_Attribute(self, node):
+        if node.attr == "lexsort":
+            self._lexsort(node)
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "lexsort":
+            self._lexsort(node)
+
+    def visit_Call(self, node):
+        if ((self.module, self.scope[-1]) == ("fileio.py", "read_midi")
+                and any(k.arg == "key" for k in node.keywords)):
+            self.found.append((self.module, self.scope[-1], node.lineno, "sort by key"))
+        self.generic_visit(node)
+
+
+def test_rows_are_put_in_order_only_by_row_order():
+    src = Path(polycanon.__file__).parent
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        visitor = RowOrderUses(path.relative_to(src).as_posix())
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
     assert found == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polycanon.cli import main
 from polycanon.events import NoteEvent, Piece
 from polycanon.fileio import _CHUNK_ROWS as CHUNK_ROWS
 from polycanon.fileio import (
@@ -499,6 +500,60 @@ def test_corrupt_midi_files_read_or_raise_parse_error(tmp_path, depth3_midi):
             assert str(err).startswith(f"{path}: ")
             outcomes["ParseError"] += 1
     assert outcomes["read"] and outcomes["ParseError"]
+
+
+@pytest.fixture(scope="module")
+def depth3_text(tmp_path_factory):
+    """A rendered depth-3 piece's JSON and CSV files, by suffix."""
+    piece = generate(expand(fibonacci_grammar(), 3), canonical_table(), make_rng(0))
+    d = tmp_path_factory.mktemp("d3text")
+    return {".json": write_events_json(piece, d / "piece.json").read_bytes(),
+            ".csv": write_events_csv(piece, d / "piece.csv").read_bytes()}
+
+
+# what a changed byte becomes: the characters of numbers and of the two
+# formats' syntax, and one byte that is not UTF-8
+TEXT_BYTES = b'0123456789-+.eE,"{}[]: \nNaIfn\xff'
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_corrupt_text_files_read_or_exit_2(tmp_path, capsys, depth3_text, suffix):
+    """Each changed or cut file reads or raises ParseError, and `analyze` on
+    it exits 0 or 2 without a traceback."""
+    data = depth3_text[suffix]
+    rng = np.random.default_rng(23)
+    # every other file has digits changed to digits, which mostly keeps it
+    # readable, so that the changed values reach the checks and the metrics
+    digits = np.flatnonzero(np.isin(np.frombuffer(data, np.uint8), list(b"0123456789")))
+    cases = []
+    for case in range(20):
+        corrupt = bytearray(data)
+        for _ in range(rng.integers(1, 5)):
+            if case % 2:
+                corrupt[digits[rng.integers(len(digits))]] = TEXT_BYTES[rng.integers(10)]
+            else:
+                corrupt[rng.integers(len(corrupt))] = TEXT_BYTES[rng.integers(len(TEXT_BYTES))]
+        cases.append(bytes(corrupt))
+    cases += [data[:n] for n in rng.integers(0, len(data), 6)]
+    if suffix == ".csv":
+        # the header and then 0-3 whole rows: pieces too short for a metric
+        lines = data.splitlines(keepends=True)
+        cases += [b"".join(lines[:1 + rows]) for rows in range(4)]
+    path = tmp_path / f"m{suffix}"
+    outcomes = Counter()
+    for corrupt in cases:
+        path.write_bytes(corrupt)
+        try:
+            read_events(path)
+            outcomes["read"] += 1
+        except ParseError as err:
+            assert str(err).startswith(f"{path}: ")
+            outcomes["ParseError"] += 1
+        code = main(["analyze", "--in", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, bool(out)) in ((0, True), (2, False))  # exit 2 prints nothing
+        outcomes[f"exit {code}"] += 1
+    assert outcomes["read"] and outcomes["ParseError"] and outcomes["exit 0"], outcomes
 
 
 @pytest.mark.parametrize("shift,sidecar", [
