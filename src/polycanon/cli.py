@@ -4,8 +4,8 @@ Subcommands: expand, generate, compensate, analyze, experiment, report.
 All outputs are deterministic for a fixed seed; the default seed comes from
 POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse), an
 unusable or unreadable config or latency model, an unreadable event file or
-one too short for a requested metric, an unknown experiment or a negative
-depth, 3 experiment gate failure.
+one too short for a requested metric, an unreadable experiment report, an
+unknown experiment or a negative depth, 3 experiment gate failure.
 """
 
 from __future__ import annotations
@@ -194,36 +194,28 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_one(payload):
-    name, seed, overrides = payload
-    return experiments.run(experiments.ExperimentSpec(name, seed, overrides))
-
-
 def _cmd_experiment(args) -> int:
-    overrides = {}
-    if args.full_scale:
-        overrides["full_scale"] = True
     if args.all:
-        seed = args.seed if args.seed is not None else _default_seed()
         names = sorted(experiments.REGISTRY)
-        if args.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_run_one, [(n, seed, overrides) for n in names]))
-        else:
-            reports = experiments.run_all(seed, names=names, **overrides)
+    elif args.name:
+        names = [args.name]
     else:
-        if not args.name:
-            print("--name or --all required", file=sys.stderr)
-            return 2
-        try:
-            spec = experiments.ExperimentSpec(
-                args.name, args.seed if args.seed is not None else _default_seed(), overrides)
-        except experiments.UnknownExperimentError as err:
-            print(err.args[0], file=sys.stderr)
-            return 2
-        reports = [experiments.run(spec)]
+        print("--name or --all required", file=sys.stderr)
+        return 2
+    seed = args.seed if args.seed is not None else _default_seed()
+    overrides = {"full_scale": True} if args.full_scale else {}
+    try:
+        specs = [experiments.ExperimentSpec(name, seed, overrides) for name in names]
+    except experiments.UnknownExperimentError as err:
+        print(err.args[0], file=sys.stderr)
+        return 2
+    if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
+            reports = list(pool.map(experiments.run, specs))
+    else:
+        reports = list(map(experiments.run, specs))
     failed = False
     for report in reports:
         print(report.to_text())
@@ -239,16 +231,31 @@ def _cmd_experiment(args) -> int:
     return EXIT_EXPERIMENT_FAILED if failed else EXIT_OK
 
 
+def _report_rows(path: Path) -> list[tuple]:
+    """The (experiment, label, value, expected, passed, gating) rows of the
+    experiment report in the file at ``path``, none for a JSON document that is
+    not a report; an unreadable or malformed report raises ConfigError naming
+    the file."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict) or "rows" not in doc:
+        return []
+    try:
+        rows = [(doc["experiment"], row["label"], row["value"], row["expected"],
+                 row["passed"], row["gating"]) for row in doc["rows"]]
+    except (KeyError, TypeError) as err:
+        raise ConfigError(f"{path}: not an experiment report: bad field {err}") from err
+    if not all(isinstance(r[4], bool) and isinstance(r[5], bool) for r in rows):
+        raise ConfigError(f"{path}: not an experiment report: passed and gating must be booleans")
+    return rows
+
+
 def _cmd_report(args) -> int:
     directory = Path(args.dir)
-    rows = []
-    for path in sorted(directory.glob("*.json")):
-        doc = json.loads(path.read_text())
-        if "rows" not in doc:
-            continue
-        for row in doc["rows"]:
-            rows.append((doc["experiment"], row["label"], row["value"],
-                         row["expected"], row["passed"], row["gating"]))
+    try:
+        rows = [row for path in sorted(directory.glob("*.json")) for row in _report_rows(path)]
+    except ConfigError as err:
+        print(err, file=sys.stderr)
+        return 2
     if not rows:
         print(f"no experiment reports under {directory}", file=sys.stderr)
         return 2

@@ -1,8 +1,15 @@
 """Seeded experiment harness: one named experiment per study condition, each
-emitting a machine-readable report scored against the target-value registry."""
+emitting a machine-readable report scored against the target-value registry.
+
+Each experiment is a function ``name(report, seed, **overrides)`` that adds its
+rows to ``report``. ``run`` is the one place an experiment is run: it creates
+the report, calls the experiment, lints the rows and stamps the provenance
+with ``seed``, ``config_hash`` (a hash of the spec: name, seed and overrides)
+and ``runtime_s``."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .beyond import beyond_human
@@ -11,7 +18,7 @@ from .density import density_sweep, distribution_independence, null_baseline
 from .fidelity import ablation_a, ablation_b, ablation_c, degradation, fidelity
 from .hardware import hal_sensitivity, latency_mismatch, robustness, virtual_piano
 from .lsystem_info import lsystem_info
-from .reporting import Report, ReportLintError, Row
+from .reporting import Report, ReportLintError, Row, config_hash
 from .separation import constraints, wvss_weights
 
 REGISTRY = {
@@ -54,8 +61,16 @@ class ExperimentSpec:
 
 
 def run(spec: ExperimentSpec) -> Report:
-    report = REGISTRY[spec.name](seed=spec.seed, **spec.overrides)
+    report = Report(spec.name, spec.seed)
+    start = time.perf_counter()
+    REGISTRY[spec.name](report, spec.seed, **spec.overrides)
+    runtime_s = round(time.perf_counter() - start, 3)
     report.lint()
+    report.provenance.update({
+        "seed": spec.seed,
+        "config_hash": config_hash({"name": spec.name, "seed": spec.seed, **spec.overrides}),
+        "runtime_s": runtime_s,
+    })
     return report
 
 

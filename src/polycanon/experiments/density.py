@@ -16,7 +16,6 @@ from ._common import (
     sweep_condition,
     sweep_contour_coherence,
 )
-from .reporting import Report, timer
 
 # Reference single-voice coherence curve over the density sweep (normalised to
 # the 10 notes/s condition); the saturation-regression targets are pinned to
@@ -39,94 +38,85 @@ def _interval_entropy_coherence(pitches: np.ndarray) -> float:
     return float(1.0 - h / np.log2(25))
 
 
-def density_sweep(seed: int = 42, n_boot: int = 2000, trials: int = 10,
-                  full_scale: bool = False, **_) -> Report:
+def density_sweep(report, seed: int, n_boot: int = 2000, trials: int = 10,
+                  full_scale: bool = False, **_) -> None:
     """Breakpoint regression on the reference curve plus the generated sweep."""
     if full_scale:
         n_boot = 10_000
-    report = Report("density_sweep", seed)
-    with timer(report, {"n_boot": n_boot, "trials": trials}):
-        x = np.array([p[0] for p in SATURATION_REFERENCE_CURVE], dtype=float)
-        y = np.array([p[1] for p in SATURATION_REFERENCE_CURVE], dtype=float)
-        fit = piecewise_fit(x, y)
-        report.add("reference_breakpoint", fit.breakpoint, "saturation.reference.breakpoint")
-        report.add("reference_r2_piecewise", fit.r2_piecewise, "saturation.reference.r2_piecewise")
-        report.add("reference_r2_gap", fit.r2_piecewise - fit.r2_linear,
-                   "saturation.reference.r2_gap")
-        report.add("reference_slope_ratio", abs(fit.slope_ratio),
-                   "saturation.reference.slope_ratio")
-        ci = piecewise_breakpoint_ci(x, y, n_boot=n_boot,
-                                     rng=derive_rng(seed, "saturation-ci"))
-        report.add("reference_breakpoint_ci", (round(ci[0], 2), round(ci[1], 2)),
-                   "saturation.reference.ci_bounds")
-        report.add("reference_ci_within", bool(23.0 <= ci[0] and ci[1] <= 50.0),
-                   "saturation.reference.ci")
+    x = np.array([p[0] for p in SATURATION_REFERENCE_CURVE], dtype=float)
+    y = np.array([p[1] for p in SATURATION_REFERENCE_CURVE], dtype=float)
+    fit = piecewise_fit(x, y)
+    report.add("reference_breakpoint", fit.breakpoint, "saturation.reference.breakpoint")
+    report.add("reference_r2_piecewise", fit.r2_piecewise, "saturation.reference.r2_piecewise")
+    report.add("reference_r2_gap", fit.r2_piecewise - fit.r2_linear,
+               "saturation.reference.r2_gap")
+    report.add("reference_slope_ratio", abs(fit.slope_ratio),
+               "saturation.reference.slope_ratio")
+    ci = piecewise_breakpoint_ci(x, y, n_boot=n_boot,
+                                 rng=derive_rng(seed, "saturation-ci"))
+    report.add("reference_breakpoint_ci", (round(ci[0], 2), round(ci[1], 2)),
+               "saturation.reference.ci_bounds")
+    report.add("reference_ci_within", bool(23.0 <= ci[0] and ci[1] <= 50.0),
+               "saturation.reference.ci")
 
-        # generated sweep: interval-entropy coherence and concentration
-        rng = derive_rng(seed, "density-sweep")
-        coherence = []
-        ts_means = []
-        for rho in SWEEP_LEVELS:
-            vals = []
-            for _ in range(max(3, trials // 2)):
-                voices, piece = sweep_condition(rho, "exponential", rng, n_events=100)
-                vals.append(np.mean([
-                    _interval_entropy_coherence(piece.pitches()[piece.column("voice") == v])
-                    for v in (0, 1)]))
-            coherence.append(float(np.mean(vals)))
-            ts_means.append(float(np.mean(sweep_concentration(rho, rng, trials=trials))))
-        normalised = [c / coherence[0] for c in coherence]
-        report.add("sweep_coherence", [round(c, 3) for c in normalised],
-                   "saturation.sweep.coherence")
-        sweep_fit = piecewise_fit(np.array(SWEEP_LEVELS, float), np.array(normalised))
-        report.add("sweep_breakpoint", sweep_fit.breakpoint, "saturation.sweep.breakpoint")
+    # generated sweep: interval-entropy coherence and concentration
+    rng = derive_rng(seed, "density-sweep")
+    coherence = []
+    ts_means = []
+    for rho in SWEEP_LEVELS:
+        vals = []
+        for _ in range(max(3, trials // 2)):
+            voices, piece = sweep_condition(rho, "exponential", rng, n_events=100)
+            vals.append(np.mean([
+                _interval_entropy_coherence(piece.pitches()[piece.column("voice") == v])
+                for v in (0, 1)]))
+        coherence.append(float(np.mean(vals)))
+        ts_means.append(float(np.mean(sweep_concentration(rho, rng, trials=trials))))
+    normalised = [c / coherence[0] for c in coherence]
+    report.add("sweep_coherence", [round(c, 3) for c in normalised],
+               "saturation.sweep.coherence")
+    sweep_fit = piecewise_fit(np.array(SWEEP_LEVELS, float), np.array(normalised))
+    report.add("sweep_breakpoint", sweep_fit.breakpoint, "saturation.sweep.breakpoint")
 
-        in_band = all(0.05 <= t <= 0.2 for t in ts_means)
-        report.add("sweep_ts_band", bool(in_band), "saturation.sweep.ts_band")
-        rho_ts = correlation(np.array(SWEEP_LEVELS, float), np.array(ts_means), "spearman")
-        report.add("sweep_ts_spearman", rho_ts.statistic, "saturation.sweep.ts_spearman")
-    return report
+    in_band = all(0.05 <= t <= 0.2 for t in ts_means)
+    report.add("sweep_ts_band", bool(in_band), "saturation.sweep.ts_band")
+    rho_ts = correlation(np.array(SWEEP_LEVELS, float), np.array(ts_means), "spearman")
+    report.add("sweep_ts_spearman", rho_ts.statistic, "saturation.sweep.ts_spearman")
 
 
-def null_baseline(seed: int = 42, trials: int = 5, **_) -> Report:
+def null_baseline(report, seed: int, trials: int = 5, **_) -> None:
     """Structureless random streams versus the generated sweep condition."""
-    report = Report("null_baseline", seed)
-    with timer(report, {"trials": trials}):
-        rng = derive_rng(seed, "null-baseline")
-        null_ts_all, structured_band, null_band = [], [], []
-        null_mc = []
-        for rho in SWEEP_LEVELS:
-            for _ in range(trials):
-                piece = null_stream(rho, rng)
-                pitches = piece.pitches()
-                ts = pitch_class_concentration(pitches)
-                null_ts_all.append(ts)
-                if rho <= 20:
-                    null_band.append(ts)
-                if len(pitches) >= 4:
-                    half = len(pitches) // 2
-                    null_mc.append(melodic_coherence(pitches[:half], pitches[half:2 * half]))
+    rng = derive_rng(seed, "null-baseline")
+    null_ts_all, structured_band, null_band = [], [], []
+    null_mc = []
+    for rho in SWEEP_LEVELS:
+        for _ in range(trials):
+            piece = null_stream(rho, rng)
+            pitches = piece.pitches()
+            ts = pitch_class_concentration(pitches)
+            null_ts_all.append(ts)
             if rho <= 20:
-                structured_band.extend(sweep_concentration(rho, rng, trials=trials))
-        report.add("null_ts_max", float(np.max(null_ts_all)), "null.ts_max")
-        test = t_test_with_d(np.array(structured_band), np.array(null_band))
-        # one-sided: the structured condition concentrates more than the null
-        p_one_sided = test.p_value / 2 if test.statistic > 0 else 1 - test.p_value / 2
-        report.add("band_test_p", float(p_one_sided), "null.band_test_p")
-        report.add("null_mc_mean", float(np.mean(null_mc)), "null.mc_profile")
-    return report
+                null_band.append(ts)
+            if len(pitches) >= 4:
+                half = len(pitches) // 2
+                null_mc.append(melodic_coherence(pitches[:half], pitches[half:2 * half]))
+        if rho <= 20:
+            structured_band.extend(sweep_concentration(rho, rng, trials=trials))
+    report.add("null_ts_max", float(np.max(null_ts_all)), "null.ts_max")
+    test = t_test_with_d(np.array(structured_band), np.array(null_band))
+    # one-sided: the structured condition concentrates more than the null
+    p_one_sided = test.p_value / 2 if test.statistic > 0 else 1 - test.p_value / 2
+    report.add("band_test_p", float(p_one_sided), "null.band_test_p")
+    report.add("null_mc_mean", float(np.mean(null_mc)), "null.mc_profile")
 
 
-def distribution_independence(seed: int = 42, trials: int = 5, **_) -> Report:
+def distribution_independence(report, seed: int, trials: int = 5, **_) -> None:
     """The coherence drop holds for exponential, uniform, Gaussian and constant
     IOI laws with matched means."""
-    report = Report("distribution_independence", seed)
-    with timer(report, {"trials": trials}):
-        rng = derive_rng(seed, "distribution-independence")
-        for law in ("exponential", "uniform", "gaussian", "constant"):
-            mc10 = sweep_contour_coherence(10, law, rng, trials=trials + 3)
-            mc30 = sweep_contour_coherence(30, law, rng, trials=trials + 3)
-            report.add(f"mc_at_10_{law}", mc10, "independence.mc_at_10")
-            report.add(f"mc_at_30_{law}", mc30, "independence.mc_at_30")
-            report.add(f"drop_{law}", mc10 - mc30, "independence.drop")
-    return report
+    rng = derive_rng(seed, "distribution-independence")
+    for law in ("exponential", "uniform", "gaussian", "constant"):
+        mc10 = sweep_contour_coherence(10, law, rng, trials=trials + 3)
+        mc30 = sweep_contour_coherence(30, law, rng, trials=trials + 3)
+        report.add(f"mc_at_10_{law}", mc10, "independence.mc_at_10")
+        report.add(f"mc_at_30_{law}", mc30, "independence.mc_at_30")
+        report.add(f"drop_{law}", mc10 - mc30, "independence.drop")

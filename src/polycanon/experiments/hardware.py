@@ -17,7 +17,6 @@ from ..hal import (
 )
 from ..stats import paired_t_test
 from ..stochastic import derive_rng
-from .reporting import Report, timer
 
 # The calibration excerpt: 526 velocity commands drawn uniformly over the
 # textural regime's velocity band.
@@ -32,105 +31,96 @@ def _excerpt_velocities(seed: int) -> np.ndarray:
                         EXCERPT_N).astype(float)
 
 
-def hal_sensitivity(seed: int = 42, **_) -> Report:
+def hal_sensitivity(report, seed: int, **_) -> None:
     """Residual jitter versus compensation exponent, plus the closed-form
     inter-model disagreement maximum."""
-    report = Report("hal_sensitivity", seed)
-    with timer(report, {"n": EXCERPT_N}):
-        v = _excerpt_velocities(seed)
-        true_model = LatencyModel(variant="power", c=0.5)
-        residual_sd = {}
-        for c in SENSITIVITY_EXPONENTS:
-            assumed = LatencyModel(variant="power", c=c)
-            residual = np.asarray(latency(true_model, v)) - np.asarray(latency(assumed, v))
-            residual_sd[c] = float(np.std(residual))
-        for c, anchor in zip(SENSITIVITY_EXPONENTS,
-                             ("hal.residual.c03", "hal.residual.c04", "hal.residual.c05",
-                              "hal.residual.c06", "hal.residual.c07")):
-            report.add(f"residual_sd_c{c:.1f}", residual_sd[c], anchor)
-        report.add("minimal_at_calibrated",
-                   bool(min(residual_sd, key=residual_sd.get) == 0.5),
-                   "hal.residual.minimal_at_calibrated")
-        below = [residual_sd[c] for c in (0.3, 0.4, 0.5)]
-        above = [residual_sd[c] for c in (0.5, 0.6, 0.7)]
-        monotone = bool(np.all(np.diff(below) < 0) and np.all(np.diff(above) > 0))
-        report.add("monotone_in_deviation", monotone, "hal.residual.monotone")
+    v = _excerpt_velocities(seed)
+    true_model = LatencyModel(variant="power", c=0.5)
+    residual_sd = {}
+    for c in SENSITIVITY_EXPONENTS:
+        assumed = LatencyModel(variant="power", c=c)
+        residual = np.asarray(latency(true_model, v)) - np.asarray(latency(assumed, v))
+        residual_sd[c] = float(np.std(residual))
+    for c, anchor in zip(SENSITIVITY_EXPONENTS,
+                         ("hal.residual.c03", "hal.residual.c04", "hal.residual.c05",
+                          "hal.residual.c06", "hal.residual.c07")):
+        report.add(f"residual_sd_c{c:.1f}", residual_sd[c], anchor)
+    report.add("minimal_at_calibrated",
+               bool(min(residual_sd, key=residual_sd.get) == 0.5),
+               "hal.residual.minimal_at_calibrated")
+    below = [residual_sd[c] for c in (0.3, 0.4, 0.5)]
+    above = [residual_sd[c] for c in (0.5, 0.6, 0.7)]
+    monotone = bool(np.all(np.diff(below) < 0) and np.all(np.diff(above) > 0))
+    report.add("monotone_in_deviation", monotone, "hal.residual.monotone")
 
-        grid = np.arange(0, 1024)
-        linear = np.asarray(latency(LatencyModel(variant="linear"), grid))
-        power = np.asarray(latency(LatencyModel(variant="power", c=0.5), grid))
-        gap = linear - power
-        report.add("boundary_l0", float(linear[0]), "hal.boundary.l0")
-        report.add("boundary_lvmax", float(linear[-1]), "hal.boundary.lmax_velocity")
-        report.add("max_linear_power_gap", float(gap.max()), "hal.max_linear_power_gap")
-        report.add("max_gap_velocity", int(gap.argmax()), "hal.max_linear_power_gap.velocity")
-    return report
+    grid = np.arange(0, 1024)
+    linear = np.asarray(latency(LatencyModel(variant="linear"), grid))
+    power = np.asarray(latency(LatencyModel(variant="power", c=0.5), grid))
+    gap = linear - power
+    report.add("boundary_l0", float(linear[0]), "hal.boundary.l0")
+    report.add("boundary_lvmax", float(linear[-1]), "hal.boundary.lmax_velocity")
+    report.add("max_linear_power_gap", float(gap.max()), "hal.max_linear_power_gap")
+    report.add("max_gap_velocity", int(gap.argmax()), "hal.max_linear_power_gap.velocity")
 
 
-def latency_mismatch(seed: int = 42, trials: int = 50, full_scale: bool = False, **_) -> Report:
+def latency_mismatch(report, seed: int, trials: int = 50, full_scale: bool = False, **_) -> None:
     """Compensation stays preferable when the true law deviates from the model."""
     if full_scale:
         trials = 200
-    report = Report("latency_mismatch", seed)
-    with timer(report, {"trials": trials}):
-        v = _excerpt_velocities(seed)
-        assumed = LatencyModel(variant="power", c=0.5)
-        rng = derive_rng(seed, "latency-mismatch")
-        table = {}
-        hal_beats_raw = True
+    v = _excerpt_velocities(seed)
+    assumed = LatencyModel(variant="power", c=0.5)
+    rng = derive_rng(seed, "latency-mismatch")
+    table = {}
+    hal_beats_raw = True
 
-        for c_true in (0.3, 0.5, 0.7):
-            true_model = LatencyModel(variant="power", c=c_true)
-            res = simulate_mismatch(v, assumed, true_model, trials=1, rng=rng)
-            table[f"exponent_{c_true}"] = (round(res.uncorrected_mean, 2),
-                                           round(res.corrected_mean, 2))
-            if c_true != 0.5 and res.corrected_mean >= res.uncorrected_mean:
-                hal_beats_raw = False
+    for c_true in (0.3, 0.5, 0.7):
+        true_model = LatencyModel(variant="power", c=c_true)
+        res = simulate_mismatch(v, assumed, true_model, trials=1, rng=rng)
+        table[f"exponent_{c_true}"] = (round(res.uncorrected_mean, 2),
+                                       round(res.corrected_mean, 2))
+        if c_true != 0.5 and res.corrected_mean >= res.uncorrected_mean:
+            hal_beats_raw = False
 
-        for w in (1.0, 2.0):
-            true_model = LatencyModel(variant="power", c=0.5)
-            res = simulate_mismatch(v, assumed, true_model,
-                                    NoiseSpec(additive_ms=w), trials=trials, rng=rng)
-            table[f"additive_{w}ms"] = (round(res.uncorrected_mean, 2),
-                                        round(res.corrected_mean, 2))
-            hal_beats_raw &= res.corrected_mean < res.uncorrected_mean
+    for w in (1.0, 2.0):
+        true_model = LatencyModel(variant="power", c=0.5)
+        res = simulate_mismatch(v, assumed, true_model,
+                                NoiseSpec(additive_ms=w), trials=trials, rng=rng)
+        table[f"additive_{w}ms"] = (round(res.uncorrected_mean, 2),
+                                    round(res.corrected_mean, 2))
+        hal_beats_raw &= res.corrected_mean < res.uncorrected_mean
 
-        suppression_at_20 = None
-        for delta in (-0.20, -0.10, 0.10, 0.20):
-            scaled = np.asarray(latency(assumed, v)) * (1.0 + delta)
-            raw_sd = float(scaled.std())
-            hal_sd = float((scaled - np.asarray(latency(assumed, v))).std())
-            table[f"scale_{delta:+.0%}"] = (round(raw_sd, 2), round(hal_sd, 2))
-            hal_beats_raw &= hal_sd < raw_sd
-            if abs(delta) == 0.20:
-                suppression_at_20 = 100.0 * (1.0 - hal_sd / raw_sd)
+    suppression_at_20 = None
+    for delta in (-0.20, -0.10, 0.10, 0.20):
+        scaled = np.asarray(latency(assumed, v)) * (1.0 + delta)
+        raw_sd = float(scaled.std())
+        hal_sd = float((scaled - np.asarray(latency(assumed, v))).std())
+        table[f"scale_{delta:+.0%}"] = (round(raw_sd, 2), round(hal_sd, 2))
+        hal_beats_raw &= hal_sd < raw_sd
+        if abs(delta) == 0.20:
+            suppression_at_20 = 100.0 * (1.0 - hal_sd / raw_sd)
 
-        report.add("jitter_table_raw_vs_hal", table, "mismatch.table")
-        report.add("hal_beats_raw_everywhere", bool(hal_beats_raw), "mismatch.hal_beats_raw")
-        report.add("suppression_at_20pct", suppression_at_20, "mismatch.suppression_at_20pct")
-    return report
+    report.add("jitter_table_raw_vs_hal", table, "mismatch.table")
+    report.add("hal_beats_raw_everywhere", bool(hal_beats_raw), "mismatch.hal_beats_raw")
+    report.add("suppression_at_20pct", suppression_at_20, "mismatch.suppression_at_20pct")
 
 
-def virtual_piano(seed: int = 42, trials: int = 50, full_scale: bool = False, **_) -> Report:
+def virtual_piano(report, seed: int, trials: int = 50, full_scale: bool = False, **_) -> None:
     """Noisy, drifting instrument: the nominal power-law correction still wins."""
     if full_scale:
         trials = 200
-    report = Report("virtual_piano", seed)
-    with timer(report, {"trials": trials}):
-        v = _excerpt_velocities(seed)
-        assumed = LatencyModel(variant="power", c=0.5)
-        true_model = LatencyModel(variant="power", c=0.5)
-        noise = NoiseSpec(multiplicative=0.10, exponent_drift=0.004)
-        res = simulate_mismatch(v, assumed, true_model, noise, trials=trials,
-                                rng=derive_rng(seed, "virtual-piano"))
-        report.add("jitter_raw_vs_hal",
-                   ((round(res.uncorrected_mean, 3), round(float(res.uncorrected_ms.std()), 3)),
-                    (round(res.corrected_mean, 3), round(float(res.corrected_ms.std()), 3))),
-                   "virtual_piano.jitter")
-        report.add("hal_fraction", res.corrected_mean / res.uncorrected_mean,
-                   "virtual_piano.hal_fraction")
-        report.add("paired_p", res.p_value, "virtual_piano.paired_p")
-    return report
+    v = _excerpt_velocities(seed)
+    assumed = LatencyModel(variant="power", c=0.5)
+    true_model = LatencyModel(variant="power", c=0.5)
+    noise = NoiseSpec(multiplicative=0.10, exponent_drift=0.004)
+    res = simulate_mismatch(v, assumed, true_model, noise, trials=trials,
+                            rng=derive_rng(seed, "virtual-piano"))
+    report.add("jitter_raw_vs_hal",
+               ((round(res.uncorrected_mean, 3), round(float(res.uncorrected_ms.std()), 3)),
+                (round(res.corrected_mean, 3), round(float(res.corrected_ms.std()), 3))),
+               "virtual_piano.jitter")
+    report.add("hal_fraction", res.corrected_mean / res.uncorrected_mean,
+               "virtual_piano.hal_fraction")
+    report.add("paired_p", res.p_value, "virtual_piano.paired_p")
 
 
 def _filter_piece(velocities: np.ndarray, rate: float = 40.0) -> Piece:
@@ -138,46 +128,43 @@ def _filter_piece(velocities: np.ndarray, rate: float = 40.0) -> Piece:
     return Piece.from_columns(index / rate, 60 + index % 24, velocities.astype(int), 0.05)
 
 
-def robustness(seed: int = 42, trials: int = 200, **_) -> Report:
+def robustness(report, seed: int, trials: int = 200, **_) -> None:
     """The velocity filter helps uncalibrated deployment and hurts calibrated
     timing, as the compensation order implies."""
-    report = Report("robustness", seed)
-    with timer(report, {"trials": trials}):
-        rng = derive_rng(seed, "robustness-filter")
-        true_model = LatencyModel(variant="power", c=0.5)
-        fallback = LatencyModel(variant="linear")
-        fcfg = FilterConfig(gamma=0.5)
+    rng = derive_rng(seed, "robustness-filter")
+    true_model = LatencyModel(variant="power", c=0.5)
+    fallback = LatencyModel(variant="linear")
+    fcfg = FilterConfig(gamma=0.5)
 
-        sd_unfiltered, sd_filtered = [], []
-        for _ in range(trials):
-            v = rng.integers(100, 1001, EXCERPT_N).astype(float)
-            piece = _filter_piece(v)
-            filtered = robustness_filter(piece, fcfg)
-            vf = filtered.velocities().astype(float)
-            err_plain = np.asarray(latency(true_model, v)) - np.asarray(latency(fallback, v))
-            err_filt = np.asarray(latency(true_model, vf)) - np.asarray(latency(fallback, vf))
-            sd_unfiltered.append(err_plain.std())
-            sd_filtered.append(err_filt.std())
-        sd_unfiltered = np.array(sd_unfiltered)
-        sd_filtered = np.array(sd_filtered)
-        p = paired_t_test(sd_filtered, sd_unfiltered).p_value
-        p_one_sided = p / 2 if sd_filtered.mean() < sd_unfiltered.mean() else 1 - p / 2
-        report.add("uncalibrated_sd", (round(float(sd_unfiltered.mean()), 3),
-                                       round(float(sd_filtered.mean()), 3)),
-                   "filter.values")
-        report.add("uncalibrated_sd_reduced_p", p_one_sided,
-                   "filter.uncalibrated_sd_reduced_p")
-
-        # calibrated case: corrections are velocity-matched before the filter
-        # edits velocities, so editing reintroduces onset error
+    sd_unfiltered, sd_filtered = [], []
+    for _ in range(trials):
         v = rng.integers(100, 1001, EXCERPT_N).astype(float)
         piece = _filter_piece(v)
         filtered = robustness_filter(piece, fcfg)
         vf = filtered.velocities().astype(float)
-        err_after = np.abs(np.asarray(latency(true_model, vf)) -
-                           np.asarray(latency(true_model, v)))
-        report.add("calibrated_error_ms", (0.0, round(float(err_after.mean()), 3)),
-                   "filter.values")
-        report.add("calibrated_error_increases", bool(err_after.mean() > 0.0),
-                   "filter.calibrated_error_increases")
-    return report
+        err_plain = np.asarray(latency(true_model, v)) - np.asarray(latency(fallback, v))
+        err_filt = np.asarray(latency(true_model, vf)) - np.asarray(latency(fallback, vf))
+        sd_unfiltered.append(err_plain.std())
+        sd_filtered.append(err_filt.std())
+    sd_unfiltered = np.array(sd_unfiltered)
+    sd_filtered = np.array(sd_filtered)
+    p = paired_t_test(sd_filtered, sd_unfiltered).p_value
+    p_one_sided = p / 2 if sd_filtered.mean() < sd_unfiltered.mean() else 1 - p / 2
+    report.add("uncalibrated_sd", (round(float(sd_unfiltered.mean()), 3),
+                                   round(float(sd_filtered.mean()), 3)),
+               "filter.values")
+    report.add("uncalibrated_sd_reduced_p", p_one_sided,
+               "filter.uncalibrated_sd_reduced_p")
+
+    # calibrated case: corrections are velocity-matched before the filter
+    # edits velocities, so editing reintroduces onset error
+    v = rng.integers(100, 1001, EXCERPT_N).astype(float)
+    piece = _filter_piece(v)
+    filtered = robustness_filter(piece, fcfg)
+    vf = filtered.velocities().astype(float)
+    err_after = np.abs(np.asarray(latency(true_model, vf)) -
+                       np.asarray(latency(true_model, v)))
+    report.add("calibrated_error_ms", (0.0, round(float(err_after.mean()), 3)),
+               "filter.values")
+    report.add("calibrated_error_increases", bool(err_after.mean() > 0.0),
+               "filter.calibrated_error_increases")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,22 +120,3 @@ def config_hash(params: dict) -> str:
     payload = json.dumps(params, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
-
-class timer:
-    """Context manager stamping runtime into a report's provenance."""
-
-    def __init__(self, report: Report, params: dict | None = None):
-        self.report = report
-        self.params = params or {}
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.provenance.update({
-            "seed": self.report.seed,
-            "config_hash": config_hash(self.params),
-            "runtime_s": round(time.perf_counter() - self._start, 3),
-        })
-        return False

@@ -22,7 +22,6 @@ from ..metrics import (
 from ..pipeline import apply_collision_mask
 from ..stats import correlation, kruskal_wallis
 from ..stochastic import derive_rng
-from .reporting import Report, timer
 
 RATE_LADDER = (1.0, 1.4, 1.96, 2.744)
 
@@ -70,45 +69,42 @@ def _pairwise_vss(piece: Piece) -> list[float]:
     return values
 
 
-def constraints(seed: int = 42, trials: int = 10, duration: float = 25.0, **_) -> Report:
-    report = Report("constraints", seed)
-    with timer(report, {"trials": trials, "duration": duration}):
-        rng = derive_rng(seed, "constraints")
-        samples = {}
-        ts_by_condition = {}
-        for condition in ("baseline", "pitch", "stratified"):
-            vss_vals, ts_vals = [], []
-            for _ in range(trials):
-                piece = _four_voice_piece(condition, 20.0, duration, rng)
-                vss_vals.extend(_pairwise_vss(piece))
-                ts_vals.append(pitch_class_concentration(piece.pitches()))
-            samples[condition] = np.array(vss_vals)
-            ts_by_condition[condition] = float(np.mean(ts_vals))
+def constraints(report, seed: int, trials: int = 10, duration: float = 25.0, **_) -> None:
+    rng = derive_rng(seed, "constraints")
+    samples = {}
+    ts_by_condition = {}
+    for condition in ("baseline", "pitch", "stratified"):
+        vss_vals, ts_vals = [], []
+        for _ in range(trials):
+            piece = _four_voice_piece(condition, 20.0, duration, rng)
+            vss_vals.extend(_pairwise_vss(piece))
+            ts_vals.append(pitch_class_concentration(piece.pitches()))
+        samples[condition] = np.array(vss_vals)
+        ts_by_condition[condition] = float(np.mean(ts_vals))
 
-        base = samples["baseline"].mean()
-        strat = samples["stratified"].mean()
-        report.add("vss_baseline", float(base), "constraints.vss_baseline")
-        report.add("vss_stratified", float(strat), "constraints.vss_stratified")
-        report.add("vss_ratio", float(strat / base), "constraints.vss_ratio")
-        kw = kruskal_wallis([samples["baseline"], samples["pitch"], samples["stratified"]])
-        report.add("kruskal_p", kw.p_value, "constraints.kruskal_p")
-        report.add("ts_change_pitch_only_pct",
-                   100.0 * (ts_by_condition["pitch"] / ts_by_condition["baseline"] - 1.0),
-                   "constraints.ts_change_pitch_only")
+    base = samples["baseline"].mean()
+    strat = samples["stratified"].mean()
+    report.add("vss_baseline", float(base), "constraints.vss_baseline")
+    report.add("vss_stratified", float(strat), "constraints.vss_stratified")
+    report.add("vss_ratio", float(strat / base), "constraints.vss_ratio")
+    kw = kruskal_wallis([samples["baseline"], samples["pitch"], samples["stratified"]])
+    report.add("kruskal_p", kw.p_value, "constraints.kruskal_p")
+    report.add("ts_change_pitch_only_pct",
+               100.0 * (ts_by_condition["pitch"] / ts_by_condition["baseline"] - 1.0),
+               "constraints.ts_change_pitch_only")
 
-        # harmonic-territory check independent of dynamics
-        piece = _four_voice_piece("pitch", 20.0, duration, rng)
-        outer = [piece.with_columns(rows=piece.column("voice") == v) for v in (0, 3)]
-        report.add("pcs_distance_outer_pair", pcs_distance(*outer),
-                   "constraints.pcs_distance")
+    # harmonic-territory check independent of dynamics
+    piece = _four_voice_piece("pitch", 20.0, duration, rng)
+    outer = [piece.with_columns(rows=piece.column("voice") == v) for v in (0, 3)]
+    report.add("pcs_distance_outer_pair", pcs_distance(*outer),
+               "constraints.pcs_distance")
 
-        # explicit pitch-velocity coupling
-        rng2 = derive_rng(seed, "coupling")
-        pitches = rng2.integers(40, 106, 500)
-        velocities = np.round(200 + 12.5 * (pitches - 40)).astype(int)
-        r = correlation(pitches.astype(float), velocities.astype(float), "pearson")
-        report.add("coupling_r", abs(r.statistic), "constraints.coupling_r")
-    return report
+    # explicit pitch-velocity coupling
+    rng2 = derive_rng(seed, "coupling")
+    pitches = rng2.integers(40, 106, 500)
+    velocities = np.round(200 + 12.5 * (pitches - 40)).astype(int)
+    r = correlation(pitches.astype(float), velocities.astype(float), "pearson")
+    report.add("coupling_r", abs(r.statistic), "constraints.coupling_r")
 
 
 def _stratified_voices(aggregate_rate: float, duration: float, rng):
@@ -116,34 +112,31 @@ def _stratified_voices(aggregate_rate: float, duration: float, rng):
     return [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
 
 
-def wvss_weights(seed: int = 42, **_) -> Report:
+def wvss_weights(report, seed: int, **_) -> None:
     """Weight extraction on the stratified high-density condition, split-half
     validation, and the low/high-density weight transfer."""
-    report = Report("wvss_weights", seed)
-    with timer(report):
-        rng = derive_rng(seed, "wvss")
-        high = _stratified_voices(120.0, 17.0, rng)
-        w_high = estimate_weights(high, normalized=True)
-        report.add("weights_high_density",
-                   tuple(round(w, 4) for w in w_high.as_tuple()), "wvss.weights")
-        report.add("velocity_weight", w_high.w_velocity, "wvss.velocity_weight")
+    rng = derive_rng(seed, "wvss")
+    high = _stratified_voices(120.0, 17.0, rng)
+    w_high = estimate_weights(high, normalized=True)
+    report.add("weights_high_density",
+               tuple(round(w, 4) for w in w_high.as_tuple()), "wvss.weights")
+    report.add("velocity_weight", w_high.w_velocity, "wvss.velocity_weight")
 
-        halves = []
-        for parity in (0, 1):
-            halves.append([voice.with_columns(rows=slice(parity, None, 2)) for voice in high])
-        w_even = estimate_weights(halves[0], normalized=True)
-        w_odd = estimate_weights(halves[1], normalized=True)
-        deviation_pp = 100.0 * max(abs(a - b) for a, b in
-                                   zip(w_even.as_tuple(), w_odd.as_tuple()))
-        r = float(np.corrcoef(w_even.as_tuple(), w_odd.as_tuple())[0, 1])
-        report.add("split_half_deviation_pp", deviation_pp, "wvss.split_half.deviation_pp")
-        report.add("split_half_correlation", r, "wvss.split_half.correlation")
+    halves = []
+    for parity in (0, 1):
+        halves.append([voice.with_columns(rows=slice(parity, None, 2)) for voice in high])
+    w_even = estimate_weights(halves[0], normalized=True)
+    w_odd = estimate_weights(halves[1], normalized=True)
+    deviation_pp = 100.0 * max(abs(a - b) for a, b in
+                               zip(w_even.as_tuple(), w_odd.as_tuple()))
+    r = float(np.corrcoef(w_even.as_tuple(), w_odd.as_tuple())[0, 1])
+    report.add("split_half_deviation_pp", deviation_pp, "wvss.split_half.deviation_pp")
+    report.add("split_half_correlation", r, "wvss.split_half.correlation")
 
-        low = _stratified_voices(20.0, 50.0, rng)
-        w_low = estimate_weights(low, normalized=True)
-        report.add("temporal_weight_low_high",
-                   (round(w_low.w_temporal, 4), round(w_high.w_temporal, 4)),
-                   "wvss.weights")
-        report.add("temporal_transfer", bool(w_low.w_temporal > w_high.w_temporal),
-                   "wvss.transfer.temporal_low_gt_high")
-    return report
+    low = _stratified_voices(20.0, 50.0, rng)
+    w_low = estimate_weights(low, normalized=True)
+    report.add("temporal_weight_low_high",
+               (round(w_low.w_temporal, 4), round(w_high.w_temporal, 4)),
+               "wvss.weights")
+    report.add("temporal_transfer", bool(w_low.w_temporal > w_high.w_temporal),
+               "wvss.transfer.temporal_low_gt_high")

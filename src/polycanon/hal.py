@@ -216,7 +216,6 @@ def fit_power_law(data: CalibrationData, fit_bounds: bool = False,
 class ConstraintSet:
     velocity_range: tuple[int, int] = (0, VELOCITY_MAX)
     min_key_ioi: float = KEY_RESET_WINDOW
-    latency_bounds_ms: tuple[float, float] = (10.0, 30.0)
     max_polyphony: int = 88
     scan_resolution: float = 0.001
 

@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polycanon
@@ -163,6 +165,49 @@ def test_experiment_requires_name_or_all(capsys):
     assert main(["experiment"]) == 2
 
 
+ROW = {"label": "x", "value": 1, "expected": "", "passed": True, "gating": True}
+
+
+@pytest.mark.parametrize("content,message", [
+    pytest.param(b'{"rows": [', ": Expecting value", id="truncated"),
+    pytest.param(b'{"rows": [{"label": 1}]}', ": not an experiment report: bad field 'experiment'",
+                 id="no-experiment"),
+    pytest.param(b"\xff\xfe", ": 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+    pytest.param(json.dumps({"experiment": "x", "rows": [7]}).encode(),
+                 ": not an experiment report: bad field", id="row-not-an-object"),
+    pytest.param(json.dumps({"experiment": "x", "rows": 7}).encode(),
+                 ": not an experiment report: bad field", id="rows-not-a-list"),
+    pytest.param(json.dumps({"experiment": "x", "rows": [{**ROW, "passed": None}]}).encode(),
+                 ": not an experiment report: passed and gating must be booleans",
+                 id="passed-null"),
+])
+def test_an_unreadable_report_file_exits_2(tmp_path, capsys, content, message):
+    assert main(["experiment", "--name", "epsilon_sensitivity", "--out", str(tmp_path)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(str(bad)) and message in err
+
+
+def test_experiment_all_prints_the_same_with_two_jobs(monkeypatch, capsys):
+    """The --jobs pool runs the specs that the serial path runs and prints the
+    same bytes; two cheap experiments stand in for the registry."""
+    from polycanon import experiments
+
+    monkeypatch.setattr(experiments, "REGISTRY", {
+        name: experiments.REGISTRY[name] for name in ("epsilon_sensitivity", "hal_sensitivity")})
+    runs = []
+    for jobs in ("1", "2"):
+        code = main(["experiment", "--all", "--seed", "3", "--jobs", jobs])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert "experiment: epsilon_sensitivity (seed 3)" in runs[0][1]
+    assert "experiment: hal_sensitivity (seed 3)" in runs[0][1]
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["experiment", "--name", "nope"], "unknown experiment 'nope'; known: ablation_a, ",
                  id="experiment-unknown"),
@@ -317,3 +362,69 @@ def test_expand_rejects_an_unknown_grammar_key(tmp_path, capsys):
     path.write_text(json.dumps({"rules": {"A": "AB", "B": "A"}, "axiom": "A", "axoim": "B"}))
     assert main(["expand", "--grammar", str(path), "--depth", "2"]) == 2
     assert "grammar.axoim" in capsys.readouterr().err
+
+
+# what a changed byte of a JSON or CSV file becomes: the characters of numbers
+# and of the two formats' syntax, and one byte that is not UTF-8
+TEXT_BYTES = b'0123456789-+.eE,"{}[]: \nNaIfn\xff'
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """The files that `compensate`, `generate --config` and `report --dir`
+    read: a depth-3 piece in each format, a latency model, the bundled config
+    and a written experiment report."""
+    from polycanon.experiments import ExperimentSpec, run
+
+    d = tmp_path_factory.mktemp("inputs")
+    assert main(["generate", "--depth", "3", "--seed", "0", "--out", str(d)]) == 0
+    config = Path(polycanon.__file__).parent / "data" / "canonical.json"
+    return {
+        "piece.json": (d / "piece.json").read_bytes(),
+        "piece.csv": (d / "piece.csv").read_bytes(),
+        "piece.mid": (d / "piece.mid").read_bytes(),
+        "model.json": json.dumps(load_bundled_config()["hal"]).encode(),
+        "config.json": config.read_bytes(),
+        "report.json": run(ExperimentSpec("hal_sensitivity", 0)).to_json().encode(),
+    }
+
+
+# (input, argv with IN for the changed file); --depth 2 keeps the work that a
+# changed config number asks for small
+MUTATED_RUNS = [
+    ("piece.json", ["compensate", "--in", "IN", "--out", "OUT"]),
+    ("piece.csv", ["compensate", "--in", "IN", "--out", "OUT"]),
+    ("piece.mid", ["compensate", "--in", "IN", "--out", "OUT"]),
+    ("model.json", ["compensate", "--in", "PIECE", "--model", "IN", "--out", "OUT"]),
+    ("config.json", ["generate", "--config", "IN", "--depth", "2", "--out", "OUT"]),
+    ("report.json", ["report", "--dir", "DIR"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", MUTATED_RUNS, ids=[run[0] for run in MUTATED_RUNS])
+def test_changed_or_cut_input_files_exit_0_or_2(tmp_path, capsys, cli_inputs, name, argv):
+    """Each input with 1-4 bytes changed, or cut short, gives exit 0 or a
+    usage error (exit 2, nothing on stdout), never a traceback."""
+    data = cli_inputs[name]
+    rng = np.random.default_rng(31)
+    alphabet = bytes(range(256)) if name.endswith(".mid") else TEXT_BYTES
+    cases = []
+    for _ in range(24):
+        corrupt = bytearray(data)
+        for _ in range(rng.integers(1, 5)):
+            corrupt[rng.integers(len(corrupt))] = alphabet[rng.integers(len(alphabet))]
+        cases.append(bytes(corrupt))
+    cases += [data[:n] for n in rng.integers(0, len(data), 6)]
+    (tmp_path / "in").mkdir()
+    path = tmp_path / "in" / f"m{Path(name).suffix}"
+    piece = tmp_path / "piece.json"
+    piece.write_bytes(cli_inputs["piece.json"])
+    paths = {"IN": path, "DIR": path.parent, "PIECE": piece, "OUT": tmp_path / "out"}
+    codes = Counter()
+    for corrupt in cases:
+        path.write_bytes(corrupt)
+        code = main([str(paths.get(arg, arg)) for arg in argv])
+        out, err = capsys.readouterr()
+        assert (code, bool(out)) in ((0, True), (2, False)), (corrupt, err)
+        codes[code] += 1
+    assert codes[0] and codes[2], codes

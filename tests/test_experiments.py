@@ -1,3 +1,7 @@
+import ast
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from polycanon.experiments import (
     summarize,
 )
 from polycanon.experiments._common import null_stream, window_counts
-from polycanon.experiments.reporting import Report, Row
+from polycanon.experiments.reporting import Report, Row, config_hash
 from polycanon.stochastic import make_rng
 
 
@@ -83,6 +87,37 @@ def test_run_all_suite_mostly_green(reports):
     assert passed / len(gated) >= 0.90
     summary = summarize(reps)
     assert "total" in summary
+
+
+def test_only_run_creates_and_times_a_report():
+    """`experiments.run` is the one home of a report's creation and timing: no
+    other module of the package calls `Report(` or imports `time`, and every
+    registry function takes the report and the seed first."""
+    package = Path(inspect.getfile(run)).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "Report", f"{path.name}:{node.lineno} constructs a Report"
+            elif isinstance(node, ast.Import):
+                assert "time" not in [a.name for a in node.names], f"{path.name} imports time"
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "time", f"{path.name} imports from time"
+    for name, experiment in REGISTRY.items():
+        assert list(inspect.signature(experiment).parameters)[:2] == ["report", "seed"], name
+
+
+def test_run_stamps_the_provenance_of_the_spec():
+    report = run(ExperimentSpec("epsilon_sensitivity", 5, {"full_scale": True}))
+    assert list(report.provenance) == ["seed", "config_hash", "runtime_s"]
+    assert report.provenance["seed"] == 5 and report.name == "epsilon_sensitivity"
+    assert report.provenance["config_hash"] == config_hash(
+        {"name": "epsilon_sensitivity", "seed": 5, "full_scale": True})
+    assert report.provenance["config_hash"] != run(
+        ExperimentSpec("epsilon_sensitivity", 5)).provenance["config_hash"]
 
 
 def test_run_all_subset_api():
