@@ -89,38 +89,24 @@ def voice_times_until(v: VoiceSpec, horizon: float) -> np.ndarray:
     return np.array(times, dtype=float)
 
 
-def _candidate_pairs(q: ConvergenceQuery):
+def _candidate_pairs(q: ConvergenceQuery) -> list[ConvergenceEvent]:
     """All (n_i, n_j) with |T_i - T_j| < epsilon and min(T) <= horizon, time-sorted."""
-    vi, vj = q.voice_i, q.voice_j
-    out = []
-    if vi.alpha == 1.0 and vj.alpha == 1.0:
-        # enumerate voice-i events; only the nearest voice-j indices can match
-        n_max = int(math.floor((q.horizon + q.epsilon - vi.start) / vi.base_ioi)) + 1
-        for n in range(n_max + 1):
-            ti = voice_time(vi, n)
-            m0 = round((ti - vj.start) / vj.base_ioi)
-            for m in (m0 - 1, m0, m0 + 1):
-                if m < 0:
-                    continue
-                tj = voice_time(vj, m)
-                res = abs(ti - tj)
-                if res < q.epsilon and min(ti, tj) <= q.horizon:
-                    out.append(ConvergenceEvent(min(ti, tj), n, m, res))
-    else:
-        ti_all = voice_times_until(vi, q.horizon + q.epsilon)
-        tj_all = voice_times_until(vj, q.horizon + q.epsilon)
-        j0 = 0
-        for n, ti in enumerate(ti_all):
-            while j0 < len(tj_all) and tj_all[j0] < ti - q.epsilon:
-                j0 += 1
-            m = j0
-            while m < len(tj_all) and tj_all[m] < ti + q.epsilon:
-                res = abs(ti - tj_all[m])
-                if res < q.epsilon and min(ti, tj_all[m]) <= q.horizon:
-                    out.append(ConvergenceEvent(min(ti, tj_all[m]), n, m, res))
-                m += 1
-    out.sort(key=lambda e: (e.time, e.index_i, e.index_j))
-    return out
+    eps = q.epsilon
+    ti = voice_times_until(q.voice_i, q.horizon + eps)
+    tj = voice_times_until(q.voice_j, q.horizon + eps)
+    # the voice-j onsets in [t - eps, t + eps) of each voice-i onset t
+    lo = np.searchsorted(tj, ti - eps)
+    counts = np.searchsorted(tj, ti + eps) - lo
+    n = np.repeat(np.arange(len(ti)), counts)
+    first = np.cumsum(counts) - counts  # the first pair of each voice-i onset
+    m = lo[n] + np.arange(len(n)) - first[n]
+    time = np.minimum(ti[n], tj[m])
+    residual = np.abs(ti[n] - tj[m])
+    keep = (residual < eps) & (time <= q.horizon)
+    n, m, time, residual = n[keep], m[keep], time[keep], residual[keep]
+    order = np.argsort(time, kind="stable")  # the pairs come in (n, m) order
+    return [ConvergenceEvent(*row) for row in zip(time[order].tolist(), n[order].tolist(),
+                                                  m[order].tolist(), residual[order].tolist())]
 
 
 def find_convergences(q: ConvergenceQuery) -> list[ConvergenceEvent]:

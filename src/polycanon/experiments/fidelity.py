@@ -277,7 +277,7 @@ def ablation_c(report, seed: int, **_) -> None:
     for variant, anchor in (("linear", "ablation_c.coupling.linear"),
                             ("power", "ablation_c.coupling.power")):
         model = LatencyModel(variant=variant)
-        errors = np.asarray(latency(model, velocities), dtype=float)
+        errors = latency(model, velocities)
         r = correlation(velocities, errors, "pearson").statistic
         report.add(f"velocity_timing_r_{variant}", abs(r), anchor)
         if variant == "linear":

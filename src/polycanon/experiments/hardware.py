@@ -39,7 +39,7 @@ def hal_sensitivity(report, seed: int, **_) -> None:
     residual_sd = {}
     for c in SENSITIVITY_EXPONENTS:
         assumed = LatencyModel(variant="power", c=c)
-        residual = np.asarray(latency(true_model, v)) - np.asarray(latency(assumed, v))
+        residual = latency(true_model, v) - latency(assumed, v)
         residual_sd[c] = float(np.std(residual))
     for c, anchor in zip(SENSITIVITY_EXPONENTS,
                          ("hal.residual.c03", "hal.residual.c04", "hal.residual.c05",
@@ -54,8 +54,8 @@ def hal_sensitivity(report, seed: int, **_) -> None:
     report.add("monotone_in_deviation", monotone, "hal.residual.monotone")
 
     grid = np.arange(0, 1024)
-    linear = np.asarray(latency(LatencyModel(variant="linear"), grid))
-    power = np.asarray(latency(LatencyModel(variant="power", c=0.5), grid))
+    linear = latency(LatencyModel(variant="linear"), grid)
+    power = latency(LatencyModel(variant="power", c=0.5), grid)
     gap = linear - power
     report.add("boundary_l0", float(linear[0]), "hal.boundary.l0")
     report.add("boundary_lvmax", float(linear[-1]), "hal.boundary.lmax_velocity")
@@ -91,9 +91,9 @@ def latency_mismatch(report, seed: int, trials: int = 50, full_scale: bool = Fal
 
     suppression_at_20 = None
     for delta in (-0.20, -0.10, 0.10, 0.20):
-        scaled = np.asarray(latency(assumed, v)) * (1.0 + delta)
+        scaled = latency(assumed, v) * (1.0 + delta)
         raw_sd = float(scaled.std())
-        hal_sd = float((scaled - np.asarray(latency(assumed, v))).std())
+        hal_sd = float((scaled - latency(assumed, v)).std())
         table[f"scale_{delta:+.0%}"] = (round(raw_sd, 2), round(hal_sd, 2))
         hal_beats_raw &= hal_sd < raw_sd
         if abs(delta) == 0.20:
@@ -142,8 +142,8 @@ def robustness(report, seed: int, trials: int = 200, **_) -> None:
         piece = _filter_piece(v)
         filtered = robustness_filter(piece, fcfg)
         vf = filtered.velocities().astype(float)
-        err_plain = np.asarray(latency(true_model, v)) - np.asarray(latency(fallback, v))
-        err_filt = np.asarray(latency(true_model, vf)) - np.asarray(latency(fallback, vf))
+        err_plain = latency(true_model, v) - latency(fallback, v)
+        err_filt = latency(true_model, vf) - latency(fallback, vf)
         sd_unfiltered.append(err_plain.std())
         sd_filtered.append(err_filt.std())
     sd_unfiltered = np.array(sd_unfiltered)
@@ -162,8 +162,7 @@ def robustness(report, seed: int, trials: int = 200, **_) -> None:
     piece = _filter_piece(v)
     filtered = robustness_filter(piece, fcfg)
     vf = filtered.velocities().astype(float)
-    err_after = np.abs(np.asarray(latency(true_model, vf)) -
-                       np.asarray(latency(true_model, v)))
+    err_after = np.abs(latency(true_model, vf) - latency(true_model, v))
     report.add("calibrated_error_ms", (0.0, round(float(err_after.mean()), 3)),
                "filter.values")
     report.add("calibrated_error_increases", bool(err_after.mean() > 0.0),

@@ -31,23 +31,23 @@ def lsystem_info(report, seed: int, shuffles: int = 1000, det_shuffles: int = 50
         report.add(f"ir_depth{d}", information_rate(text), f"sequence.ir.depth{d}")
         report.add(f"lz_depth{d}", lz_complexity(text), f"sequence.lz.depth{d}")
 
+    def shuffled(stat, d: int, stride: int, n: int = shuffles) -> np.ndarray:
+        """``stat`` of ``n`` count-preserving shuffles of the depth-``d``
+        string, shuffle ``i`` seeded ``seed * stride + i``."""
+        return np.array([stat(shuffle_preserving_counts(strings[d], seed * stride + i).text)
+                         for i in range(n)])
+
     # permutation nulls for IR (one-sided: structure means higher IR)
     for d, anchor in ((6, "sequence.ir.depth6.permutation_p"),
                       (7, "sequence.ir.depth7.permutation_p")):
         observed = information_rate(strings[d].text)
-        nulls = np.array([
-            information_rate(shuffle_preserving_counts(strings[d], seed * 881 + i).text)
-            for i in range(shuffles)])
+        nulls = shuffled(information_rate, d, 881)
         report.add(f"ir_depth{d}_permutation_p", permutation_test(observed, nulls), anchor)
-    nulls4 = np.array([
-        information_rate(shuffle_preserving_counts(strings[4], seed * 881 + i).text)
-        for i in range(shuffles)])
+    nulls4 = shuffled(information_rate, 4, 881)
     report.add("ir_depth4_shuffled", (round(float(nulls4.mean()), 3),
                                       round(float(nulls4.std()), 3)),
                "sequence.ir.shuffled_mean.depth4")
-    lz4 = np.array([
-        lz_complexity(shuffle_preserving_counts(strings[4], seed * 13 + i).text)
-        for i in range(shuffles)])
+    lz4 = shuffled(lz_complexity, 4, 13)
     report.add("lz_depth4_shuffled", (round(float(lz4.mean()), 2),
                                       round(float(lz4.std()), 2)),
                "sequence.lz.shuffled_mean.depth4")
@@ -56,9 +56,7 @@ def lsystem_info(report, seed: int, shuffles: int = 1000, det_shuffles: int = 50
         report.add(f"det_depth{d}", rqa_determinism(strings[d].text),
                    f"sequence.det.depth{d}")
     observed = rqa_determinism(strings[8].text)
-    nulls = np.array([
-        rqa_determinism(shuffle_preserving_counts(strings[8], seed * 37 + i).text)
-        for i in range(det_shuffles)])
+    nulls = shuffled(rqa_determinism, 8, 37, det_shuffles)
     report.add("det_depth8_permutation_p", permutation_test(observed, nulls),
                "sequence.det.depth8.permutation_p")
 

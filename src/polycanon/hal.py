@@ -3,7 +3,7 @@ pre-compensation, the uncalibrated-deployment robustness filter, power-law
 calibration fitting, constraint enforcement, and mismatch simulation.
 
 All three latency variants share the boundary conditions L(0) = L_max and
-L(v_max) = L_min and are monotone non-increasing in velocity.
+L(VELOCITY_MAX) = L_min and are monotone non-increasing in velocity.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ class FitError(ValueError):
 class LatencyModel:
     variant: str = "power"  # linear | power | log
     l_max: float = 30.0  # ms at velocity 0
-    l_min: float = 10.0  # ms at velocity v_max
+    l_min: float = 10.0  # ms at velocity VELOCITY_MAX
     c: float = 0.5       # power-law exponent
     k: float = 9.0       # log-curve curvature
-    v_max: int = VELOCITY_MAX
 
     def __post_init__(self):
         if not self.l_max > self.l_min > 0:
@@ -48,9 +47,9 @@ def latency(model: LatencyModel, v) -> np.ndarray | float:
     agree bit for bit.
     """
     v_arr = np.asarray(v, dtype=float)
-    if np.any(v_arr < 0) or np.any(v_arr > model.v_max):
-        raise ValueError(f"velocity outside [0, {model.v_max}]")
-    u = np.atleast_1d(v_arr) / model.v_max
+    if np.any(v_arr < 0) or np.any(v_arr > VELOCITY_MAX):
+        raise ValueError(f"velocity outside [0, {VELOCITY_MAX}]")
+    u = np.atleast_1d(v_arr) / VELOCITY_MAX
     span = model.l_max - model.l_min
     if model.variant == "linear":
         out = model.l_max - span * u
@@ -222,6 +221,10 @@ class ConstraintSet:
     def __post_init__(self):
         if self.min_key_ioi <= 0 or self.scan_resolution <= 0 or self.max_polyphony <= 0:
             raise ValueError("constraint fields must be positive")
+        lo, hi = self.velocity_range
+        if not 0 <= lo <= hi <= VELOCITY_MAX:
+            raise ValueError(f"velocity range must satisfy 0 <= lo <= hi <= {VELOCITY_MAX}, "
+                             f"got {self.velocity_range}")
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def _true_latencies(velocities, true_model: LatencyModel, noise: NoiseSpec, rng)
     if noise.exponent_drift > 0:
         steps = rng.uniform(-noise.exponent_drift, noise.exponent_drift, v.size)
         c_path = np.clip(true_model.c + np.cumsum(steps), 0.35, 0.65)
-        u = v / true_model.v_max
+        u = v / VELOCITY_MAX
         base = true_model.l_max - (true_model.l_max - true_model.l_min) * u**c_path
     else:
         base = latency(true_model, v)

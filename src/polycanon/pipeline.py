@@ -11,17 +11,7 @@ from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_u
 from .events import KEY_RESET_WINDOW, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, resolve
-from .stochastic import (
-    ConfigError,
-    Constant,
-    Distribution,
-    InhomogeneousPoisson,
-    MIN_IOI,
-    WrongVariantError,
-    sample_ioi_stream,
-)
-
-MAX_EVENTS_PER_SECTION = 1_000_000
+from .stochastic import MIN_IOI, InhomogeneousPoisson, renewal_onsets, sample_ioi_stream
 
 
 class InfeasibleError(ValueError):
@@ -33,45 +23,24 @@ def _clamp_round_many(values: np.ndarray, hi: int) -> np.ndarray:
     return np.rint(values).clip(0, hi).astype(int)
 
 
-def _voice_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float,
-                  rng, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Onsets and durations of one voice in one section.
+def _note_block(cfg: ParameterConfig, pitch_voice: int, rng, onsets, durations, voice: int,
+                symbol: str, generation: int, section: int) -> tuple[np.ndarray, ...]:
+    """The notes at ``onsets`` as 8 columns in :data:`events.COLUMNS` order.
 
-    Each event lasts ``tau = max(draw / ratio, MIN_IOI)`` and the next one
-    starts when it ends; events start only before ``t_end - 1e-12``, and the
-    interval that would start past it is discarded. IOIs are drawn in blocks
-    sized from the law's mean and the time left, at most
-    ``MAX_EVENTS_PER_SECTION`` in all. A constant law draws nothing.
+    Every pitch is drawn from ``cfg.pitch_for_voice(pitch_voice)`` in one
+    call, then every velocity in one call, each rounded and clamped.
     """
-    if isinstance(ioi, InhomogeneousPoisson):
-        raise WrongVariantError(
-            "inhomogeneous Poisson samples event times; use sample_ioi_stream")
-    if isinstance(ioi, Constant) and ioi.value <= 0:
-        raise ConfigError(f"{where}: constant IOI {ioi.value} would never advance the section")
-    mean_tau = max(ioi.mean() / ratio, MIN_IOI)
-    t, drawn = t_start, 0
-    onsets, taus = [np.empty(0)], [np.empty(0)]
-    while t < t_end - 1e-12:
-        if drawn == MAX_EVENTS_PER_SECTION:
-            raise ConfigError(
-                f"{where} exceeded {MAX_EVENTS_PER_SECTION} events; "
-                "IOI distribution too dense or degenerate")
-        # the mean count left plus about four exponential-count standard
-        # deviations, so one block usually reaches the end
-        expected = (t_end - t) / mean_tau
-        block = min(int(expected + 4.0 * np.sqrt(expected)) + 8,
-                    MAX_EVENTS_PER_SECTION - drawn)
-        tau = np.maximum(ioi.sample(rng, block) / ratio, MIN_IOI)
-        # a sequential cumsum from the current onset: the same float additions
-        # as advancing one event at a time
-        ends = np.cumsum(np.concatenate(([t], tau)))
-        onsets.append(ends[:-1])
-        taus.append(tau)
-        t = ends[-1]
-        drawn += block
-    onsets, taus = np.concatenate(onsets), np.concatenate(taus)
-    n = int(np.searchsorted(onsets, t_end - 1e-12))
-    return onsets[:n], taus[:n]
+    n = len(onsets)
+    pitches = _clamp_round_many(cfg.pitch_for_voice(pitch_voice).sample(rng, n), PITCH_MAX)
+    velocities = _clamp_round_many(cfg.velocity.sample(rng, n), VELOCITY_MAX)
+    return (onsets, pitches, velocities, np.broadcast_to(durations, (n,)),
+            np.full(n, voice), np.full(n, symbol, dtype=object), np.full(n, generation),
+            np.full(n, section))
+
+
+def _piece(blocks, sections, metadata: dict) -> Piece:
+    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 8
+    return Piece.from_columns(*columns, sections=sections, metadata=metadata)
 
 
 def generate(symbols: SymbolString, table: MappingTable, rng,
@@ -80,9 +49,9 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
 
     For every symbol, each voice advances from the section start by
     tempo-scaled IOI draws until the section duration elapses (see
-    :func:`_voice_onsets`); velocity is clamped to the 10-bit range. A
-    voice's in-flight interval that would cross the section boundary is
-    discarded, keeping sections statistically independent. Latency
+    :func:`stochastic.renewal_onsets`); velocity is clamped to the 10-bit
+    range. A voice's in-flight interval that would cross the section boundary
+    is discarded, keeping sections statistically independent. Latency
     pre-adjustment is deliberately left to the hardware layer.
 
     Draw order, per section and then per voice: the IOIs in blocks, then
@@ -95,21 +64,16 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
         cfg = resolve(table, symbol, generation)
         t_end = t_cur + cfg.duration
         for voice, ratio in enumerate(cfg.ratios):
-            onsets, taus = _voice_onsets(cfg.ioi, ratio, t_cur, t_end, rng,
-                                         f"section {index} ({symbol!r})")
-            n = len(onsets)
-            pitches = _clamp_round_many(cfg.pitch_for_voice(voice).sample(rng, n), PITCH_MAX)
-            velocities = _clamp_round_many(cfg.velocity.sample(rng, n), VELOCITY_MAX)
-            blocks.append((onsets, pitches, velocities, taus, np.full(n, voice),
-                           np.full(n, symbol, dtype=object), np.full(n, generation),
-                           np.full(n, index)))
+            onsets, taus = renewal_onsets(cfg.ioi, ratio, t_cur, t_end, rng,
+                                          f"section {index} ({symbol!r})")
+            blocks.append(_note_block(cfg, voice, rng, onsets, taus, voice, symbol, generation,
+                                      index))
         sections.append((symbol, t_cur, t_end))
         t_cur = t_end
     metadata = {"total_duration": t_cur}
     if seed is not None:
         metadata["seed"] = seed
-    columns = [np.concatenate(c) for c in zip(*blocks)] if blocks else [()] * 8
-    return Piece.from_columns(*columns, sections=sections, metadata=metadata)
+    return _piece(blocks, sections, metadata)
 
 
 def apply_collision_mask(piece: Piece, window: float = KEY_RESET_WINDOW) -> Piece:
@@ -123,29 +87,31 @@ def apply_collision_mask(piece: Piece, window: float = KEY_RESET_WINDOW) -> Piec
 # ---------------------------------------------------------------------------
 
 
-def _fixed_onset_rows(onsets, voice: int, sections, configs, rng) -> list[tuple]:
-    """Rows in :data:`events.COLUMNS` order at predetermined onsets. A note's
-    section is the last of ``sections`` starting at or before it (the first
-    when none does), and that section's config draws the note's pitch and
-    then its velocity, both unrounded."""
+def _cp_piece(canon_voices, sections, configs, laws, rng, metadata: dict) -> Piece:
+    """The canon voices at their own onsets, then one stochastic voice whose
+    onsets in section k follow ``laws[k]``.
+
+    Section k's config draws the pitches (as voice 0) and velocities of the
+    notes in it; a note lasts the mean of that config's IOI law. Draw order:
+    per canon voice, per section, its notes as one block; then per section
+    the stochastic voice's onsets, then its notes.
+    """
+    horizon = sections[-1][2]
     starts = [lo for _, lo, _ in sections[1:]]
-    rows = []
-    for t, k in zip(np.asarray(onsets, dtype=float).tolist(),
-                    np.searchsorted(starts, onsets, side="right").tolist()):
+
+    def notes(onsets, voice, k):
         cfg = configs[k]
         ioi = cfg.ioi.mean() if hasattr(cfg.ioi, "mean") else 0.1
-        rows.append((t, cfg.pitch_for_voice(0).sample(rng), cfg.velocity.sample(rng),
-                     max(ioi, MIN_IOI), voice, sections[k][0], 0, k))
-    return rows
+        return _note_block(cfg, 0, rng, onsets, max(ioi, MIN_IOI), voice, sections[k][0], 0, k)
 
-
-def _fixed_onset_piece(rows: list[tuple], sections, metadata: dict) -> Piece:
-    """The piece of :func:`_fixed_onset_rows` rows, pitch and velocity rounded
-    and clamped at once."""
-    onset, pitch, velocity, *rest = list(zip(*rows)) or [()] * 8
-    return Piece.from_columns(onset, _clamp_round_many(pitch, PITCH_MAX),
-                              _clamp_round_many(velocity, VELOCITY_MAX), *rest,
-                              sections=sections, metadata=metadata)
+    blocks = []
+    for voice, vs in enumerate(canon_voices):
+        onsets = voice_times_until(vs, horizon - 1e-9)
+        for k, part in enumerate(np.split(onsets, np.searchsorted(onsets, starts))):
+            blocks.append(notes(part, voice, k))
+    for k, ((_, lo, hi), law) in enumerate(zip(sections, laws)):
+        blocks.append(notes(sample_ioi_stream(law, hi - lo, rng) + lo, len(canon_voices), k))
+    return _piece(blocks, sections, metadata)
 
 
 def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
@@ -158,8 +124,10 @@ def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
     closest to mid-horizon). If the query finds no convergence the piece is
     generated without a switch and metadata records ``cp_time = None``.
 
-    Draw order: each canon voice's notes, a pitch then a velocity per note;
-    then per segment of the stochastic voice its onsets, then its notes.
+    Draw order: per canon voice, the notes before the switch, then those
+    after it, each as one block of pitches then velocities; then per segment
+    of the stochastic voice its onsets (:func:`stochastic.sample_ioi_stream`
+    from the segment start), then its notes.
     """
     horizon = query.horizon
     conv = find_convergences(query)
@@ -171,31 +139,20 @@ def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
 
     sections = ((("pre", 0.0, horizon),) if cp_time is None
                 else (("pre", 0.0, cp_time), ("post", cp_time, horizon)))
-    configs = (pre, post)
-    rows = []
-    for vid, vs in enumerate(canon_voices):
-        onsets = voice_times_until(vs, horizon - 1e-9)
-        rows += _fixed_onset_rows(onsets, vid, sections, configs, rng)
-
-    # stochastic voice: homogeneous segments on either side of the switch
-    for (_, seg_start, seg_end), cfg in zip(sections, configs):
-        onsets = sample_ioi_stream(cfg.ioi, seg_end - seg_start, rng) + seg_start
-        rows += _fixed_onset_rows(onsets, len(canon_voices), sections, configs, rng)
-    return _fixed_onset_piece(rows, sections, {"cp_time": cp_time})
+    return _cp_piece(canon_voices, sections, (pre, post), (pre.ioi, post.ioi), rng,
+                     {"cp_time": cp_time})
 
 
 def generate_cp_continuous(canon_voices: tuple[VoiceSpec, VoiceSpec],
                            rate_fn, rate_max: float, horizon: float,
                            cfg: ParameterConfig, rng) -> Piece:
-    """Canon voices plus an inhomogeneous Poisson voice thinned against rate_max."""
-    sections = (("modulated", 0.0, horizon),)
-    rows = []
-    for vid, vs in enumerate(canon_voices):
-        onsets = voice_times_until(vs, horizon - 1e-9)
-        rows += _fixed_onset_rows(onsets, vid, sections, (cfg,), rng)
-    onsets = sample_ioi_stream(InhomogeneousPoisson(rate_fn, rate_max), horizon, rng)
-    rows += _fixed_onset_rows(onsets, len(canon_voices), sections, (cfg,), rng)
-    return _fixed_onset_piece(rows, sections, {})
+    """Canon voices plus an inhomogeneous Poisson voice thinned against rate_max.
+
+    Draw order: per canon voice its notes as one block of pitches then
+    velocities; then the thinned onsets, then their notes.
+    """
+    return _cp_piece(canon_voices, (("modulated", 0.0, horizon),), (cfg,),
+                     (InhomogeneousPoisson(rate_fn, rate_max),), rng, {})
 
 
 # ---------------------------------------------------------------------------

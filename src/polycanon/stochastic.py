@@ -22,6 +22,11 @@ Each law is a frozen dataclass that carries its own behaviour, so this module
 class then its octave, ``size`` draws are all classes, then all octaves.
 ``InhomogeneousPoisson`` describes event times, not values: its ``sample``
 raises :class:`WrongVariantError`, and :func:`sample_ioi_stream` thins it.
+
+Onset streams have one sampler for the homogeneous laws,
+:func:`renewal_onsets`: draw an IOI, advance by it, with the IOIs drawn in
+blocks. ``pipeline.generate`` draws every voice of every section with it, and
+:func:`sample_ioi_stream` is the same rule from t=0 at ratio 1.
 """
 
 from __future__ import annotations
@@ -236,41 +241,76 @@ Distribution = Constant | Uniform | Gaussian | Exponential | InhomogeneousPoisso
 # IOI draws below this are clipped up, so onset sequences stay strictly increasing
 # even for Gaussian IOI laws whose tail crosses zero.
 MIN_IOI = 1e-4
+# the most IOIs one renewal stream may draw
+MAX_EVENTS_PER_SECTION = 1_000_000
+
+
+def renewal_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float,
+                   rng: np.random.Generator, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Onsets and durations of one renewal stream over [t_start, t_end).
+
+    Each event lasts ``tau = max(draw / ratio, MIN_IOI)`` and the next one
+    starts when it ends; events start only before ``t_end - 1e-12``, and the
+    interval that would start past it is discarded. IOIs are drawn in blocks
+    sized from the law's mean and the time left, at most
+    ``MAX_EVENTS_PER_SECTION`` in all. A constant law draws nothing. ``where``
+    names the stream in errors.
+    """
+    if isinstance(ioi, InhomogeneousPoisson):
+        raise WrongVariantError(
+            "inhomogeneous Poisson samples event times; use sample_ioi_stream")
+    if isinstance(ioi, Constant) and ioi.value <= 0:
+        raise ConfigError(f"{where}: constant IOI {ioi.value} would never advance the section")
+    mean_tau = max(ioi.mean() / ratio, MIN_IOI)
+    t, drawn = t_start, 0
+    onsets, taus = [np.empty(0)], [np.empty(0)]
+    while t < t_end - 1e-12:
+        if drawn == MAX_EVENTS_PER_SECTION:
+            raise ConfigError(
+                f"{where} exceeded {MAX_EVENTS_PER_SECTION} events; "
+                "IOI distribution too dense or degenerate")
+        # the mean count left plus about four exponential-count standard
+        # deviations, so one block usually reaches the end
+        expected = (t_end - t) / mean_tau
+        block = min(int(expected + 4.0 * np.sqrt(expected)) + 8,
+                    MAX_EVENTS_PER_SECTION - drawn)
+        tau = np.maximum(ioi.sample(rng, block) / ratio, MIN_IOI)
+        # a sequential cumsum from the current onset: the same float additions
+        # as advancing one event at a time
+        ends = np.cumsum(np.concatenate(([t], tau)))
+        onsets.append(ends[:-1])
+        taus.append(tau)
+        t = ends[-1]
+        drawn += block
+    onsets, taus = np.concatenate(onsets), np.concatenate(taus)
+    n = int(np.searchsorted(onsets, t_end - 1e-12))
+    return onsets[:n], taus[:n]
 
 
 def sample_ioi_stream(dist: Distribution, duration: float, rng: np.random.Generator) -> np.ndarray:
     """Onset times in [0, duration) produced by repeatedly drawing IOIs.
 
-    Homogeneous variants follow the generation loop's advance rule (first
-    event at t=0, then advance by ``max(draw, MIN_IOI)`` per event) with one
-    scalar draw per event. The inhomogeneous variant is a thinned Poisson
-    process against ``rate_max`` (no forced event at 0).
+    A homogeneous law is :func:`renewal_onsets` at ratio 1, the rule by
+    which ``pipeline.generate`` draws a voice: first event at t=0, then
+    advance by ``max(draw, MIN_IOI)`` per event, with IOIs drawn in blocks;
+    the stream ends at ``duration - 1e-12``. The inhomogeneous variant is a
+    thinned Poisson process against ``rate_max`` (no forced event at 0).
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-
-    if isinstance(dist, InhomogeneousPoisson):
-        onsets = []
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / dist.rate_max)
-            if t >= duration:
-                break
-            lam = dist.rate_fn(t)
-            if lam < 0 or lam > dist.rate_max * (1 + 1e-9):
-                raise ConfigError(f"rate function out of [0, rate_max] at t={t:.6f}: {lam}")
-            if rng.uniform() * dist.rate_max < lam:
-                onsets.append(t)
-        return np.array(onsets, dtype=float)
-
+    if not isinstance(dist, InhomogeneousPoisson):
+        return renewal_onsets(dist, 1.0, 0.0, duration, rng, "IOI stream")[0]
     onsets = []
     t = 0.0
-    while t < duration:
-        onsets.append(t)
-        step = dist.sample(rng)
-        if isinstance(dist, Constant) and step <= 0:
-            raise ConfigError("constant IOI must be positive to terminate the stream")
-        t += max(step, MIN_IOI)
+    while True:
+        t += rng.exponential(1.0 / dist.rate_max)
+        if t >= duration:
+            break
+        lam = dist.rate_fn(t)
+        if lam < 0 or lam > dist.rate_max * (1 + 1e-9):
+            raise ConfigError(f"rate function out of [0, rate_max] at t={t:.6f}: {lam}")
+        if rng.uniform() * dist.rate_max < lam:
+            onsets.append(t)
     return np.array(onsets, dtype=float)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from polycanon.canon import (
     ConvergenceQuery,
+    _candidate_pairs,
     VoiceSpec,
     find_convergences,
     next_convergence_after,
@@ -99,6 +100,24 @@ def test_accelerating_search_matches_brute_force_enumeration():
     assert len(events) <= len(raw)
     for e in events:
         assert any(abs(e.time - t) < 1e-9 for t, _ in raw)
+
+
+@pytest.mark.parametrize("voices", [rational_canon(1.0), transcendental_canon(),
+                                    (VoiceSpec(1.0, 1.0, alpha=1.01), VoiceSpec(1.3, 1.0))],
+                         ids=["rational", "transcendental", "accelerating"])
+@pytest.mark.parametrize("epsilon", [0.01, 0.2, 0.45, 0.9])
+def test_pair_search_finds_every_pair_a_double_loop_finds(voices, epsilon):
+    """Also where epsilon spans several events of a voice (rational IOIs 1/3 s
+    and 1/4 s), and every field is a Python number."""
+    q = ConvergenceQuery(epsilon, 12.0, *voices)
+    ti = voice_times_until(q.voice_i, 12.0 + epsilon).tolist()
+    tj = voice_times_until(q.voice_j, 12.0 + epsilon).tolist()
+    oracle = sorted((min(a, b), n, m, abs(a - b)) for n, a in enumerate(ti)
+                    for m, b in enumerate(tj) if abs(a - b) < epsilon and min(a, b) <= 12.0)
+    pairs = _candidate_pairs(q)
+    assert [(e.time, e.index_i, e.index_j, e.residual) for e in pairs] == oracle
+    assert all(type(e.time) is float and type(e.index_i) is int and type(e.index_j) is int
+               and type(e.residual) is float for e in pairs)
 
 
 def test_invalid_query_rejected():

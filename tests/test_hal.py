@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycanon.events import COLUMNS, NoteEvent, Piece
+from polycanon.events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece
 from polycanon.grammar import expand
 from polycanon.hal import (
     CalibrationData,
@@ -55,7 +55,7 @@ def test_scalar_latency_equals_array_latency(variant, c):
 
 def scalar_latency_reference(model, v):
     """The latency law in numpy scalar arithmetic, one velocity at a time."""
-    u = np.float64(v) / model.v_max
+    u = np.float64(v) / VELOCITY_MAX
     span = model.l_max - model.l_min
     if model.variant == "linear":
         return float(model.l_max - span * u)
@@ -273,6 +273,12 @@ def test_enforce_constraints_velocity_clamp_and_mask():
     repaired, report = enforce_constraints(piece, cs)
     assert [e.velocity for e in repaired.events] == [1000]
     assert {v.reason for v in report} == {"velocity range", "per-key rate"}
+
+
+@pytest.mark.parametrize("vrange", [(900, 100), (-1, 500), (0, 1024), (600, 599)])
+def test_constraint_set_rejects_an_invalid_velocity_range(vrange):
+    with pytest.raises(ValueError, match="velocity range"):
+        ConstraintSet(velocity_range=vrange)
 
 
 def test_enforce_constraints_clean_piece_untouched():

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycanon import pipeline
 from polycanon.canon import ConvergenceQuery, voice_times_until
 from polycanon.events import NoteEvent, Piece
 from polycanon.fileio import write_events_json
@@ -131,6 +135,15 @@ def test_generate_onsets_tile_each_section(ioi, seed):
             assert onsets[-1] < t_end - 1e-12 <= onsets[-1] + durations[-1]
 
 
+@pytest.mark.parametrize("ioi", IOI_LAWS, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("duration", [0.05, 0.7, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ioi_stream_is_the_onsets_generate_draws(ioi, duration, seed):
+    stream = sample_ioi_stream(ioi, duration, make_rng(seed))
+    piece = generate(one_symbol(), simple_table(ioi=ioi, duration=duration), make_rng(seed))
+    assert stream.tolist() == piece.onsets().tolist()
+
+
 @pytest.mark.parametrize("value, ratio", [(0.2, 3.0), (0.2, 4.0), (0.37, 3.0), (1e-6, 1.0)])
 def test_constant_ioi_onsets_match_scalar_loop(value, ratio):
     table = simple_table(ioi=Constant(value), ratios=(ratio,), duration=2.0)
@@ -222,19 +235,16 @@ def test_cp_discrete_without_convergence_reports_none():
     assert [s[0] for s in piece.sections] == ["pre"]
 
 
-def fixed_onset_reference(onsets, voice, section_of, configs, rng):
-    """The per-note build the cp generators replaced: one NoteEvent per onset,
-    its pitch and velocity drawn and rounded one at a time."""
-    events = []
-    for t in onsets:
-        symbol, section = section_of(t)
-        cfg = configs[section]
-        pitch = int(min(max(round(cfg.pitch_for_voice(0).sample(rng)), 0), 127))
-        velocity = int(min(max(round(cfg.velocity.sample(rng)), 0), 1023))
-        ioi = cfg.ioi.mean() if hasattr(cfg.ioi, "mean") else 0.1
-        events.append(NoteEvent(float(t), pitch, velocity, max(ioi, MIN_IOI), voice, symbol, 0,
-                                section))
-    return events
+def note_block_reference(onsets, voice, symbol, section, cfg, rng):
+    """The notes at ``onsets`` as the cp generators draw them, one NoteEvent
+    per note: every pitch of the block, then every velocity, each rounded and
+    clamped one at a time."""
+    pitches = cfg.pitch_for_voice(0).sample(rng, len(onsets)).tolist()
+    velocities = cfg.velocity.sample(rng, len(onsets)).tolist()
+    return [NoteEvent(float(t), int(min(max(round(p), 0), 127)),
+                      int(min(max(round(v), 0), 1023)), max(cfg.ioi.mean(), MIN_IOI), voice,
+                      symbol, 0, section)
+            for t, p, v in zip(onsets, pitches, velocities)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -246,17 +256,17 @@ def test_cp_discrete_equals_the_per_note_reference(seed, switch_at):
     piece = generate_cp_discrete(voices, pre, post, ConvergenceQuery(0.05, 30.0, *voices), rng,
                                  switch_at=switch_at)
     cp = piece.metadata["cp_time"]
-
-    def section_of(t):
-        return ("pre", 0) if t < cp else ("post", 1)
+    sections = (("pre", 0.0, cp, pre), ("post", cp, 30.0, post))
 
     events = []
     for vid, vs in enumerate(voices):
-        events += fixed_onset_reference(voice_times_until(vs, 30.0 - 1e-9), vid, section_of,
-                                        (pre, post), ref_rng)
-    for lo, hi, cfg in ((0.0, cp, pre), (cp, 30.0, post)):
-        events += fixed_onset_reference(sample_ioi_stream(cfg.ioi, hi - lo, ref_rng) + lo, 2,
-                                        section_of, (pre, post), ref_rng)
+        onsets = voice_times_until(vs, 30.0 - 1e-9)  # may end at 30.0 itself
+        section = (onsets >= cp).astype(int)  # the last section starting at or before
+        for k, (symbol, _, _, cfg) in enumerate(sections):
+            events += note_block_reference(onsets[section == k], vid, symbol, k, cfg, ref_rng)
+    for k, (symbol, lo, hi, cfg) in enumerate(sections):
+        events += note_block_reference(sample_ioi_stream(cfg.ioi, hi - lo, ref_rng) + lo, 2,
+                                       symbol, k, cfg, ref_rng)
     assert piece == Piece.from_events(events, (("pre", 0.0, cp), ("post", cp, 30.0)),
                                       {"cp_time": cp})
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -273,12 +283,31 @@ def test_cp_continuous_equals_the_per_note_reference():
     piece = generate_cp_continuous(voices, rate_fn, 45.0, 30.0, post, rng)
     events = []
     for vid, vs in enumerate(voices):
-        events += fixed_onset_reference(voice_times_until(vs, 30.0 - 1e-9), vid,
-                                        lambda t: ("modulated", 0), (post,), ref_rng)
+        events += note_block_reference(voice_times_until(vs, 30.0 - 1e-9), vid, "modulated", 0,
+                                       post, ref_rng)
     onsets = sample_ioi_stream(InhomogeneousPoisson(rate_fn, 45.0), 30.0, ref_rng)
-    events += fixed_onset_reference(onsets, 2, lambda t: ("modulated", 0), (post,), ref_rng)
+    events += note_block_reference(onsets, 2, "modulated", 0, post, ref_rng)
     assert piece == Piece.from_events(events, (("modulated", 0.0, 30.0),), {})
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class SampleCalls(ast.NodeVisitor):
+    """``.sample(...)`` calls that pass no size: one scalar draw per call."""
+
+    def __init__(self):
+        self.found = []
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Attribute) and node.func.attr == "sample"
+                and len(node.args) < 2 and not any(k.arg == "size" for k in node.keywords)):
+            self.found.append(node.lineno)
+        self.generic_visit(node)
+
+
+def test_pipeline_draws_every_law_in_blocks():
+    visitor = SampleCalls()
+    visitor.visit(ast.parse(Path(pipeline.__file__).read_text()))
+    assert visitor.found == []
 
 
 def test_beyond_human_grids_equal_the_per_note_reference():
