@@ -56,37 +56,39 @@ class ConvergenceQuery:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
 
 
-def voice_ioi(v: VoiceSpec, k: int) -> float:
-    """Interval between events k and k+1."""
-    return v.base_ioi * v.alpha**k
-
-
-def voice_time(v: VoiceSpec, k: int) -> float:
-    """Onset of event k (k >= 0)."""
-    if k < 0:
+def voice_time(v: VoiceSpec, k):
+    """Onset of event k (k >= 0), or of each index in an integer array ``k``."""
+    ks = np.atleast_1d(k)
+    if np.any(ks < 0):
         raise ValueError(f"event index must be >= 0, got {k}")
     if v.alpha == 1.0:
-        return v.start + k * v.base_ioi
-    # geometric partial sum of the accelerating IOIs
-    return v.start + v.base_ioi * (1.0 - v.alpha**k) / (1.0 - v.alpha)
+        times = v.start + ks * v.base_ioi
+    else:
+        # geometric partial sum of the accelerating IOIs
+        times = v.start + v.base_ioi * (1.0 - v.alpha**ks) / (1.0 - v.alpha)
+    return times if np.ndim(k) else float(times[0])
 
 
 def voice_times_until(v: VoiceSpec, horizon: float) -> np.ndarray:
-    """All event onsets <= horizon."""
-    if v.alpha == 1.0:
-        n = int(math.floor((horizon - v.start) / v.base_ioi + 1e-9))
-        if n < 0:
-            return np.array([], dtype=float)
-        return v.start + np.arange(n + 1) * v.base_ioi
-    times = []
-    t, k = v.start, 0
-    while t <= horizon + 1e-12:
-        times.append(t)
-        t += voice_ioi(v, k)
-        k += 1
-        if len(times) > 10_000_000:
-            raise ValueError("voice produces too many events before the horizon")
-    return np.array(times, dtype=float)
+    """All event onsets <= horizon, each equal to :func:`voice_time`.
+
+    The event count comes from inverting the closed form. An accelerating
+    voice (alpha < 1) whose onsets converge to ``start + base_ioi / (1 -
+    alpha)`` at or before the horizon has infinitely many and raises
+    ValueError.
+    """
+    span = (horizon - v.start) / v.base_ioi  # the horizon in first IOIs
+    last = span  # the index of an onset at the horizon
+    if v.alpha != 1.0 and span > 0:
+        reach = 1.0 + span * (v.alpha - 1.0)  # alpha**k of an onset at the horizon
+        if reach <= 0.0:
+            raise ValueError(f"voice onsets converge at {v.start + v.base_ioi / (1 - v.alpha)}, "
+                             f"before the horizon {horizon}")
+        last = math.log(reach) / math.log(v.alpha)
+    n = int(math.floor(last + 1e-9)) + 1
+    if n > 10_000_000:
+        raise ValueError("voice produces too many events before the horizon")
+    return voice_time(v, np.arange(n))
 
 
 def _candidate_pairs(q: ConvergenceQuery) -> list[ConvergenceEvent]:

@@ -48,15 +48,19 @@ def key_reset_kept(onsets, pitches, window: float = KEY_RESET_WINDOW) -> np.ndar
     nanosecond tolerance: notes intended exactly at the reset limit are
     legal and must not be masked by float dust.
 
-    Precondition: the onsets do not decrease along each key in scan order,
-    as in the columns of a :class:`Piece`; any other input raises
-    ``ValueError``. Then a note at least ``window`` after the previous note
-    on its key is also that far from the last kept one and is kept outright,
-    and only the chains of shorter gaps are scanned note by note.
+    Preconditions: the pitches lie in 0..``PITCH_MAX``, and the onsets do
+    not decrease along each key in scan order, as in the columns of a
+    :class:`Piece`; any other input raises ``ValueError``. Then a note at
+    least ``window`` after the previous note on its key is also that far
+    from the last kept one and is kept outright, and only the chains of
+    shorter gaps are scanned note by note. The keys are sorted as ``uint8``,
+    which numpy sorts stably by radix.
     """
     limit = window - 1e-9
     onsets, pitches = np.asarray(onsets), np.asarray(pitches)
-    by_key = np.argsort(pitches, kind="stable")
+    if len(pitches) and not 0 <= pitches.min() <= pitches.max() <= PITCH_MAX:
+        raise ValueError(f"pitches outside [0, {PITCH_MAX}]")
+    by_key = np.argsort(pitches.astype(np.uint8), kind="stable")
     key, t = pitches[by_key], onsets[by_key]
     same_key = key[1:] == key[:-1]
     gap = t[1:] - t[:-1]

@@ -12,11 +12,10 @@ from ..presets import canonical_table, fibonacci_grammar
 from ..stochastic import Constant, Exponential, Gaussian, Uniform, derive_rng
 
 
-def canonical_piece(seed: int, depth: int = 4, depth_weighted: bool = False) -> Piece:
-    """The standard two-symbol render used by several experiments."""
-    symbols = expand(fibonacci_grammar(), depth)
-    rng = derive_rng(seed, "canonical-render" + ("-dw" if depth_weighted else ""))
-    return generate(symbols, canonical_table(depth_weighted), rng, seed=seed)
+def canonical_piece(seed: int) -> Piece:
+    """The standard two-symbol render at depth 4 used by several experiments."""
+    symbols = expand(fibonacci_grammar(), 4)
+    return generate(symbols, canonical_table(), derive_rng(seed, "canonical-render"), seed=seed)
 
 
 def section_streams(piece: Piece):

@@ -113,7 +113,7 @@ def _pitch_cdf(table: MappingTable, symbol: str):
     weights = np.array(cfg.ratios) / sum(cfg.ratios)  # event share per voice
     pooled: dict[int, float] = {}
     for voice, w in enumerate(weights):
-        values, probs = cfg.pitch_for_voice(voice).pmf()
+        values, probs = cfg.pitch[voice].pmf()
         for v, p in zip(values, probs):
             pooled[int(v)] = pooled.get(int(v), 0.0) + w * p
     values = np.array(sorted(pooled))
@@ -164,10 +164,7 @@ def degradation(report, seed: int, **_) -> None:
         n = int(np.count_nonzero(piece.column("symbol") == symbol))
         l2[("ioi", symbol)] = ks_distance_to_cdf(cfg.ioi.sample(rng, n), cfg.ioi.cdf)
         ratio_w = np.array(cfg.ratios) / sum(cfg.ratios)
-        draws = []
-        for voice, w in enumerate(ratio_w):
-            src = cfg.pitch_for_voice(voice)
-            draws.append([src.sample(rng) for _ in range(int(round(w * n)))])
+        draws = [src.sample(rng, int(round(w * n))) for src, w in zip(cfg.pitch, ratio_w)]
         l2[("pitch", symbol)] = ks_distance_to_cdf(
             np.concatenate(draws), _pitch_cdf(table, symbol))
         l2[("velocity", symbol)] = ks_distance_to_cdf(

@@ -170,9 +170,9 @@ class PowerLawFit:
     rmse_ms: float
 
 
-def fit_power_law(data: CalibrationData, fit_bounds: bool = False,
-                  l_max: float = 30.0, l_min: float = 10.0) -> PowerLawFit:
-    """Least-squares power-law exponent (optionally also the latency bounds).
+def fit_power_law(data: CalibrationData, l_max: float = 30.0,
+                  l_min: float = 10.0) -> PowerLawFit:
+    """Least-squares power-law exponent for the given latency bounds.
 
     The fitted RMSE is reported as-is; a poor fit on non-power-law data is
     visible, not hidden.
@@ -185,22 +185,13 @@ def fit_power_law(data: CalibrationData, fit_bounds: bool = False,
         raise FitError("calibration needs >= 3 distinct velocities")
     u = v / VELOCITY_MAX
 
-    if fit_bounds:
-        def curve(u_, c, lmax, lmin):
-            return lmax - (lmax - lmin) * u_**c
-        p0 = (0.5, l_max, l_min)
-        popt, _ = optimize.curve_fit(curve, u, y, p0=p0,
-                                     bounds=([0.01, 1.0, 0.1], [0.99, 100.0, 50.0]))
-        c_hat, l_max, l_min = (float(x) for x in popt)
-        pred = curve(u, *popt)
-    else:
-        def sse(c):
-            pred = l_max - (l_max - l_min) * u**c
-            return float(np.sum((pred - y) ** 2))
-        res = optimize.minimize_scalar(sse, bounds=(0.01, 0.99), method="bounded",
-                                       options={"xatol": 1e-8})
-        c_hat = float(res.x)
-        pred = l_max - (l_max - l_min) * u**c_hat
+    def sse(c):
+        pred = l_max - (l_max - l_min) * u**c
+        return float(np.sum((pred - y) ** 2))
+    res = optimize.minimize_scalar(sse, bounds=(0.01, 0.99), method="bounded",
+                                   options={"xatol": 1e-8})
+    c_hat = float(res.x)
+    pred = l_max - (l_max - l_min) * u**c_hat
     rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
     model = LatencyModel(variant="power", l_max=l_max, l_min=l_min, c=c_hat)
     return PowerLawFit(model, rmse)

@@ -64,28 +64,19 @@ class PitchSet:
         object.__setattr__(self, "_first", np.array([p[0] for p in notes]))
         object.__setattr__(self, "_counts", np.array([len(p) for p in notes]))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        """Pick a class (uniform or weighted), then a uniform octave placement.
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` pitches: a class each (uniform or weighted), then a uniform
+        octave placement each.
 
-        One draw (``size`` None) is the class then its octave, exactly what
-        ``rng.choice(len(classes), p=weights)`` followed by
-        ``rng.integers(len(notes))`` draws: an unweighted class is one
-        ``rng.integers`` call, a weighted one inverts the normalised CDF at
-        one ``rng.random()``, as numpy's ``choice`` does. ``size`` draws come
-        from the same law in another order, two vector draws: all the
-        classes first, then all the octave placements.
+        Two vector draws: all the classes first, then all the placements.
+        An unweighted class is ``rng.integers(len(classes), size=n)``; a
+        weighted one inverts the normalised CDF at ``rng.random(n)``, as
+        numpy's ``choice`` does.
         """
-        if size is None:
-            if self._cdf is None:
-                idx = rng.integers(len(self.classes))
-            else:
-                idx = self._cdf.searchsorted(rng.random(), side="right")
-            notes = self._notes[idx]
-            return notes[rng.integers(len(notes))]
         if self._cdf is None:
-            idx = rng.integers(len(self.classes), size=size)
+            idx = rng.integers(len(self.classes), size=n)
         else:
-            idx = self._cdf.searchsorted(rng.random(size), side="right")
+            idx = self._cdf.searchsorted(rng.random(n), side="right")
         return self._first[idx] + 12 * rng.integers(self._counts[idx])
 
     def pmf(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,10 +105,14 @@ PitchSource = Distribution | PitchSet
 
 @dataclass(frozen=True)
 class ParameterConfig:
-    """Full regime for one symbol: timing, pitch, dynamics, voice ratios, duration."""
+    """Full regime for one symbol: timing, pitch, dynamics, voice ratios, duration.
+
+    ``pitch`` holds one source per voice; a single source given for it is
+    used by every voice.
+    """
 
     ioi: Distribution
-    pitch: PitchSource | tuple[PitchSource, ...]
+    pitch: tuple[PitchSource, ...]
     velocity: Distribution
     ratios: tuple[float, ...]
     duration: float
@@ -129,13 +124,10 @@ class ParameterConfig:
             raise ConfigError("voice ratios must be positive")
         if self.duration <= 0:
             raise ConfigError("section duration must be positive")
-        if isinstance(self.pitch, tuple) and len(self.pitch) != len(self.ratios):
+        if not isinstance(self.pitch, tuple):
+            object.__setattr__(self, "pitch", (self.pitch,) * len(self.ratios))
+        if len(self.pitch) != len(self.ratios):
             raise ConfigError("per-voice pitch sources must match the number of ratios")
-
-    def pitch_for_voice(self, voice: int) -> PitchSource:
-        if isinstance(self.pitch, tuple):
-            return self.pitch[voice]
-        return self.pitch
 
 
 @dataclass(frozen=True)
@@ -165,12 +157,8 @@ def resolve(table: MappingTable, symbol: str, generation: int) -> ParameterConfi
     pitch_factor = table.scale_pitch**generation
     if ioi_factor == 1.0 and pitch_factor == 1.0:
         return base
-    pitch = base.pitch
-    if isinstance(pitch, tuple):
-        pitch = tuple(p.widened(pitch_factor) for p in pitch)
-    else:
-        pitch = pitch.widened(pitch_factor)
-    return replace(base, ioi=base.ioi.scaled(ioi_factor), pitch=pitch)
+    return replace(base, ioi=base.ioi.scaled(ioi_factor),
+                   pitch=tuple(p.widened(pitch_factor) for p in base.pitch))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +189,9 @@ def _pitch_from_config(cfg: dict, path: str) -> PitchSource:
 
 
 def config_to_dict(pc: ParameterConfig) -> dict:
-    if isinstance(pc.pitch, tuple):
-        pitch = [_pitch_to_config(p) for p in pc.pitch]
-    else:
-        pitch = _pitch_to_config(pc.pitch)
     return {
         "ioi": dist_to_config(pc.ioi),
-        "pitch": pitch,
+        "pitch": [_pitch_to_config(p) for p in pc.pitch],
         "velocity": dist_to_config(pc.velocity),
         "ratios": list(pc.ratios),
         "duration": pc.duration,

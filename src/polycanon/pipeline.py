@@ -27,11 +27,11 @@ def _note_block(cfg: ParameterConfig, pitch_voice: int, rng, onsets, durations, 
                 symbol: str, generation: int, section: int) -> tuple[np.ndarray, ...]:
     """The notes at ``onsets`` as 8 columns in :data:`events.COLUMNS` order.
 
-    Every pitch is drawn from ``cfg.pitch_for_voice(pitch_voice)`` in one
-    call, then every velocity in one call, each rounded and clamped.
+    Every pitch is drawn from ``cfg.pitch[pitch_voice]`` in one call, then
+    every velocity in one call, each rounded and clamped.
     """
     n = len(onsets)
-    pitches = _clamp_round_many(cfg.pitch_for_voice(pitch_voice).sample(rng, n), PITCH_MAX)
+    pitches = _clamp_round_many(cfg.pitch[pitch_voice].sample(rng, n), PITCH_MAX)
     velocities = _clamp_round_many(cfg.velocity.sample(rng, n), VELOCITY_MAX)
     return (onsets, pitches, velocities, np.broadcast_to(durations, (n,)),
             np.full(n, voice), np.full(n, symbol, dtype=object), np.full(n, generation),
@@ -76,10 +76,10 @@ def generate(symbols: SymbolString, table: MappingTable, rng,
     return _piece(blocks, sections, metadata)
 
 
-def apply_collision_mask(piece: Piece, window: float = KEY_RESET_WINDOW) -> Piece:
+def apply_collision_mask(piece: Piece) -> Piece:
     """Drop any event landing within the reset window of the previous surviving
     event on the same key (see :func:`events.key_reset_kept`)."""
-    return piece.with_columns(rows=key_reset_kept(piece.onsets(), piece.pitches(), window))
+    return piece.with_columns(rows=key_reset_kept(piece.onsets(), piece.pitches()))
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,7 @@ def _cp_piece(canon_voices, sections, configs, laws, rng, metadata: dict) -> Pie
     per canon voice, per section, its notes as one block; then per section
     the stochastic voice's onsets, then its notes.
     """
-    horizon = sections[-1][2]
-    starts = [lo for _, lo, _ in sections[1:]]
+    ends = [hi for _, _, hi in sections]
 
     def notes(onsets, voice, k):
         cfg = configs[k]
@@ -106,8 +105,9 @@ def _cp_piece(canon_voices, sections, configs, laws, rng, metadata: dict) -> Pie
 
     blocks = []
     for voice, vs in enumerate(canon_voices):
-        onsets = voice_times_until(vs, horizon - 1e-9)
-        for k, part in enumerate(np.split(onsets, np.searchsorted(onsets, starts))):
+        onsets = voice_times_until(vs, ends[-1])
+        # the part after the last section's end holds an onset at the horizon, if any
+        for k, part in enumerate(np.split(onsets, np.searchsorted(onsets, ends))[:-1]):
             blocks.append(notes(part, voice, k))
     for k, ((_, lo, hi), law) in enumerate(zip(sections, laws)):
         blocks.append(notes(sample_ioi_stream(law, hi - lo, rng) + lo, len(canon_voices), k))

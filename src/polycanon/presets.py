@@ -2,56 +2,43 @@
 transcendental canon pairs, and the regime pair used by the convergence-switch
 demonstrations.
 
-The canonical A/B table targets aggregate densities of 35 notes/s
-(deterministic regime: constant IOI 0.2 s across 3:4 voices, so 15 + 20
-events/s) and 120.6 notes/s (textural regime: exponential rate 40.2 across
-1:2 voices).
+The canonical grammar and A/B table live in ``data/canonical.json`` alone.
+The table targets aggregate densities of 35 notes/s (deterministic regime:
+constant IOI 0.2 s across 3:4 voices, so 15 + 20 events/s) and 120.6
+notes/s (textural regime: exponential rate 40.2 across 1:2 voices).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 from .canon import VoiceSpec
-from .grammar import Grammar, grammar_from_strings
-from .mapping import MappingTable, ParameterConfig, PitchSet
+from .grammar import Grammar, grammar_from_config
+from .mapping import MappingTable, ParameterConfig, PitchSet, table_from_config
 from .stochastic import Constant, Exponential, Uniform
 
-C_MAJOR = (0, 2, 4, 5, 7, 9, 11)
 CHROMATIC = tuple(range(12))
 MAJOR_TRIAD = (0, 4, 7)
 
 
 def fibonacci_grammar() -> Grammar:
-    return grammar_from_strings({"A": "AB", "B": "A"}, "A")
+    """The bundled config's grammar: A -> AB, B -> A from axiom A."""
+    return grammar_from_config(load_bundled_config()["grammar"])
 
 
 def canonical_table(depth_weighted: bool = False) -> MappingTable:
-    """The two-regime mapping: deterministic 'A' versus textural 'B'.
+    """The bundled config's two-regime mapping: deterministic 'A' versus
+    textural 'B'.
 
     With ``depth_weighted`` the geometric depth modulation is enabled
     (deeper symbols get denser IOIs and wider registers); the plain table
     resolves identically for every generation.
     """
-    config_a = ParameterConfig(
-        ioi=Constant(0.2),
-        pitch=(PitchSet(C_MAJOR, 48, 59), PitchSet(C_MAJOR, 60, 71)),
-        velocity=Constant(800),
-        ratios=(3.0, 4.0),
-        duration=10.0,
-    )
-    config_b = ParameterConfig(
-        ioi=Exponential(40.2),
-        pitch=PitchSet(CHROMATIC, 21, 108),
-        velocity=Uniform(100, 1000),
-        ratios=(1.0, 2.0),
-        duration=8.0,
-    )
-    scale_ioi, scale_pitch = (0.9, 1.1) if depth_weighted else (1.0, 1.0)
-    return MappingTable({"A": config_a, "B": config_b},
-                        scale_ioi=scale_ioi, scale_pitch=scale_pitch)
+    table = table_from_config(load_bundled_config()["mapping"])
+    return replace(table, scale_ioi=0.9, scale_pitch=1.1) if depth_weighted else table
 
 
 def rational_canon(tau_base: float = 3.0) -> tuple[VoiceSpec, VoiceSpec]:

@@ -181,8 +181,8 @@ def t_test_with_d(x, y) -> TestResult:
     if x.var(ddof=1) == 0 or y.var(ddof=1) == 0:
         # a degenerate (constant) group makes d meaningless; separation is
         # qualitative and the caller should report it as such
-        return TestResult(np.nan, np.nan, effect_name="cohen d", effect_size=None,
-                          df=df, undefined=True, note="a group has zero SD; d undefined")
+        return TestResult(np.nan, np.nan, effect_name="cohen d", df=df, undefined=True,
+                          note="a group has zero SD; d undefined")
     t = (x.mean() - y.mean()) / np.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
     p = 2.0 * sps.t.sf(abs(t), df)
     d = (x.mean() - y.mean()) / np.sqrt(pooled_var)

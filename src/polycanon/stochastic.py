@@ -9,17 +9,17 @@ independent generators from (master seed, stream label).
 Each law is a frozen dataclass that carries its own behaviour, so this module
 (with ``mapping.PitchSet``) is the only place that knows which families exist:
 
-- ``sample(rng, size=None)`` follows numpy's ``size`` convention (a Python
-  scalar when ``size`` is None, else an array) and makes the numpy call the
-  law names: ``rng.uniform(lo, hi, size)``, ``rng.normal(mu, sigma, size)``,
-  ``rng.exponential(scale, size)``; a constant draws nothing.
+- ``sample(rng, n)`` is the one way to draw: it returns an array of ``n``
+  values and makes the numpy call the law names: ``rng.uniform(lo, hi, n)``,
+  ``rng.normal(mu, sigma, n)``, ``rng.exponential(scale, n)``; a constant
+  draws nothing.
 - ``scaled(factor)`` is the IOI law under depth modulation, ``widened(factor)``
   the pitch law (spread scaled about the centre).
 - ``cdf(x)``, the closed-form CDF, exists for constant, uniform and exponential.
 - Config I/O is one type-name table plus the dataclass fields.
 
-``PitchSet.sample`` has the same signature and two draw orders: one draw is a
-class then its octave, ``size`` draws are all classes, then all octaves.
+``PitchSet.sample`` has the same signature and one draw order: all ``n``
+classes, then all ``n`` octave placements.
 ``InhomogeneousPoisson`` describes event times, not values: its ``sample``
 raises :class:`WrongVariantError`, and :func:`sample_ioi_stream` thins it.
 
@@ -115,8 +115,8 @@ class Constant:
     def mean(self) -> float:
         return self.value
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return self.value if size is None else np.full(size, self.value, dtype=float)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.full(n, self.value, dtype=float)
 
     def scaled(self, factor: float) -> "Constant":
         return Constant(self.value * factor)
@@ -141,8 +141,8 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.uniform(self.lo, self.hi, size)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, n)
 
     def scaled(self, factor: float) -> "Uniform":
         return Uniform(self.lo * factor, self.hi * factor)
@@ -169,8 +169,8 @@ class Gaussian:
     def mean(self) -> float:
         return self.mu
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.normal(self.mu, self.sigma, size)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.normal(self.mu, self.sigma, n)
 
     def scaled(self, factor: float) -> "Gaussian":
         return Gaussian(self.mu * factor, self.sigma * factor)
@@ -196,8 +196,8 @@ class Exponential:
     def scale(self) -> float:
         return 1.0 / self.rate
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(self.scale, size)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.exponential(self.scale, n)
 
     def scaled(self, factor: float) -> "Exponential":
         return Exponential(self.rate / factor)  # scale 1/rate multiplied by factor
@@ -224,7 +224,7 @@ class InhomogeneousPoisson:
         if self.rate_max <= 0:
             raise ConfigError("rate_max must be > 0")
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise WrongVariantError(
             "inhomogeneous Poisson samples event times; use sample_ioi_stream")
 

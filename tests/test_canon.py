@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -40,6 +41,28 @@ def test_voice_time_strictly_increasing():
         v = VoiceSpec(2.0, 1.5, alpha=alpha)
         times = [voice_time(v, k) for k in range(40)]
         assert np.all(np.diff(times) > 0)
+
+
+@pytest.mark.parametrize("alpha", [0.97, 1.0, 1.01])
+@pytest.mark.parametrize("start", [0.0, 0.25])
+@pytest.mark.parametrize("horizon", [0.1, 3.7, 12.0])
+def test_voice_times_until_equals_voice_time_stepped_to_the_horizon(alpha, start, horizon):
+    v = VoiceSpec(2.0, 1.0, alpha=alpha, start=start)
+    stepped, k = [], 0
+    while voice_time(v, k) <= horizon:
+        stepped.append(voice_time(v, k))
+        k += 1
+    assert voice_times_until(v, horizon).tolist() == stepped
+    assert voice_times_until(v, start - 1.0).tolist() == []
+
+
+def test_onsets_converging_before_the_horizon_raise_at_once():
+    # alpha < 1: the onsets converge to 0.5 / 0.03 = 16.7 s, before the horizon
+    q = ConvergenceQuery(0.05, 30.0, VoiceSpec(2.0, 1.0, alpha=0.97), VoiceSpec(3.0, 1.0))
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match="converge"):
+        find_convergences(q)
+    assert time.perf_counter() - t < 0.1
 
 
 def test_rational_canon_count_is_tolerance_invariant():

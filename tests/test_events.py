@@ -248,6 +248,13 @@ def test_key_reset_kept_rejects_onsets_that_decrease_along_a_key():
         key_reset_kept([0.2, 0.0, 0.1], [60, 61, 60])
 
 
+@pytest.mark.parametrize("pitches", [[60, 128], [-1, 60], [60, 256]])
+def test_key_reset_kept_rejects_pitches_outside_the_keys(pitches):
+    # the keys are sorted as uint8, where 256 would wrap to 0
+    with pytest.raises(ValueError, match="pitches outside"):
+        key_reset_kept([0.0, 0.1], pitches)
+
+
 # the NoteEvent view of a piece and the calls that build or select NoteEvents;
 # outside events.py the package reads notes through the Piece columns
 NOTE_EVENT_CALLS = {"NoteEvent", "voice_events", "section_events", "from_events", "with_events"}
