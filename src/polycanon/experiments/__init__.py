@@ -1,11 +1,11 @@
 """Seeded experiment harness: one named experiment per study condition, each
 emitting a machine-readable report scored against the target-value registry.
 
-Each experiment is a function ``name(report, seed, **overrides)`` that adds its
+Each experiment is a function ``name(report, seed, full_scale)`` that adds its
 rows to ``report``. ``run`` is the one place an experiment is run: it creates
 the report, calls the experiment, lints the rows and stamps the provenance
 with ``seed``, ``config_hash`` (a hash of the spec: name, seed and overrides)
-and ``runtime_s``."""
+and ``runtime_s``. ``full_scale`` is the one override."""
 
 from __future__ import annotations
 
@@ -58,12 +58,15 @@ class ExperimentSpec:
         if self.name not in REGISTRY:
             raise UnknownExperimentError(
                 f"unknown experiment {self.name!r}; known: {', '.join(sorted(REGISTRY))}")
+        full_scale = self.overrides.get("full_scale", False)
+        if set(self.overrides) - {"full_scale"} or not isinstance(full_scale, bool):
+            raise ValueError(f"overrides take only full_scale (a bool), got {self.overrides}")
 
 
 def run(spec: ExperimentSpec) -> Report:
     report = Report(spec.name, spec.seed)
     start = time.perf_counter()
-    REGISTRY[spec.name](report, spec.seed, **spec.overrides)
+    REGISTRY[spec.name](report, spec.seed, spec.overrides.get("full_scale", False))
     runtime_s = round(time.perf_counter() - start, 3)
     report.lint()
     report.provenance.update({
@@ -77,10 +80,8 @@ def run(spec: ExperimentSpec) -> Report:
 def run_all(master_seed: int = 42, names=None, **overrides) -> list[Report]:
     """Execute the registry (or a subset); per-experiment failures are recorded
     in the reports, not raised."""
-    reports = []
-    for name in names or sorted(REGISTRY):
-        reports.append(run(ExperimentSpec(name, master_seed, overrides)))
-    return reports
+    return [run(ExperimentSpec(name, master_seed, overrides))
+            for name in names or sorted(REGISTRY)]
 
 
 def summarize(reports: list[Report]) -> str:

@@ -56,6 +56,9 @@ def discrete_cdf(values: np.ndarray, probs: np.ndarray):
 SWEEP_SCALE = (0, 2, 3, 4, 5, 7, 9, 10, 11)
 _ALLOWED = np.array([p for p in range(128) if p % 12 in SWEEP_SCALE])
 SWEEP_LEVELS = (10, 15, 20, 25, 28, 30, 40, 50, 60, 80, 100, 120, 150, 200)
+SWEEP_REGISTER = (40, 88)  # the pitches the guide drifts between
+SWEEP_EVENTS = 100  # events per voice of a contour stream
+STREAM_DURATION = 10.0  # seconds of a register-sweep or null stream
 WALK_REF_DENSITY = 23.0
 WALK_SIGMA_MAX = 5.0
 
@@ -101,20 +104,17 @@ def _sweep_law(law: str, rate_v: float):
     return laws[law]
 
 
-def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
-                    duration: float | None = None, drift: float = DRIFT_CONTOUR,
-                    register=(40, 88)):
-    """One two-voice stream of the density-sweep family.
+def sweep_condition(density: float, law: str, rng, duration: float | None = None,
+                    drift: float = DRIFT_CONTOUR):
+    """One two-voice stream of the density-sweep family: SWEEP_EVENTS notes
+    per voice, or as many as fall within ``duration`` seconds when it is given.
 
     Returns (per-voice list of (onsets, intended, realized), masked Piece).
-    Exactly one of ``n_events`` (per voice) or ``duration`` must be given.
     """
-    if (n_events is None) == (duration is None):
-        raise ValueError("specify exactly one of n_events / duration")
     rate_v = density / 2.0
     mean = 1.0 / rate_v
     ioi_law, floor = _sweep_law(law, rate_v)
-    lo, hi = register
+    lo, hi = SWEEP_REGISTER
     span = hi - lo
     period = 2.0 * span / drift
     phase = rng.uniform(0, period)
@@ -122,7 +122,7 @@ def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
     bound = min(10.0 + density / 12.0, 26.0)
     voices, columns = [], []
     for v in (0, 1):
-        count = n_events if n_events else int(rate_v * duration * 2) + 20
+        count = int(rate_v * duration * 2) + 20 if duration else SWEEP_EVENTS
         iois = np.maximum(ioi_law.sample(rng, count), floor)
         onsets = np.concatenate([[0.0], np.cumsum(iois[:-1])])
         if v == 1:
@@ -142,12 +142,11 @@ def sweep_condition(density: float, law: str, rng, n_events: int | None = None,
     return voices, piece
 
 
-def sweep_contour_coherence(density: float, law: str, rng, trials: int = 5,
-                            n_events: int = 100) -> float:
+def sweep_contour_coherence(density: float, law: str, rng, trials: int) -> float:
     """Mean contour fidelity of the surviving stream against the intended line."""
     values = []
     for _ in range(trials):
-        voices, piece = sweep_condition(density, law, rng, n_events=n_events)
+        voices, piece = sweep_condition(density, law, rng)
         for v, (onsets, intended, realized) in enumerate(voices):
             survivors = piece.pitches()[piece.column("voice") == v]
             if len(survivors) >= 2:
@@ -157,21 +156,20 @@ def sweep_contour_coherence(density: float, law: str, rng, trials: int = 5,
     return float(np.mean(values))
 
 
-def sweep_concentration(density: float, rng, trials: int = 10,
-                        duration: float = 10.0) -> list[float]:
+def sweep_concentration(density: float, rng, trials: int) -> list[float]:
     """Per-trial pitch-class concentration of register-sweep streams."""
     values = []
     for _ in range(trials):
-        _, piece = sweep_condition(density, "exponential", rng, duration=duration,
+        _, piece = sweep_condition(density, "exponential", rng, duration=STREAM_DURATION,
                                    drift=DRIFT_REGISTER)
         values.append(pitch_class_concentration(piece.pitches()))
     return values
 
 
-def null_stream(density: float, rng, duration: float = 10.0) -> Piece:
+def null_stream(density: float, rng) -> Piece:
     """Structureless baseline: uniform pitch and velocity, exponential IOIs."""
-    onsets = np.cumsum(rng.exponential(1.0 / density, int(density * duration * 2) + 20))
-    onsets = onsets[onsets < duration]
+    onsets = np.cumsum(rng.exponential(1.0 / density, int(density * STREAM_DURATION * 2) + 20))
+    onsets = onsets[onsets < STREAM_DURATION]
     # pitch then velocity per note, each the top 7 or 10 bits of one 32-bit
     # output: that is what rng.integers(0, 2**k) returns, since Lemire's
     # method never rejects for a power-of-two range, so the values and the

@@ -8,7 +8,7 @@ import numpy as np
 from ..pipeline import InfeasibleError, generate_beyond_human
 
 
-def beyond_human(report, seed: int, **_) -> None:
+def beyond_human(report, seed: int, full_scale: bool) -> None:
     from scipy import stats as sps
 
     chords = generate_beyond_human("polyphony", chord_size=40, period=0.5, n_chords=8)

@@ -27,7 +27,7 @@ def _window_ts(piece, lo_window: int, hi_window: int) -> np.ndarray:
     return np.array(values)
 
 
-def cp_discrete(report, seed: int, **_) -> None:
+def cp_discrete(report, seed: int, full_scale: bool) -> None:
     voices = rational_canon()
     pre, post = cp_switch_configs()
     query = ConvergenceQuery(0.050, HORIZON, *voices)
@@ -37,9 +37,8 @@ def cp_discrete(report, seed: int, **_) -> None:
     counts = window_counts(piece, HORIZON)
     pre_counts, post_counts = counts[:15], counts[15:]
     mw = mann_whitney(pre_counts, post_counts)
-    u_extreme = mw.statistic in (0.0, 225.0)
     report.add("cp_time", piece.metadata["cp_time"], "cp.discrete.cp_time")
-    report.add("density_u_extreme", bool(u_extreme), "cp.discrete.density.u_extreme")
+    report.add("density_u_extreme", mw.extras["u_min"] == 0, "cp.discrete.density.u_extreme")
     report.add("density_abs_r", abs(mw.effect_size), "cp.discrete.density.abs_r")
     report.add("pre_density", float(pre_counts.mean()), "cp.discrete.pre_density")
     report.add("post_density", float(post_counts.mean()), "cp.discrete.post_density")
@@ -47,9 +46,7 @@ def cp_discrete(report, seed: int, **_) -> None:
     ts_pre = _window_ts(piece, 0, 15)
     ts_post = _window_ts(piece, 15, 30)
     ts_mw = mann_whitney(ts_pre, ts_post)
-    n_pairs = len(ts_pre) * len(ts_post)
-    report.add("ts_u_extreme", bool(ts_mw.statistic in (0.0, float(n_pairs))),
-               "cp.discrete.ts.u_extreme")
+    report.add("ts_u_extreme", ts_mw.extras["u_min"] == 0, "cp.discrete.ts.u_extreme")
 
     # null switch: identical configs land a statistically homogeneous piece
     null_piece = generate_cp_discrete(voices, pre, pre, query,
@@ -59,7 +56,7 @@ def cp_discrete(report, seed: int, **_) -> None:
     report.add("null_switch_p", ks.p_value, "cp.discrete.null_switch_p")
 
 
-def cp_continuous(report, seed: int, **_) -> None:
+def cp_continuous(report, seed: int, full_scale: bool) -> None:
     voices = transcendental_canon()
     _, post = cp_switch_configs()
     t_cp = 15.0
@@ -84,7 +81,7 @@ def cp_continuous(report, seed: int, **_) -> None:
     report.add("contrast_ratio", float(extremes / near), "cp.continuous.contrast_ratio")
 
 
-def epsilon_sensitivity(report, seed: int, **_) -> None:
+def epsilon_sensitivity(report, seed: int, full_scale: bool) -> None:
     """Rational canons are tolerance-invariant; transcendental ones scale with it."""
     rational = rational_canon()
     counts = [len(find_convergences(ConvergenceQuery(eps, HORIZON, *rational)))

@@ -26,6 +26,12 @@ SATURATION_REFERENCE_CURVE = (
     (150, 0.13), (200, 0.12),
 )
 
+BOOTSTRAP_DRAWS = (2_000, 10_000)  # of the reference breakpoint CI, at (desk, full) scale
+SWEEP_COHERENCE_TRIALS = 5  # sweep streams per level, for interval-entropy coherence
+SWEEP_CONCENTRATION_TRIALS = 10  # ... and for pitch-class concentration
+NULL_TRIALS = 5  # null and structured streams per level of the null baseline
+INDEPENDENCE_TRIALS = 8  # streams per IOI law and density of the independence check
+
 
 def _interval_entropy_coherence(pitches: np.ndarray) -> float:
     """1 - H(pitch interval)/log2(25), intervals clipped to +-12 semitones."""
@@ -38,11 +44,8 @@ def _interval_entropy_coherence(pitches: np.ndarray) -> float:
     return float(1.0 - h / np.log2(25))
 
 
-def density_sweep(report, seed: int, n_boot: int = 2000, trials: int = 10,
-                  full_scale: bool = False, **_) -> None:
+def density_sweep(report, seed: int, full_scale: bool) -> None:
     """Breakpoint regression on the reference curve plus the generated sweep."""
-    if full_scale:
-        n_boot = 10_000
     x = np.array([p[0] for p in SATURATION_REFERENCE_CURVE], dtype=float)
     y = np.array([p[1] for p in SATURATION_REFERENCE_CURVE], dtype=float)
     fit = piecewise_fit(x, y)
@@ -52,7 +55,7 @@ def density_sweep(report, seed: int, n_boot: int = 2000, trials: int = 10,
                "saturation.reference.r2_gap")
     report.add("reference_slope_ratio", abs(fit.slope_ratio),
                "saturation.reference.slope_ratio")
-    ci = piecewise_breakpoint_ci(x, y, n_boot=n_boot,
+    ci = piecewise_breakpoint_ci(x, y, n_boot=BOOTSTRAP_DRAWS[full_scale],
                                  rng=derive_rng(seed, "saturation-ci"))
     report.add("reference_breakpoint_ci", (round(ci[0], 2), round(ci[1], 2)),
                "saturation.reference.ci_bounds")
@@ -65,13 +68,13 @@ def density_sweep(report, seed: int, n_boot: int = 2000, trials: int = 10,
     ts_means = []
     for rho in SWEEP_LEVELS:
         vals = []
-        for _ in range(max(3, trials // 2)):
-            voices, piece = sweep_condition(rho, "exponential", rng, n_events=100)
+        for _ in range(SWEEP_COHERENCE_TRIALS):
+            voices, piece = sweep_condition(rho, "exponential", rng)
             vals.append(np.mean([
                 _interval_entropy_coherence(piece.pitches()[piece.column("voice") == v])
                 for v in (0, 1)]))
         coherence.append(float(np.mean(vals)))
-        ts_means.append(float(np.mean(sweep_concentration(rho, rng, trials=trials))))
+        ts_means.append(float(np.mean(sweep_concentration(rho, rng, SWEEP_CONCENTRATION_TRIALS))))
     normalised = [c / coherence[0] for c in coherence]
     report.add("sweep_coherence", [round(c, 3) for c in normalised],
                "saturation.sweep.coherence")
@@ -84,13 +87,13 @@ def density_sweep(report, seed: int, n_boot: int = 2000, trials: int = 10,
     report.add("sweep_ts_spearman", rho_ts.statistic, "saturation.sweep.ts_spearman")
 
 
-def null_baseline(report, seed: int, trials: int = 5, **_) -> None:
+def null_baseline(report, seed: int, full_scale: bool) -> None:
     """Structureless random streams versus the generated sweep condition."""
     rng = derive_rng(seed, "null-baseline")
     null_ts_all, structured_band, null_band = [], [], []
     null_mc = []
     for rho in SWEEP_LEVELS:
-        for _ in range(trials):
+        for _ in range(NULL_TRIALS):
             piece = null_stream(rho, rng)
             pitches = piece.pitches()
             ts = pitch_class_concentration(pitches)
@@ -101,7 +104,7 @@ def null_baseline(report, seed: int, trials: int = 5, **_) -> None:
                 half = len(pitches) // 2
                 null_mc.append(melodic_coherence(pitches[:half], pitches[half:2 * half]))
         if rho <= 20:
-            structured_band.extend(sweep_concentration(rho, rng, trials=trials))
+            structured_band.extend(sweep_concentration(rho, rng, NULL_TRIALS))
     report.add("null_ts_max", float(np.max(null_ts_all)), "null.ts_max")
     test = t_test_with_d(np.array(structured_band), np.array(null_band))
     # one-sided: the structured condition concentrates more than the null
@@ -110,13 +113,13 @@ def null_baseline(report, seed: int, trials: int = 5, **_) -> None:
     report.add("null_mc_mean", float(np.mean(null_mc)), "null.mc_profile")
 
 
-def distribution_independence(report, seed: int, trials: int = 5, **_) -> None:
+def distribution_independence(report, seed: int, full_scale: bool) -> None:
     """The coherence drop holds for exponential, uniform, Gaussian and constant
     IOI laws with matched means."""
     rng = derive_rng(seed, "distribution-independence")
     for law in ("exponential", "uniform", "gaussian", "constant"):
-        mc10 = sweep_contour_coherence(10, law, rng, trials=trials + 3)
-        mc30 = sweep_contour_coherence(30, law, rng, trials=trials + 3)
+        mc10 = sweep_contour_coherence(10, law, rng, INDEPENDENCE_TRIALS)
+        mc30 = sweep_contour_coherence(30, law, rng, INDEPENDENCE_TRIALS)
         report.add(f"mc_at_10_{law}", mc10, "independence.mc_at_10")
         report.add(f"mc_at_30_{law}", mc30, "independence.mc_at_30")
         report.add(f"drop_{law}", mc10 - mc30, "independence.drop")

@@ -13,8 +13,11 @@ from ..pipeline import generate
 from ..stats import permutation_test
 from ..stochastic import derive_rng
 
+SHUFFLES = 1000  # count-preserving shuffles behind each IR and LZ null
+DET_SHUFFLES = 500  # ... and behind the determinism null at depth 8
 
-def lsystem_info(report, seed: int, shuffles: int = 1000, det_shuffles: int = 500, **_) -> None:
+
+def lsystem_info(report, seed: int, full_scale: bool) -> None:
     grammar = fibonacci_grammar()
     strings = {d: expand(grammar, d) for d in range(9)}
 
@@ -31,7 +34,7 @@ def lsystem_info(report, seed: int, shuffles: int = 1000, det_shuffles: int = 50
         report.add(f"ir_depth{d}", information_rate(text), f"sequence.ir.depth{d}")
         report.add(f"lz_depth{d}", lz_complexity(text), f"sequence.lz.depth{d}")
 
-    def shuffled(stat, d: int, stride: int, n: int = shuffles) -> np.ndarray:
+    def shuffled(stat, d: int, stride: int, n: int = SHUFFLES) -> np.ndarray:
         """``stat`` of ``n`` count-preserving shuffles of the depth-``d``
         string, shuffle ``i`` seeded ``seed * stride + i``."""
         return np.array([stat(shuffle_preserving_counts(strings[d], seed * stride + i).text)
@@ -56,7 +59,7 @@ def lsystem_info(report, seed: int, shuffles: int = 1000, det_shuffles: int = 50
         report.add(f"det_depth{d}", rqa_determinism(strings[d].text),
                    f"sequence.det.depth{d}")
     observed = rqa_determinism(strings[8].text)
-    nulls = shuffled(rqa_determinism, 8, 37, det_shuffles)
+    nulls = shuffled(rqa_determinism, 8, 37, DET_SHUFFLES)
     report.add("det_depth8_permutation_p", permutation_test(observed, nulls),
                "sequence.det.depth8.permutation_p")
 

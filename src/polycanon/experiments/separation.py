@@ -24,6 +24,8 @@ from ..stats import correlation, kruskal_wallis
 from ..stochastic import derive_rng
 
 RATE_LADDER = (1.0, 1.4, 1.96, 2.744)
+CONSTRAINT_TRIALS = 10  # streams per condition of the constraint study
+CONSTRAINT_DURATION = 25.0  # seconds of each
 
 
 def _four_voice_piece(condition: str, aggregate_rate: float, duration: float, rng,
@@ -69,14 +71,14 @@ def _pairwise_vss(piece: Piece) -> list[float]:
     return values
 
 
-def constraints(report, seed: int, trials: int = 10, duration: float = 25.0, **_) -> None:
+def constraints(report, seed: int, full_scale: bool) -> None:
     rng = derive_rng(seed, "constraints")
     samples = {}
     ts_by_condition = {}
     for condition in ("baseline", "pitch", "stratified"):
         vss_vals, ts_vals = [], []
-        for _ in range(trials):
-            piece = _four_voice_piece(condition, 20.0, duration, rng)
+        for _ in range(CONSTRAINT_TRIALS):
+            piece = _four_voice_piece(condition, 20.0, CONSTRAINT_DURATION, rng)
             vss_vals.extend(_pairwise_vss(piece))
             ts_vals.append(pitch_class_concentration(piece.pitches()))
         samples[condition] = np.array(vss_vals)
@@ -94,7 +96,7 @@ def constraints(report, seed: int, trials: int = 10, duration: float = 25.0, **_
                "constraints.ts_change_pitch_only")
 
     # harmonic-territory check independent of dynamics
-    piece = _four_voice_piece("pitch", 20.0, duration, rng)
+    piece = _four_voice_piece("pitch", 20.0, CONSTRAINT_DURATION, rng)
     outer = [piece.with_columns(rows=piece.column("voice") == v) for v in (0, 3)]
     report.add("pcs_distance_outer_pair", pcs_distance(*outer),
                "constraints.pcs_distance")
@@ -112,7 +114,7 @@ def _stratified_voices(aggregate_rate: float, duration: float, rng):
     return [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
 
 
-def wvss_weights(report, seed: int, **_) -> None:
+def wvss_weights(report, seed: int, full_scale: bool) -> None:
     """Weight extraction on the stratified high-density condition, split-half
     validation, and the low/high-density weight transfer."""
     rng = derive_rng(seed, "wvss")

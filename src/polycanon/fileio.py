@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece, row_order
-from .stochastic import ConfigError, config_value, reject_unknown_keys
+from .stochastic import config_section
 
 CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
               "generation", "section"]
@@ -63,17 +63,8 @@ class MidiRenderConfig:
 
 
 def midi_from_config(cfg: dict) -> MidiRenderConfig:
-    """The ``midi`` section's render settings; a key it does not read or a
-    value of the wrong type raises ConfigError naming its path, e.g.
-    ``midi.ppqn`` or ``midi.tempo_us``, and one out of range raises
-    ConfigError under ``midi``."""
-    kinds = {f.name: type(f.default) for f in fields(MidiRenderConfig)}
-    reject_unknown_keys(cfg, kinds, "midi")
-    values = {key: config_value(value, kinds[key], f"midi.{key}") for key, value in cfg.items()}
-    try:
-        return MidiRenderConfig(**values)
-    except ValueError as err:
-        raise ConfigError(f"midi: {err}") from err
+    """The ``midi`` section's render settings; errors name their path, e.g. ``midi.ppqn``."""
+    return config_section(MidiRenderConfig, cfg, "midi")
 
 
 def velocity_to_7bit(v10):

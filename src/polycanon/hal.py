@@ -15,6 +15,7 @@ import numpy as np
 
 from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept, row_order
 from .stats import paired_t_test
+from .stochastic import config_section
 
 
 class FitError(ValueError):
@@ -40,6 +41,12 @@ class LatencyModel:
             raise ValueError(f"unknown latency variant {self.variant!r}")
 
 
+def _power_law(u, l_max: float, l_min: float, c):
+    """Power-law latency in ms at normalised velocity ``u`` in [0, 1]; ``c``
+    may be one exponent or one per velocity."""
+    return l_max - (l_max - l_min) * u**c
+
+
 def latency(model: LatencyModel, v) -> np.ndarray | float:
     """Predicted actuation latency in ms for velocity command(s) v.
 
@@ -54,7 +61,7 @@ def latency(model: LatencyModel, v) -> np.ndarray | float:
     if model.variant == "linear":
         out = model.l_max - span * u
     elif model.variant == "power":
-        out = model.l_max - span * u**model.c
+        out = _power_law(u, model.l_max, model.l_min, model.c)
     else:
         out = model.l_max - span * np.log1p(model.k * u) / np.log1p(model.k)
     return float(out[0]) if v_arr.ndim == 0 else out
@@ -186,12 +193,11 @@ def fit_power_law(data: CalibrationData, l_max: float = 30.0,
     u = v / VELOCITY_MAX
 
     def sse(c):
-        pred = l_max - (l_max - l_min) * u**c
-        return float(np.sum((pred - y) ** 2))
+        return float(np.sum((_power_law(u, l_max, l_min, c) - y) ** 2))
     res = optimize.minimize_scalar(sse, bounds=(0.01, 0.99), method="bounded",
                                    options={"xatol": 1e-8})
     c_hat = float(res.x)
-    pred = l_max - (l_max - l_min) * u**c_hat
+    pred = _power_law(u, l_max, l_min, c_hat)
     rmse = float(np.sqrt(np.mean((pred - y) ** 2)))
     model = LatencyModel(variant="power", l_max=l_max, l_min=l_min, c=c_hat)
     return PowerLawFit(model, rmse)
@@ -307,8 +313,7 @@ def _true_latencies(velocities, true_model: LatencyModel, noise: NoiseSpec, rng)
     if noise.exponent_drift > 0:
         steps = rng.uniform(-noise.exponent_drift, noise.exponent_drift, v.size)
         c_path = np.clip(true_model.c + np.cumsum(steps), 0.35, 0.65)
-        u = v / VELOCITY_MAX
-        base = true_model.l_max - (true_model.l_max - true_model.l_min) * u**c_path
+        base = _power_law(v / VELOCITY_MAX, true_model.l_max, true_model.l_min, c_path)
     else:
         base = latency(true_model, v)
     if noise.multiplicative > 0:
@@ -347,17 +352,5 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
 
 
 def model_from_config(cfg: dict) -> LatencyModel:
-    """The ``hal`` section's latency model; missing keys take the defaults,
-    and a key it does not read, a value of the wrong type or a model out of
-    range raises ConfigError naming its path, e.g. ``hal.lmax`` or ``hal.c``."""
-    from .stochastic import ConfigError, config_value, reject_unknown_keys
-
-    reject_unknown_keys(cfg, ("variant", "l_max", "l_min", "c", "k"), "hal")
-    defaults = LatencyModel()
-    values = {key: config_value(cfg.get(key, getattr(defaults, key)), kind, f"hal.{key}")
-              for key, kind in (("variant", str), ("l_max", float), ("l_min", float),
-                                ("c", float), ("k", float))}
-    try:
-        return LatencyModel(**values)
-    except ValueError as err:
-        raise ConfigError(f"hal: {err}") from err
+    """The ``hal`` section's latency model; errors name their path, e.g. ``hal.lmax``."""
+    return config_section(LatencyModel, cfg, "hal")

@@ -11,7 +11,8 @@ from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_u
 from .events import KEY_RESET_WINDOW, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, resolve
-from .stochastic import MIN_IOI, InhomogeneousPoisson, renewal_onsets, sample_ioi_stream
+from .stochastic import (MIN_IOI, InhomogeneousPoisson, reject_unknown_keys, renewal_onsets,
+                         sample_ioi_stream)
 
 
 class InfeasibleError(ValueError):
@@ -161,6 +162,12 @@ def generate_cp_continuous(canon_voices: tuple[VoiceSpec, VoiceSpec],
 
 MAX_SINGLE_KEY_RATE = 1.0 / KEY_RESET_WINDOW  # 20 Hz
 
+TEXTURE_DEFAULTS = {
+    "polyphony": {"chord_size": 40, "period": 0.5, "n_chords": 8, "velocity": 800},
+    "trill": {"rate_hz": 30.0, "keys": (60, 62), "duration": 4.0, "velocity": 800},
+    "arpeggio": {"span": 72, "ioi": 0.025, "start": 24, "velocity": 800},
+}
+
 
 def generate_beyond_human(kind: str, **cfg) -> Piece:
     """Deterministic showcase textures, exact at the event level.
@@ -170,12 +177,16 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
       trill     -- `rate_hz` alternation across `keys`; per-key rate must stay
                    within the key reset limit
       arpeggio  -- `span` consecutive semitones upward at `ioi` s
+
+    An option the kind does not read raises ConfigError naming it.
     """
+    if kind not in TEXTURE_DEFAULTS:
+        raise ValueError(f"unknown beyond-human kind {kind!r}")
+    reject_unknown_keys(cfg, TEXTURE_DEFAULTS[kind], kind)
+    cfg = {**TEXTURE_DEFAULTS[kind], **cfg}
     if kind == "polyphony":
-        chord_size = int(cfg.get("chord_size", 40))
-        period = float(cfg.get("period", 0.5))
-        n_chords = int(cfg.get("n_chords", 8))
-        velocity = int(cfg.get("velocity", 800))
+        chord_size, n_chords = int(cfg["chord_size"]), int(cfg["n_chords"])
+        period = float(cfg["period"])
         if chord_size > 88:
             raise InfeasibleError("polyphony: chord size exceeds the 88-key limit")
         if period < KEY_RESET_WINDOW:
@@ -187,10 +198,7 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
         pitch = np.tile(pitches, n_chords)
         hold, symbol, total = period * 0.9, "P", n_chords * period
     elif kind == "trill":
-        rate_hz = float(cfg.get("rate_hz", 30.0))
-        keys = tuple(cfg.get("keys", (60, 62)))
-        duration = float(cfg.get("duration", 4.0))
-        velocity = int(cfg.get("velocity", 800))
+        rate_hz, keys, duration = float(cfg["rate_hz"]), tuple(cfg["keys"]), float(cfg["duration"])
         per_key = rate_hz / len(keys)
         if per_key > MAX_SINGLE_KEY_RATE + 1e-9:
             raise InfeasibleError(
@@ -200,16 +208,11 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
         n = int(round(duration * rate_hz))
         onset, pitch = np.arange(n) * step, np.resize(keys, n)
         hold, symbol, total = step * 0.9, "T", duration
-    elif kind == "arpeggio":
-        span = int(cfg.get("span", 72))
-        ioi = float(cfg.get("ioi", 0.025))
-        start = int(cfg.get("start", 24))
-        velocity = int(cfg.get("velocity", 800))
+    else:
+        span, ioi, start = int(cfg["span"]), float(cfg["ioi"]), int(cfg["start"])
         if start + span - 1 > PITCH_MAX:
             raise InfeasibleError("arpeggio: span leaves the 88-key range")
         onset, pitch = np.arange(span) * ioi, start + np.arange(span)
         hold, symbol, total = ioi, "R", span * ioi
-    else:
-        raise ValueError(f"unknown beyond-human kind {kind!r}")
-    return Piece.from_columns(onset, pitch, velocity, hold, 0, symbol, 0, 0,
+    return Piece.from_columns(onset, pitch, int(cfg["velocity"]), hold, 0, symbol, 0, 0,
                               sections=((kind, 0.0, total),), metadata={"kind": kind})

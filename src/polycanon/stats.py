@@ -117,7 +117,8 @@ def mann_whitney(x, y) -> TestResult:
     """Two-sided Mann-Whitney U with rank-biserial effect size.
 
     Exact null for combined n <= 20 without ties, normal approximation with
-    tie correction otherwise.
+    tie correction otherwise. ``extras["u_min"]`` is min(U, n1*n2 - U), which
+    is 0 exactly when the two samples separate completely.
     """
     from scipy import stats as sps
 
@@ -131,7 +132,7 @@ def mann_whitney(x, y) -> TestResult:
     u = float(res.statistic)
     r = 1.0 - 2.0 * u / (x.size * y.size)
     return TestResult(u, float(res.pvalue), effect_name="rank-biserial r", effect_size=r,
-                      extras={"method": method})
+                      extras={"method": method, "u_min": min(u, x.size * y.size - u)})
 
 
 def _nct_inverse(t_obs: float, df: float, tail_prob: float, tol: float = 1e-6) -> float:

@@ -81,6 +81,18 @@ def reject_unknown_keys(cfg: dict, known, path: str) -> None:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
 
+def config_section(cls, cfg: dict, path: str):
+    """The dataclass ``cls`` from the config section ``cfg`` at ``path``, each value
+    read as its field default's type; a ConfigError names ``path.key`` or ``path``."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    reject_unknown_keys(cfg, kinds, path)
+    values = {key: config_value(value, kinds[key], f"{path}.{key}") for key, value in cfg.items()}
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def require_keys(cfg: dict, required, path: str) -> None:
     """Raise ConfigError naming every key of ``required`` missing from ``cfg``
     as ``path.key``, or naming ``path`` when ``cfg`` is not a mapping."""

@@ -8,11 +8,10 @@ def reports():
     """Run each experiment at most once per test session, on demand."""
     cache = {}
 
-    def get(name, seed=42, **overrides):
-        key = (name, seed, tuple(sorted(overrides.items())))
-        if key not in cache:
-            cache[key] = run(ExperimentSpec(name, seed, overrides))
-        return cache[key]
+    def get(name, seed=42):
+        if (name, seed) not in cache:
+            cache[name, seed] = run(ExperimentSpec(name, seed))
+        return cache[name, seed]
 
     return get
 

@@ -92,7 +92,8 @@ def test_run_all_suite_mostly_green(reports):
 def test_only_run_creates_and_times_a_report():
     """`experiments.run` is the one home of a report's creation and timing: no
     other module of the package calls `Report(` or imports `time`, and every
-    registry function takes the report and the seed first."""
+    registry function takes the report, the seed and `full_scale`, and no
+    other option."""
     package = Path(inspect.getfile(run)).parent
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
@@ -107,7 +108,25 @@ def test_only_run_creates_and_times_a_report():
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "time", f"{path.name} imports from time"
     for name, experiment in REGISTRY.items():
-        assert list(inspect.signature(experiment).parameters)[:2] == ["report", "seed"], name
+        assert list(inspect.signature(experiment).parameters) == [
+            "report", "seed", "full_scale"], name
+
+
+def test_an_unknown_override_raises_naming_the_key():
+    with pytest.raises(ValueError, match="'trails'"):
+        ExperimentSpec("fidelity", 0, {"trails": 3})
+    with pytest.raises(ValueError, match="'trails'"):
+        run_all(5, names=["fidelity"], trails=3)
+    with pytest.raises(ValueError, match="'full_scale': 1"):
+        ExperimentSpec("fidelity", 0, {"full_scale": 1})
+
+
+@pytest.mark.parametrize("name", ["latency_mismatch", "virtual_piano"])
+def test_full_scale_reaches_the_experiment(name, reports):
+    desk = [(r.label, r.value) for r in reports(name, 5).rows]
+    full = [(r.label, r.value) for r in run(ExperimentSpec(name, 5, {"full_scale": True})).rows]
+    assert [label for label, _ in desk] == [label for label, _ in full]
+    assert desk != full
 
 
 def test_run_stamps_the_provenance_of_the_spec():

@@ -339,3 +339,13 @@ def test_beyond_human_infeasible_configs():
         generate_beyond_human("arpeggio", span=90, start=60)
     with pytest.raises(ValueError):
         generate_beyond_human("glissando")
+
+
+@pytest.mark.parametrize("kind,cfg,key", [
+    ("trill", dict(rate=40.0), "rate"),
+    ("polyphony", dict(chord_sise=10), "chord_sise"),
+    ("arpeggio", dict(span=12, rate_hz=30.0), "rate_hz"),
+])
+def test_beyond_human_rejects_an_option_its_kind_does_not_read(kind, cfg, key):
+    with pytest.raises(ValueError, match=rf"unknown config key\(s\): {kind}\.{key}$"):
+        generate_beyond_human(kind, **cfg)

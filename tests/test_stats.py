@@ -106,6 +106,14 @@ def test_mann_whitney_complete_separation_15_15():
     assert abs(res.effect_size) == pytest.approx(1.0)
 
 
+def test_mann_whitney_u_min_is_the_smaller_tail():
+    x, y = np.arange(15) + 100.0, np.arange(15.0)
+    assert mann_whitney(x, y).extras["u_min"] == 0.0 == mann_whitney(y, x).extras["u_min"]
+    res = mann_whitney([1.0, 4, 6], [2.0, 3, 5, 7])
+    assert res.statistic == 5.0 and res.extras["u_min"] == 5.0
+    assert mann_whitney([2.0, 3, 5, 7], [1.0, 4, 6]).extras["u_min"] == 5.0
+
+
 def test_mann_whitney_small_sample_exact():
     res = mann_whitney([1.0, 2, 3, 4, 5], [10.0, 11, 12])
     assert res.statistic == 0.0

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -10,6 +12,7 @@ from polycanon.stochastic import (
     InhomogeneousPoisson,
     Uniform,
     WrongVariantError,
+    config_section,
     derive_rng,
     dist_from_config,
     dist_to_config,
@@ -162,6 +165,28 @@ def test_dist_from_config_rejects_an_unknown_key_by_path():
     with pytest.raises(ConfigError, match="lambda"):
         dist_from_config({"type": "exponential", "scale": 0.5, "lambda": 2.0})
     assert dist_from_config({"type": "exponential", "scale": 0.25}, "ioi") == Exponential(4.0)
+
+
+@dataclass(frozen=True)
+class _Section:
+    n: int = 1
+    x: float = 0.5
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
+
+
+def test_config_section_reads_each_field_as_its_default_type():
+    assert config_section(_Section, {}, "s") == _Section()
+    section = config_section(_Section, {"x": 2}, "s")
+    assert section == _Section(1, 2.0) and isinstance(section.x, float)
+    with pytest.raises(ConfigError, match=r"unknown config key\(s\): s\.y$"):
+        config_section(_Section, {"n": 2, "y": 1}, "s")
+    with pytest.raises(ConfigError, match=r"^s\.n must be an integer"):
+        config_section(_Section, {"n": 1.5}, "s")
+    with pytest.raises(ConfigError, match=r"^s: n must be >= 0"):
+        config_section(_Section, {"n": -1}, "s")
 
 
 def test_dist_from_config_names_a_missing_key_by_path():
