@@ -15,6 +15,6 @@ from .canon import ConvergenceEvent, ConvergenceQuery, VoiceSpec, find_convergen
 from .mapping import MappingTable, ParameterConfig, PitchSet, describe, parse, resolve
 from .pipeline import apply_collision_mask, generate, generate_beyond_human, generate_cp_continuous, generate_cp_discrete
 from .hal import ConstraintSet, FilterConfig, LatencyModel, enforce_constraints, fit_power_law, latency, precompensate, robustness_filter, simulate_mismatch
-from .stochastic import Constant, Exponential, Gaussian, InhomogeneousPoisson, Uniform, derive_rng, make_rng, sample_ioi_stream
+from .stochastic import Constant, Exponential, Gaussian, Uniform, derive_rng, make_rng, renewal_onsets, thinned_onsets
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ def canonical_piece(seed: int) -> Piece:
 
 
 def section_streams(piece: Piece):
-    """Per-section (symbol, pitches, iois, velocities) over the merged voices."""
+    """Per-section (symbol, pitches, iois, velocities, length) over the merged
+    voices, where length is the section's ``hi - lo``."""
     out = []
     for index, (symbol, lo, hi) in enumerate(piece.sections):
         rows = piece.column("section") == index

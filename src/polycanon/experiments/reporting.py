@@ -8,6 +8,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .reference import REFERENCE, evaluate
 
 
@@ -111,7 +113,7 @@ def _format_value(v) -> str:
 def _jsonable(v):
     if isinstance(v, (tuple, list)):
         return [_jsonable(x) for x in v]
-    if hasattr(v, "item"):
+    if isinstance(v, (np.generic, np.ndarray)):
         return v.item()
     return v
 

@@ -31,8 +31,11 @@ import numpy as np
 from .events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece, row_order
 from .stochastic import config_section
 
-CSV_HEADER = ["onset_s", "pitch", "velocity10", "duration_s", "voice", "symbol",
-              "generation", "section"]
+# the event keys in column order, with the type each JSON value is read as;
+# pitch and velocity are read as given, so Piece.from_columns rejects a fraction
+_JSON_FIELDS = (("onset_s", float), ("pitch", None), ("velocity10", None), ("duration_s", float),
+                ("voice", int), ("symbol", str), ("generation", int), ("section", int))
+CSV_HEADER = [key for key, _ in _JSON_FIELDS]
 
 # Pieces carrying pre-compensated (negative) onsets are shifted late by this
 # fixed amount so tick times stay non-negative; recorded in metadata.
@@ -342,10 +345,6 @@ def _transpose(rows: list[tuple], width: int = len(COLUMNS)) -> list[tuple]:
     return list(zip(*rows)) or [()] * width
 
 
-# the JSON event keys in column order, with the type each value is read as;
-# pitch and velocity are read as given, so Piece.from_columns rejects a fraction
-_JSON_FIELDS = (("onset_s", float), ("pitch", None), ("velocity10", None), ("duration_s", float),
-                ("voice", int), ("symbol", str), ("generation", int), ("section", int))
 # the text after each value of a JSON event: the last closes the event and
 # opens the next; _JSON_OPEN opens the first
 _JSON_SEPS = (*(f',\n   "{key}": ' for key, _ in _JSON_FIELDS[1:]), '\n  },\n  {\n   "onset_s": ')

@@ -11,8 +11,7 @@ from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_u
 from .events import KEY_RESET_WINDOW, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, resolve
-from .stochastic import (MIN_IOI, InhomogeneousPoisson, reject_unknown_keys, renewal_onsets,
-                         sample_ioi_stream)
+from .stochastic import MIN_IOI, reject_unknown_keys, renewal_onsets, thinned_onsets
 
 
 class InfeasibleError(ValueError):
@@ -88,9 +87,10 @@ def apply_collision_mask(piece: Piece) -> Piece:
 # ---------------------------------------------------------------------------
 
 
-def _cp_piece(canon_voices, sections, configs, laws, rng, metadata: dict) -> Piece:
+def _cp_piece(canon_voices, sections, configs, stochastic_onsets, rng, metadata: dict) -> Piece:
     """The canon voices at their own onsets, then one stochastic voice whose
-    onsets in section k follow ``laws[k]``.
+    onsets in section k, from its start ``lo``, are
+    ``stochastic_onsets(k, hi - lo) + lo``.
 
     Section k's config draws the pitches (as voice 0) and velocities of the
     notes in it; a note lasts the mean of that config's IOI law. Draw order:
@@ -101,8 +101,8 @@ def _cp_piece(canon_voices, sections, configs, laws, rng, metadata: dict) -> Pie
 
     def notes(onsets, voice, k):
         cfg = configs[k]
-        ioi = cfg.ioi.mean() if hasattr(cfg.ioi, "mean") else 0.1
-        return _note_block(cfg, 0, rng, onsets, max(ioi, MIN_IOI), voice, sections[k][0], 0, k)
+        return _note_block(cfg, 0, rng, onsets, max(cfg.ioi.mean(), MIN_IOI), voice,
+                           sections[k][0], 0, k)
 
     blocks = []
     for voice, vs in enumerate(canon_voices):
@@ -110,8 +110,8 @@ def _cp_piece(canon_voices, sections, configs, laws, rng, metadata: dict) -> Pie
         # the part after the last section's end holds an onset at the horizon, if any
         for k, part in enumerate(np.split(onsets, np.searchsorted(onsets, ends))[:-1]):
             blocks.append(notes(part, voice, k))
-    for k, ((_, lo, hi), law) in enumerate(zip(sections, laws)):
-        blocks.append(notes(sample_ioi_stream(law, hi - lo, rng) + lo, len(canon_voices), k))
+    for k, (_, lo, hi) in enumerate(sections):
+        blocks.append(notes(stochastic_onsets(k, hi - lo) + lo, len(canon_voices), k))
     return _piece(blocks, sections, metadata)
 
 
@@ -121,39 +121,48 @@ def generate_cp_discrete(canon_voices: tuple[VoiceSpec, VoiceSpec],
     """Two canon voices plus one stochastic voice; the stochastic regime and the
     pitch/velocity laws switch at a convergence point.
 
-    ``switch_at`` selects the convergence nearest that time (default: the one
-    closest to mid-horizon). If the query finds no convergence the piece is
-    generated without a switch and metadata records ``cp_time = None``.
+    ``switch_at`` selects the convergence strictly inside (0, horizon) nearest
+    that time (default: the one closest to mid-horizon). If the query finds
+    none there the piece is generated without a switch and metadata records
+    ``cp_time = None``.
 
     Draw order: per canon voice, the notes before the switch, then those
     after it, each as one block of pitches then velocities; then per segment
-    of the stochastic voice its onsets (:func:`stochastic.sample_ioi_stream`
-    from the segment start), then its notes.
+    of the stochastic voice its onsets (a renewal stream of the segment's IOI
+    law from its start, :func:`stochastic.renewal_onsets`), then its notes.
     """
     horizon = query.horizon
-    conv = find_convergences(query)
+    interior = [c for c in find_convergences(query) if 0.0 < c.time < horizon]
     cp_time = None
-    if conv:
+    if interior:
         target = switch_at if switch_at is not None else horizon / 2.0
-        interior = [c for c in conv if 0.0 < c.time < horizon] or conv
         cp_time = min(interior, key=lambda c: abs(c.time - target)).time
 
     sections = ((("pre", 0.0, horizon),) if cp_time is None
                 else (("pre", 0.0, cp_time), ("post", cp_time, horizon)))
-    return _cp_piece(canon_voices, sections, (pre, post), (pre.ioi, post.ioi), rng,
+
+    def stochastic_onsets(k, duration):
+        return renewal_onsets((pre, post)[k].ioi, 1.0, 0.0, duration, rng,
+                              f"{sections[k][0]} section")[0]
+
+    return _cp_piece(canon_voices, sections, (pre, post), stochastic_onsets, rng,
                      {"cp_time": cp_time})
 
 
 def generate_cp_continuous(canon_voices: tuple[VoiceSpec, VoiceSpec],
                            rate_fn, rate_max: float, horizon: float,
                            cfg: ParameterConfig, rng) -> Piece:
-    """Canon voices plus an inhomogeneous Poisson voice thinned against rate_max.
+    """Canon voices plus an inhomogeneous Poisson voice of rate ``rate_fn``,
+    thinned against ``rate_max`` (:func:`stochastic.thinned_onsets`).
 
     Draw order: per canon voice its notes as one block of pitches then
     velocities; then the thinned onsets, then their notes.
     """
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     return _cp_piece(canon_voices, (("modulated", 0.0, horizon),), (cfg,),
-                     (InhomogeneousPoisson(rate_fn, rate_max),), rng, {})
+                     lambda k, duration: thinned_onsets(rate_fn, rate_max, duration, rng),
+                     rng, {})
 
 
 # ---------------------------------------------------------------------------

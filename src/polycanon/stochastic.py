@@ -20,13 +20,13 @@ Each law is a frozen dataclass that carries its own behaviour, so this module
 
 ``PitchSet.sample`` has the same signature and one draw order: all ``n``
 classes, then all ``n`` octave placements.
-``InhomogeneousPoisson`` describes event times, not values: its ``sample``
-raises :class:`WrongVariantError`, and :func:`sample_ioi_stream` thins it.
 
-Onset streams have one sampler for the homogeneous laws,
-:func:`renewal_onsets`: draw an IOI, advance by it, with the IOIs drawn in
-blocks. ``pipeline.generate`` draws every voice of every section with it, and
-:func:`sample_ioi_stream` is the same rule from t=0 at ratio 1.
+Onset streams have one sampler per kind of process. :func:`renewal_onsets`
+draws a renewal stream from a law: draw an IOI, advance by it, with the IOIs
+drawn in blocks; ``pipeline.generate`` draws every voice of every section
+with it. :func:`thinned_onsets` draws an inhomogeneous Poisson process from
+a rate function by thinning against its peak; it is an event-time process,
+not a law.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-
-
-class WrongVariantError(TypeError):
-    """A distribution variant was used through the wrong sampling entry point."""
 
 
 class ConfigError(ValueError):
@@ -221,33 +217,7 @@ class Exponential:
         return 1.0 - np.exp(-self.rate * np.maximum(np.asarray(x, float), 0.0))
 
 
-@dataclass(frozen=True)
-class InhomogeneousPoisson:
-    """Time-varying event rate; sampled by thinning against the peak bound.
-
-    It describes event *times*, not single values: draw them with
-    :func:`sample_ioi_stream`. Depth modulation leaves it unchanged.
-    """
-
-    rate_fn: Callable[[float], float]
-    rate_max: float
-
-    def __post_init__(self):
-        if self.rate_max <= 0:
-            raise ConfigError("rate_max must be > 0")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise WrongVariantError(
-            "inhomogeneous Poisson samples event times; use sample_ioi_stream")
-
-    def scaled(self, factor: float) -> "InhomogeneousPoisson":
-        return self
-
-    def widened(self, factor: float) -> "InhomogeneousPoisson":
-        return self
-
-
-Distribution = Constant | Uniform | Gaussian | Exponential | InhomogeneousPoisson
+Distribution = Constant | Uniform | Gaussian | Exponential
 
 
 # IOI draws below this are clipped up, so onset sequences stay strictly increasing
@@ -268,9 +238,6 @@ def renewal_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float
     ``MAX_EVENTS_PER_SECTION`` in all. A constant law draws nothing. ``where``
     names the stream in errors.
     """
-    if isinstance(ioi, InhomogeneousPoisson):
-        raise WrongVariantError(
-            "inhomogeneous Poisson samples event times; use sample_ioi_stream")
     if isinstance(ioi, Constant) and ioi.value <= 0:
         raise ConfigError(f"{where}: constant IOI {ioi.value} would never advance the section")
     mean_tau = max(ioi.mean() / ratio, MIN_IOI)
@@ -299,29 +266,26 @@ def renewal_onsets(ioi: Distribution, ratio: float, t_start: float, t_end: float
     return onsets[:n], taus[:n]
 
 
-def sample_ioi_stream(dist: Distribution, duration: float, rng: np.random.Generator) -> np.ndarray:
-    """Onset times in [0, duration) produced by repeatedly drawing IOIs.
-
-    A homogeneous law is :func:`renewal_onsets` at ratio 1, the rule by
-    which ``pipeline.generate`` draws a voice: first event at t=0, then
-    advance by ``max(draw, MIN_IOI)`` per event, with IOIs drawn in blocks;
-    the stream ends at ``duration - 1e-12``. The inhomogeneous variant is a
-    thinned Poisson process against ``rate_max`` (no forced event at 0).
+def thinned_onsets(rate_fn: Callable[[float], float], rate_max: float, duration: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Onsets in [0, duration) of an inhomogeneous Poisson process with rate
+    ``rate_fn(t)``, drawn by thinning (Lewis & Shedler 1979): per candidate, an
+    exponential gap at ``rate_max``, then a uniform draw that keeps it with
+    probability ``rate_fn(t) / rate_max``. A rate outside [0, rate_max], NaN
+    included, raises ConfigError.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    if not isinstance(dist, InhomogeneousPoisson):
-        return renewal_onsets(dist, 1.0, 0.0, duration, rng, "IOI stream")[0]
+    if rate_max <= 0:
+        raise ConfigError("rate_max must be > 0")
     onsets = []
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / dist.rate_max)
+        t += rng.exponential(1.0 / rate_max)
         if t >= duration:
             break
-        lam = dist.rate_fn(t)
-        if lam < 0 or lam > dist.rate_max * (1 + 1e-9):
+        lam = rate_fn(t)
+        if not 0 <= lam <= rate_max * (1 + 1e-9):
             raise ConfigError(f"rate function out of [0, rate_max] at t={t:.6f}: {lam}")
-        if rng.uniform() * dist.rate_max < lam:
+        if rng.uniform() * rate_max < lam:
             onsets.append(t)
     return np.array(onsets, dtype=float)
 
@@ -362,7 +326,5 @@ def dist_from_config(cfg: dict, path: str = "") -> Distribution:
 
 
 def dist_to_config(dist: Distribution) -> dict:
-    kind = _TYPE_NAMES.get(type(dist))
-    if kind is None:
-        raise ConfigError("rate-function distributions have no JSON form")
-    return {"type": kind, **{f.name: getattr(dist, f.name) for f in fields(dist)}}
+    return {"type": _TYPE_NAMES[type(dist)],
+            **{f.name: getattr(dist, f.name) for f in fields(dist)}}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycanon.canon import ConvergenceQuery, voice_times_until
+from polycanon.canon import ConvergenceQuery, find_convergences, voice_times_until
 from polycanon.events import NoteEvent, Piece
 from polycanon.fileio import write_events_json
 from polycanon.grammar import SymbolString, TaggedSymbol, expand
@@ -30,11 +30,10 @@ from polycanon.stochastic import (
     Constant,
     Exponential,
     Gaussian,
-    InhomogeneousPoisson,
     Uniform,
-    WrongVariantError,
     make_rng,
-    sample_ioi_stream,
+    renewal_onsets,
+    thinned_onsets,
 )
 
 
@@ -135,7 +134,7 @@ def test_generate_onsets_tile_each_section(ioi, seed):
 @pytest.mark.parametrize("duration", [0.05, 0.7, 2.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ioi_stream_is_the_onsets_generate_draws(ioi, duration, seed):
-    stream = sample_ioi_stream(ioi, duration, make_rng(seed))
+    stream = renewal_onsets(ioi, 1.0, 0.0, duration, make_rng(seed), "stream")[0]
     piece = generate(one_symbol(), simple_table(ioi=ioi, duration=duration), make_rng(seed))
     assert stream.tolist() == piece.onsets().tolist()
 
@@ -163,12 +162,6 @@ def test_section_inside_the_end_tolerance_has_no_events():
 def test_zero_constant_ioi_is_config_error():
     with pytest.raises(ConfigError, match="'X'"):
         generate(one_symbol(), simple_table(ioi=Constant(0.0)), make_rng(0))
-
-
-def test_inhomogeneous_ioi_is_wrong_variant():
-    ioi = InhomogeneousPoisson(lambda t: 10.0, 10.0)
-    with pytest.raises(WrongVariantError):
-        generate(one_symbol(), simple_table(ioi=ioi), make_rng(0))
 
 
 @pytest.mark.parametrize("ioi", [Constant(1e-6), Exponential(1e9)], ids=["constant", "exponential"])
@@ -231,6 +224,25 @@ def test_cp_discrete_without_convergence_reports_none():
     assert [s[0] for s in piece.sections] == ["pre"]
 
 
+@pytest.mark.parametrize("horizon", [0.5, 2.9, 3.0])
+def test_cp_discrete_does_not_switch_at_a_boundary_convergence(horizon):
+    # the 3:4 canon converges at 0, 3, 6, ...: here only at t = 0 or at the horizon
+    pre, post = cp_switch_configs()
+    voices = rational_canon()
+    query = ConvergenceQuery(0.05, horizon, *voices)
+    assert find_convergences(query)
+    piece = generate_cp_discrete(voices, pre, post, query, make_rng(0))
+    assert piece.metadata["cp_time"] is None
+    assert piece.sections == (("pre", 0.0, horizon),)
+
+
+def test_cp_continuous_rejects_an_empty_horizon():
+    _, post = cp_switch_configs()
+    with pytest.raises(ValueError, match="horizon must be > 0"):
+        generate_cp_continuous(transcendental_canon(), lambda t: 5.0, 45.0, 0.0, post,
+                               make_rng(0))
+
+
 def note_block_reference(onsets, voice, symbol, section, cfg, rng):
     """The notes at ``onsets`` as the cp generators draw them, one NoteEvent
     per note: every pitch of the block, then every velocity, each rounded and
@@ -262,8 +274,8 @@ def test_cp_discrete_equals_the_per_note_reference(seed, switch_at):
         for k, (symbol, _, _, cfg) in enumerate(sections):
             events += note_block_reference(onsets[section == k], vid, symbol, k, cfg, ref_rng)
     for k, (symbol, lo, hi, cfg) in enumerate(sections):
-        events += note_block_reference(sample_ioi_stream(cfg.ioi, hi - lo, ref_rng) + lo, 2,
-                                       symbol, k, cfg, ref_rng)
+        onsets = renewal_onsets(cfg.ioi, 1.0, 0.0, hi - lo, ref_rng, symbol)[0] + lo
+        events += note_block_reference(onsets, 2, symbol, k, cfg, ref_rng)
     assert piece == Piece.from_events(events, (("pre", 0.0, cp), ("post", cp, 30.0)),
                                       {"cp_time": cp})
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -283,7 +295,7 @@ def test_cp_continuous_equals_the_per_note_reference():
     for vid, vs in enumerate(voices):
         onsets = voice_times_until(vs, 30.0)
         events += note_block_reference(onsets[onsets < 30.0], vid, "modulated", 0, post, ref_rng)
-    onsets = sample_ioi_stream(InhomogeneousPoisson(rate_fn, 45.0), 30.0, ref_rng)
+    onsets = thinned_onsets(rate_fn, 45.0, 30.0, ref_rng)
     events += note_block_reference(onsets, 2, "modulated", 0, post, ref_rng)
     assert piece == Piece.from_events(events, (("modulated", 0.0, 30.0),), {})
     assert rng.bit_generator.state == ref_rng.bit_generator.state

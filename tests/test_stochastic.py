@@ -1,4 +1,6 @@
-from dataclasses import dataclass
+import math
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -8,16 +10,16 @@ from polycanon.stochastic import (
     ConfigError,
     Constant,
     Exponential,
+    Distribution,
     Gaussian,
-    InhomogeneousPoisson,
     Uniform,
-    WrongVariantError,
     config_section,
     derive_rng,
     dist_from_config,
     dist_to_config,
     make_rng,
-    sample_ioi_stream,
+    renewal_onsets,
+    thinned_onsets,
 )
 
 
@@ -40,11 +42,13 @@ def test_exponential_mean():
     assert abs(draws.mean() - 0.025) < 0.001
 
 
-def test_inhomogeneous_rejects_scalar_sampling():
-    with pytest.raises(WrongVariantError):
-        InhomogeneousPoisson(lambda t: 1.0, 2.0).sample(make_rng(0), 0)
-    with pytest.raises(WrongVariantError):
-        InhomogeneousPoisson(lambda t: 1.0, 2.0).sample(make_rng(0), 5)
+@pytest.mark.parametrize("law", typing.get_args(Distribution), ids=lambda law: law.__name__)
+def test_every_distribution_is_a_value_law(law):
+    dist = law(*(0.5 + i for i, _ in enumerate(fields(law))))
+    for n in (0, 1, 7):
+        draws = dist.sample(make_rng(0), n)
+        assert draws.shape == (n,) and draws.dtype == float
+    assert dist_from_config(dist_to_config(dist)) == dist
 
 
 # each law's draws written as the raw numpy call, so a refactor cannot move them
@@ -67,31 +71,34 @@ def test_law_sample_is_the_numpy_call(law, numpy_draw):
 
 
 def test_constant_stream_grid():
-    onsets = sample_ioi_stream(Constant(0.5), 2.0, make_rng(0))
+    onsets = renewal_onsets(Constant(0.5), 1.0, 0.0, 2.0, make_rng(0), "stream")[0]
     assert np.allclose(onsets, [0.0, 0.5, 1.0, 1.5])
 
 
 def test_exponential_stream_count():
-    onsets = sample_ioi_stream(Exponential(120.6), 8.0, make_rng(3))
+    onsets = renewal_onsets(Exponential(120.6), 1.0, 0.0, 8.0, make_rng(3), "stream")[0]
     expected = 120.6 * 8
     assert abs(len(onsets) - expected) < 3 * np.sqrt(expected)
 
 
 def test_inhomogeneous_stream_count():
     rate = lambda t: 5 + 40 * abs(t - 15) / 15
-    onsets = sample_ioi_stream(InhomogeneousPoisson(rate, 45.0), 30.0, make_rng(4))
+    onsets = thinned_onsets(rate, 45.0, 30.0, make_rng(4))
     assert abs(len(onsets) - 750) < 3.5 * np.sqrt(750)
     assert np.all(np.diff(onsets) > 0)
 
 
-def test_nonpositive_duration_rejected():
-    with pytest.raises(ValueError):
-        sample_ioi_stream(Constant(0.1), 0.0, make_rng(0))
-
-
 def test_zero_constant_ioi_rejected():
-    with pytest.raises(ConfigError):
-        sample_ioi_stream(Constant(0.0), 1.0, make_rng(0))
+    with pytest.raises(ConfigError, match="stream"):
+        renewal_onsets(Constant(0.0), 1.0, 0.0, 1.0, make_rng(0), "stream")
+
+
+@pytest.mark.parametrize("rate_fn, rate_max, match", [
+    (lambda t: math.nan, 10.0, "out of"), (lambda t: -1.0, 10.0, "out of"),
+    (lambda t: 11.0, 10.0, "out of"), (lambda t: 1.0, 0.0, "rate_max")])
+def test_thinning_rejects_a_rate_out_of_range(rate_fn, rate_max, match):
+    with pytest.raises(ConfigError, match=match):
+        thinned_onsets(rate_fn, rate_max, 5.0, make_rng(0))
 
 
 @pytest.mark.parametrize("dist,cdf", [
@@ -109,7 +116,7 @@ def test_empirical_cdf_matches_analytic(dist, cdf):
 def test_thinning_matches_homogeneous_law():
     lam = 25.0
     rng = make_rng(6)
-    onsets = sample_ioi_stream(InhomogeneousPoisson(lambda t: lam, lam), 500.0, rng)
+    onsets = thinned_onsets(lambda t: lam, lam, 500.0, rng)
     iois = np.diff(onsets)
     ref = Exponential(lam).sample(rng, 10_000)
     d = sps.ks_2samp(iois[:10_000], ref).statistic
@@ -153,8 +160,6 @@ def test_config_round_trip():
     assert dist_from_config({"type": "exponential", "scale": 0.5}) == Exponential(2.0)
     with pytest.raises(ConfigError):
         dist_from_config({"type": "cauchy"})
-    with pytest.raises(ConfigError):
-        dist_to_config(InhomogeneousPoisson(lambda t: 1.0, 2.0))
 
 
 def test_dist_from_config_rejects_an_unknown_key_by_path():
@@ -244,7 +249,7 @@ def _velocity_cdf(dist):
 
 
 LAWS = [Constant(0.2), Constant(800), Uniform(100, 1000), Uniform(0.01, 0.05),
-        Gaussian(60.0, 5.0), Exponential(40.2), InhomogeneousPoisson(lambda t: 1.0, 2.0)]
+        Gaussian(60.0, 5.0), Exponential(40.2)]
 
 
 @pytest.mark.parametrize("law", LAWS)
