@@ -2,10 +2,14 @@
 
 Subcommands: expand, generate, compensate, analyze, experiment, report.
 All outputs are deterministic for a fixed seed; the default seed comes from
-POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error (argparse), an
-unusable or unreadable config or latency model, an unreadable event file or
-one too short for a requested metric, an unreadable experiment report, an
-unknown experiment or a negative depth, 3 experiment gate failure.
+POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error, 3 experiment
+gate failure. Argparse exits 2 on a bad command line; every other usage error
+is a ConfigError, ParseError or UnknownExperimentError raised by a subcommand,
+and ``main`` alone turns it into its message on stderr and exit 2: an unusable
+or unreadable config or latency model, an unreadable event file or one too
+short for a requested metric, an unknown metric, an unreadable or missing
+experiment report, an unknown experiment, no experiment named, or a negative
+depth or seed.
 """
 
 from __future__ import annotations
@@ -68,14 +72,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _cmd_expand(args) -> int:
-    try:
-        cfg = _load_config(args.grammar)
-        grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
-        if args.depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {args.depth}")
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
+    cfg = _load_config(args.grammar)
+    grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
+    if args.depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {args.depth}")
     result = grammar_expand(grammar, args.depth)
     print(result.text)
     if args.tags:
@@ -88,29 +88,25 @@ CONFIG_KEYS = ("grammar", "mapping", "depth", "seed", "hal", "midi")
 
 
 def _cmd_generate(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        reject_unknown_keys(cfg, CONFIG_KEYS, "")
-        require_keys(cfg, ("grammar", "mapping"), "")
-        midi = midi_from_config(cfg.get("midi", {}))
-        grammar = grammar_from_config(cfg["grammar"])
-        table = table_from_config(cfg["mapping"])
-        model = model_from_config(cfg.get("hal", {}))
-        depth = (args.depth if args.depth is not None
-                 else config_value(cfg.get("depth", 4), int, "depth"))
-        seed = (args.seed if args.seed is not None
-                else config_value(cfg.get("seed", _default_seed()), int, "seed"))
-        if depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {depth}")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        symbols = grammar_expand(grammar, depth)
-        piece = generate(symbols, table, make_rng(seed), seed=seed)
-        piece, violations = enforce_constraints(piece, ConstraintSet())
-        compensated = _precompensate(piece, model)
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
+    cfg = _load_config(args.config)
+    reject_unknown_keys(cfg, CONFIG_KEYS, "")
+    require_keys(cfg, ("grammar", "mapping"), "")
+    midi = midi_from_config(cfg.get("midi", {}))
+    grammar = grammar_from_config(cfg["grammar"])
+    table = table_from_config(cfg["mapping"])
+    model = model_from_config(cfg.get("hal", {}))
+    depth = (args.depth if args.depth is not None
+             else config_value(cfg.get("depth", 4), int, "depth"))
+    seed = (args.seed if args.seed is not None
+            else config_value(cfg.get("seed", _default_seed()), int, "seed"))
+    if depth < 0:
+        raise ConfigError(f"depth must be >= 0, got {depth}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    symbols = grammar_expand(grammar, depth)
+    piece = generate(symbols, table, make_rng(seed), seed=seed)
+    piece, violations = enforce_constraints(piece, ConstraintSet())
+    compensated = _precompensate(piece, model)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,25 +129,17 @@ def _precompensate(piece, model):
 
 
 def _cmd_compensate(args) -> int:
-    try:
-        piece = read_events(args.infile)
-        model = model_from_config(_read_json(args.model) if args.model else {})
-        compensated = _precompensate(piece, model)
-    except (ConfigError, ParseError, OSError) as err:
-        print(err, file=sys.stderr)
-        return 2
+    piece = read_events(args.infile)
+    model = model_from_config(_read_json(args.model) if args.model else {})
+    compensated = _precompensate(piece, model)
     write_events_json(compensated, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        piece = read_events(args.infile)
-        other = read_events(args.pair) if args.pair else None
-    except (ParseError, OSError) as err:
-        print(err, file=sys.stderr)
-        return 2
+    piece = read_events(args.infile)
+    other = read_events(args.pair) if args.pair else None
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     values: dict = {}
     pitches = piece.pitches()
@@ -179,12 +167,10 @@ def _cmd_analyze(args) -> int:
                         *(piece.with_columns(rows=piece.column("voice") == v) for v in voices[:2]))
                     values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
             else:
-                print(f"unknown metric: {metric}", file=sys.stderr)
-                return 2
+                raise ConfigError(f"unknown metric: {metric}")
         except MetricError as err:
             # a readable piece too short for the metric
-            print(f"{args.infile}: {metric}: {err}", file=sys.stderr)
-            return 2
+            raise ParseError(f"{args.infile}: {metric}: {err}") from err
     report = MetricReport(**values)
     if args.csv:
         print(MetricReport.csv_header())
@@ -195,27 +181,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.all:
-        names = sorted(experiments.REGISTRY)
-    elif args.name:
-        names = [args.name]
-    else:
-        print("--name or --all required", file=sys.stderr)
-        return 2
+    if not (args.all or args.name):
+        raise ConfigError("--name or --all required")
     seed = args.seed if args.seed is not None else _default_seed()
     overrides = {"full_scale": True} if args.full_scale else {}
-    try:
-        specs = [experiments.ExperimentSpec(name, seed, overrides) for name in names]
-    except experiments.UnknownExperimentError as err:
-        print(err.args[0], file=sys.stderr)
-        return 2
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
-            reports = list(pool.map(experiments.run, specs))
-    else:
-        reports = list(map(experiments.run, specs))
+    reports = experiments.run_all(seed, names=None if args.all else [args.name],
+                                  jobs=args.jobs, **overrides)
     failed = False
     for report in reports:
         print(report.to_text())
@@ -251,14 +222,9 @@ def _report_rows(path: Path) -> list[tuple]:
 
 def _cmd_report(args) -> int:
     directory = Path(args.dir)
-    try:
-        rows = [row for path in sorted(directory.glob("*.json")) for row in _report_rows(path)]
-    except ConfigError as err:
-        print(err, file=sys.stderr)
-        return 2
+    rows = [row for path in sorted(directory.glob("*.json")) for row in _report_rows(path)]
     if not rows:
-        print(f"no experiment reports under {directory}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"no experiment reports under {directory}")
     gated = [r for r in rows if r[5]]
     n_pass = sum(r[4] for r in gated)
     print(f"reproduction matrix: {n_pass}/{len(gated)} gated rows pass")
@@ -321,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, ParseError, experiments.UnknownExperimentError) as err:
+        print(err.args[0], file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

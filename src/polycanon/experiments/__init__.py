@@ -5,7 +5,9 @@ Each experiment is a function ``name(report, seed, full_scale)`` that adds its
 rows to ``report``. ``run`` is the one place an experiment is run: it creates
 the report, calls the experiment, lints the rows and stamps the provenance
 with ``seed``, ``config_hash`` (a hash of the spec: name, seed and overrides)
-and ``runtime_s``. ``full_scale`` is the one override."""
+and ``runtime_s``. ``full_scale`` is the one override. ``run_all`` is the one
+runner of several, serial or over a process pool; ``polycanon experiment``
+calls it."""
 
 from __future__ import annotations
 
@@ -77,11 +79,20 @@ def run(spec: ExperimentSpec) -> Report:
     return report
 
 
-def run_all(master_seed: int = 42, names=None, **overrides) -> list[Report]:
-    """Execute the registry (or a subset); per-experiment failures are recorded
-    in the reports, not raised."""
-    return [run(ExperimentSpec(name, master_seed, overrides))
-            for name in names or sorted(REGISTRY)]
+def run_all(master_seed: int = 42, names=None, jobs: int = 1, **overrides) -> list[Report]:
+    """The reports of the named experiments (the whole registry, sorted, by
+    default) at ``master_seed``; a failed gate is recorded, not raised. Every
+    spec is built first, so an unknown name or override raises before anything
+    runs; the specs then run serially, or over a pool of ``min(jobs, number of
+    specs)`` processes, with the same reports in the same order."""
+    specs = [ExperimentSpec(name, master_seed, overrides) for name in names or sorted(REGISTRY)]
+    workers = min(jobs, len(specs))
+    if workers <= 1:
+        return list(map(run, specs))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, specs))
 
 
 def summarize(reports: list[Report]) -> str:

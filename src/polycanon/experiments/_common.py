@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..events import Piece
+from ..events import PITCH_MAX, Piece
 from ..grammar import expand
 from ..metrics import melodic_coherence, pitch_class_concentration
 from ..pipeline import apply_collision_mask, generate
@@ -134,7 +134,7 @@ def sweep_condition(density: float, law: str, rng, duration: float | None = None
         guide = lo + span * np.where(x < period / 2, 2 * x / period, 2 - 2 * x / period)
         walk = _reflect(np.cumsum(rng.normal(0, sigma, len(onsets))), bound)
         intended = _snap(np.round(guide))
-        realized = _snap(np.round(np.clip(guide + walk, 0, 127)))
+        realized = _snap(np.round(np.clip(guide + walk, 0, PITCH_MAX)))
         voices.append((onsets, intended, realized))
         velocities = rng.integers(300, 701, len(onsets))
         columns.append((onsets, realized, velocities, np.full(len(onsets), v)))

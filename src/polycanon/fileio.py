@@ -75,12 +75,12 @@ def velocity_to_7bit(v10):
 
     Takes a scalar or an array and rounds half to even, like ``round``.
     """
-    v7 = np.maximum(1, np.rint(np.asarray(v10) * 127 / 1023)).astype(np.int64)
+    v7 = np.maximum(1, np.rint(np.asarray(v10) * 127 / VELOCITY_MAX)).astype(np.int64)
     return v7 if v7.ndim else int(v7)
 
 
 def velocity_from_7bit(v7):
-    v10 = np.rint(np.asarray(v7) * 1023 / 127).astype(np.int64)
+    v10 = np.rint(np.asarray(v7) * VELOCITY_MAX / 127).astype(np.int64)
     return v10 if v10.ndim else int(v10)
 
 
@@ -400,8 +400,16 @@ def write_events_csv(piece: Piece, path) -> Path:
 
 
 def read_events(path) -> Piece:
-    """Read a piece from .json, .csv or .mid/.midi by extension."""
+    """Read a piece from .json, .csv or .mid/.midi by extension; a file that
+    cannot be opened raises ParseError with the OSError's message."""
     path = Path(path)
+    try:
+        return _read_events(path)
+    except OSError as err:
+        raise ParseError(str(err)) from err
+
+
+def _read_events(path: Path) -> Piece:
     suffix = path.suffix.lower()
     if suffix == ".json":
         try:

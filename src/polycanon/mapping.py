@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .events import PITCH_MAX
 from .stochastic import (
     ConfigError,
     Distribution,
@@ -40,7 +41,7 @@ class PitchSet:
             raise ConfigError("pitch set needs at least one pitch class")
         if any(not 0 <= c <= 11 for c in self.classes):
             raise ConfigError("pitch classes must be in 0..11")
-        if not 0 <= self.lo <= self.hi <= 127:
+        if not 0 <= self.lo <= self.hi <= PITCH_MAX:
             raise ConfigError(f"register [{self.lo}, {self.hi}] invalid")
         cdf = None
         if self.weights is not None:
@@ -92,11 +93,11 @@ class PitchSet:
         return np.array(values)[order], np.array(probs)[order]
 
     def widened(self, factor: float) -> "PitchSet":
-        """Register scaled about its centre by `factor`, clamped to 0..127."""
+        """Register scaled about its centre by `factor`, clamped to 0..``PITCH_MAX``."""
         center = 0.5 * (self.lo + self.hi)
         half = 0.5 * (self.hi - self.lo) * factor
         lo = int(max(0, round(center - half)))
-        hi = int(min(127, round(center + half)))
+        hi = int(min(PITCH_MAX, round(center + half)))
         return replace(self, lo=lo, hi=hi)
 
 

@@ -18,15 +18,15 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .events import NoteEvent, Piece, field
+from .events import PITCH_MAX, VELOCITY_MAX, NoteEvent, Piece, field
 from .stats import ks_distance, wasserstein1
 
 LOG2_12 = math.log2(12)
 
 # Normalisation ranges for nwVSS: full pitch range, 10-bit velocity range,
 # and the log-IOI span covering 1 ms .. 10 s.
-RANGE_PITCH = 127.0
-RANGE_VELOCITY = 1023.0
+RANGE_PITCH = float(PITCH_MAX)
+RANGE_VELOCITY = float(VELOCITY_MAX)
 RANGE_TEMPORAL = math.log(10.0 / 0.001)
 
 

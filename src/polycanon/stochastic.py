@@ -271,11 +271,11 @@ def thinned_onsets(rate_fn: Callable[[float], float], rate_max: float, duration:
     """Onsets in [0, duration) of an inhomogeneous Poisson process with rate
     ``rate_fn(t)``, drawn by thinning (Lewis & Shedler 1979): per candidate, an
     exponential gap at ``rate_max``, then a uniform draw that keeps it with
-    probability ``rate_fn(t) / rate_max``. A rate outside [0, rate_max], NaN
-    included, raises ConfigError.
+    probability ``rate_fn(t) / rate_max``. A ``rate_max`` that is not finite
+    and > 0, or a rate outside [0, rate_max], NaN included, raises ConfigError.
     """
-    if rate_max <= 0:
-        raise ConfigError("rate_max must be > 0")
+    if not 0 < rate_max < np.inf:
+        raise ConfigError(f"rate_max must be finite and > 0, got {rate_max}")
     onsets = []
     t = 0.0
     while True:

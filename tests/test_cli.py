@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -224,6 +225,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["expand"])  # missing --depth
     assert err.value.code == 2
+
+
+def test_only_main_turns_an_error_into_exit_2():
+    """`main` is the one home of the usage-error exit: it is the only function
+    of the CLI that returns 2 or handles an error (an except clause elsewhere
+    only re-raises, translating the error into a ConfigError or ParseError),
+    and no subcommand prints to stderr."""
+    from polycanon import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    returns_2 = []
+    for func in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return) and ast.unparse(node) == "return 2":
+                returns_2.append(func.name)
+            elif isinstance(node, ast.ExceptHandler) and func.name != "main":
+                assert [type(s) for s in node.body] == [ast.Raise], (
+                    f"{func.name}:{node.lineno} handles an error")
+            elif isinstance(node, ast.keyword) and func.name.startswith("_cmd_"):
+                assert ast.unparse(node) != "file=sys.stderr", (
+                    f"{func.name}:{node.lineno} prints to stderr")
+    assert returns_2 == ["main"]
 
 
 def test_generate_reads_the_midi_section_of_the_config(tmp_path, capsys):

@@ -139,6 +139,17 @@ def test_run_stamps_the_provenance_of_the_spec():
         ExperimentSpec("epsilon_sensitivity", 5)).provenance["config_hash"]
 
 
+def test_run_all_checks_every_name_before_running_any(monkeypatch):
+    from polycanon import experiments
+
+    ran = []
+    monkeypatch.setitem(experiments.REGISTRY, "epsilon_sensitivity",
+                        lambda report, seed, full_scale: ran.append(seed))
+    with pytest.raises(UnknownExperimentError, match="'nope'"):
+        run_all(0, names=["epsilon_sensitivity", "nope"])
+    assert ran == []
+
+
 def test_run_all_subset_api():
     reps = run_all(5, names=["epsilon_sensitivity"])
     assert len(reps) == 1 and reps[0].name == "epsilon_sensitivity"

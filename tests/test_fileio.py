@@ -211,6 +211,19 @@ def test_every_cut_midi_file_is_a_parse_error_naming_it(tmp_path):
             read_events(cut)
 
 
+@pytest.mark.parametrize("name", ["gone.json", "gone.csv", "gone.mid", "dir.json", "dir.mid"])
+def test_a_file_that_cannot_be_read_is_a_parse_error_naming_it(tmp_path, name):
+    """A missing file or a directory raises ParseError with the OSError's
+    message, which names the path."""
+    path = tmp_path / name
+    if name.startswith("dir"):
+        path.mkdir()
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert isinstance(err.value.__cause__, OSError)
+    assert str(err.value) == str(err.value.__cause__) and f"'{path}'" in str(err.value)
+
+
 @pytest.mark.parametrize("name", ["bin.json", "bin.csv"])
 def test_an_undecodable_text_file_is_a_parse_error_naming_it(tmp_path, name):
     path = tmp_path / name

@@ -95,7 +95,10 @@ def test_zero_constant_ioi_rejected():
 
 @pytest.mark.parametrize("rate_fn, rate_max, match", [
     (lambda t: math.nan, 10.0, "out of"), (lambda t: -1.0, 10.0, "out of"),
-    (lambda t: 11.0, 10.0, "out of"), (lambda t: 1.0, 0.0, "rate_max")])
+    (lambda t: 11.0, 10.0, "out of"), (lambda t: 1.0, 0.0, "rate_max"),
+    # an infinite rate_max draws zero gaps, so the loop would never end
+    (lambda t: 1.0, math.inf, "^rate_max must be finite and > 0, got inf$"),
+    (lambda t: 1.0, math.nan, "^rate_max must be finite and > 0, got nan$")])
 def test_thinning_rejects_a_rate_out_of_range(rate_fn, rate_max, match):
     with pytest.raises(ConfigError, match=match):
         thinned_onsets(rate_fn, rate_max, 5.0, make_rng(0))
