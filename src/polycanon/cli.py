@@ -1,15 +1,21 @@
 """Command-line front end.
 
 Subcommands: expand, generate, compensate, analyze, experiment, report.
-All outputs are deterministic for a fixed seed; the default seed comes from
-POLYCANON_SEED when set. Exit codes: 0 success, 2 usage error, 3 experiment
-gate failure. Argparse exits 2 on a bad command line; every other usage error
-is a ConfigError, ParseError or UnknownExperimentError raised by a subcommand,
-and ``main`` alone turns it into its message on stderr and exit 2: an unusable
-or unreadable config or latency model, an unreadable event file or one too
-short for a requested metric, an unknown metric, an unreadable or missing
-experiment report, an unknown experiment, no experiment named, or a negative
-depth or seed.
+All outputs are deterministic for a fixed seed; the seed comes from --seed,
+else the config's ``seed`` (generate), else POLYCANON_SEED, else 42. Exit
+codes: 0 success, 2 usage error, 3 experiment gate failure. Argparse exits 2
+on a bad command line; every other usage error is a ConfigError or ParseError
+raised by a subcommand (an unknown experiment is an UnknownExperimentError,
+a ConfigError), and ``main`` alone turns it into its message on stderr and
+exit 2: an unusable or unreadable config or latency model, an unreadable
+event file or one too short for a requested metric, an unknown metric, an
+unreadable or missing experiment report, an unknown experiment, no
+experiment named, a negative depth, or a seed that is negative or not an
+integer.
+
+The module loads only what expand, generate and compensate run: analyze
+imports ``metrics`` (and with it ``stats``) and experiment imports
+``experiments`` when they run.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments
 from .fileio import (
     ParseError,
     midi_from_config,
@@ -35,15 +40,6 @@ from .grammar import expand as grammar_expand
 from .grammar import grammar_from_config
 from .hal import ConstraintSet, enforce_constraints, model_from_config, precompensate
 from .mapping import table_from_config
-from .metrics import (
-    MetricError,
-    MetricReport,
-    melodic_coherence,
-    normalized_lz,
-    pitch_class_concentration,
-    rhythmic_coherence,
-    voice_separation,
-)
 from .pipeline import generate
 from .presets import load_bundled_config
 from .stochastic import ConfigError, config_value, make_rng, reject_unknown_keys, require_keys
@@ -52,8 +48,25 @@ EXIT_OK = 0
 EXIT_EXPERIMENT_FAILED = 3
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("POLYCANON_SEED", "42"))
+def _seed(flag: int | None, cfg: dict) -> int:
+    """The seed of ``generate`` and ``experiment``: ``--seed`` when given, else
+    the config's ``seed``, else POLYCANON_SEED, else 42. The variable is read
+    only when it is used; a seed that is not a non-negative integer raises
+    ConfigError naming the flag, the config key or the variable."""
+    if flag is not None:
+        seed, source = flag, "--seed"
+    elif "seed" in cfg:
+        seed, source = config_value(cfg["seed"], int, "seed"), "seed"
+    else:
+        text = os.environ.get("POLYCANON_SEED", "42")
+        try:
+            seed = int(text)
+        except ValueError as err:
+            raise ConfigError(f"POLYCANON_SEED must be an integer, got {text!r}") from err
+        source = "POLYCANON_SEED"
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _read_json(path: str):
@@ -97,12 +110,9 @@ def _cmd_generate(args) -> int:
     model = model_from_config(cfg.get("hal", {}))
     depth = (args.depth if args.depth is not None
              else config_value(cfg.get("depth", 4), int, "depth"))
-    seed = (args.seed if args.seed is not None
-            else config_value(cfg.get("seed", _default_seed()), int, "seed"))
     if depth < 0:
         raise ConfigError(f"depth must be >= 0, got {depth}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    seed = _seed(args.seed, cfg)
     symbols = grammar_expand(grammar, depth)
     piece = generate(symbols, table, make_rng(seed), seed=seed)
     piece, violations = enforce_constraints(piece, ConstraintSet())
@@ -138,6 +148,9 @@ def _cmd_compensate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .metrics import (MetricError, MetricReport, melodic_coherence, normalized_lz,
+                          pitch_class_concentration, rhythmic_coherence, voice_separation)
+
     piece = read_events(args.infile)
     other = read_events(args.pair) if args.pair else None
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -181,9 +194,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import experiments
+
     if not (args.all or args.name):
         raise ConfigError("--name or --all required")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args.seed, {})
     overrides = {"full_scale": True} if args.full_scale else {}
     reports = experiments.run_all(seed, names=None if args.all else [args.name],
                                   jobs=args.jobs, **overrides)
@@ -289,7 +304,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, experiments.UnknownExperimentError) as err:
+    except (ConfigError, ParseError) as err:
         print(err.args[0], file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..stochastic import ConfigError
 from .beyond import beyond_human
 from .convergence import cp_continuous, cp_discrete, epsilon_sensitivity
 from .density import density_sweep, distribution_independence, null_baseline
@@ -46,7 +47,7 @@ REGISTRY = {
 }
 
 
-class UnknownExperimentError(KeyError):
+class UnknownExperimentError(ConfigError):
     pass
 
 

@@ -8,13 +8,11 @@ L(VELOCITY_MAX) = L_min and are monotone non-increasing in velocity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept, row_order
-from .stats import paired_t_test
 from .stochastic import config_section
 
 
@@ -68,7 +66,13 @@ def latency(model: LatencyModel, v) -> np.ndarray | float:
 
 
 def precompensate(piece: Piece, model: LatencyModel) -> Piece:
-    """Shift every onset earlier by its predicted latency and re-sort."""
+    """Shift every onset earlier by its predicted latency and re-sort.
+
+    The result is the command stream: when each key must be struck so that
+    it sounds at the piece's onset. It is not checked against the
+    constraints again. Two strikes of one key that sound at least the
+    per-key window apart can be commanded closer than that when the later
+    one is softer, so it is struck earlier: a known defect (ROADMAP.md)."""
     return piece.with_columns(onset=piece.onsets() - latency(model, piece.velocities()) / 1000.0)
 
 
@@ -156,6 +160,8 @@ class CalibrationData:
 
     @staticmethod
     def from_csv(path) -> "CalibrationData":
+        import csv
+
         vs, ls = [], []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -165,6 +171,8 @@ class CalibrationData:
         return CalibrationData(tuple(vs), tuple(ls))
 
     def to_csv(self, path) -> None:
+        import csv
+
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["velocity", "latency_ms"])
@@ -238,6 +246,11 @@ def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
     Repair order matters and is fixed: velocity clamp, then the per-key
     collision mask, then the simultaneity cap (lowest velocities dropped
     beyond the key count).
+
+    The constraints hold on the onsets of ``piece``, which are sounding
+    onsets in ``polycanon generate``: it enforces them before
+    ``precompensate``, and the command stream it writes is not checked
+    again (see ``precompensate``).
     """
     report: list[Violation] = []
     n = len(piece)
@@ -345,6 +358,8 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
         raw[t] = actual.std()
         hal[t] = (actual - assumed_ms).std()
     if trials >= 2 and not np.allclose(raw, hal):
+        from .stats import paired_t_test
+
         p = paired_t_test(hal, raw).p_value
     else:
         p = float("nan")

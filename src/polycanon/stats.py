@@ -11,6 +11,11 @@ the metrics that use its distances, never loads scipy: KS distances, the W1
 distance (scipy's own arithmetic, so both give the same float), bootstrap,
 permutation tests and the breakpoint fit, whose exact conventions are part
 of the project contract.
+
+The generation path never loads this module either: ``import polycanon``
+and ``polycanon generate``, ``expand`` and ``compensate`` run without it.
+``metrics`` and ``experiments`` import it, and ``hal.simulate_mismatch``
+imports ``paired_t_test`` when it is called, for its p value.
 """
 
 from __future__ import annotations
@@ -360,7 +365,9 @@ def piecewise_fit(x, y) -> PiecewiseFit:
     c1, sse1 = _line_sse(x[left], y[left])
     c2, sse2 = _line_sse(x[~left], y[~left])
     sse = sse1 + sse2
-    sst = float(np.sum((y - y.mean()) ** 2))
+    # both models fit equal y values exactly, and the mean of equal floats
+    # need not be exact, so their sst would be rounding noise
+    sst = float(np.sum((y - y.mean()) ** 2)) if np.ptp(y) > 0 else 0.0
     lin_coef, lin_sse = _line_sse(x, y)
     return PiecewiseFit(
         breakpoint=float(b),

@@ -31,7 +31,6 @@ not a law.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -106,6 +105,8 @@ def make_rng(seed: int) -> np.random.Generator:
 def derive_rng(master_seed: int, stream: str | int) -> np.random.Generator:
     """Independent generator for a named sub-stream of a master seed."""
     if isinstance(stream, str):
+        import hashlib
+
         digest = hashlib.sha256(stream.encode("utf-8")).digest()
         stream = int.from_bytes(digest[:8], "big")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((master_seed, stream))))

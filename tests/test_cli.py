@@ -221,6 +221,53 @@ def test_an_unknown_experiment_or_a_negative_depth_exits_2(capsys, argv, message
     assert out == "" and err.startswith(message)
 
 
+@pytest.mark.parametrize("command,config_seed,flag,env,message", [
+    # the config's seed wins, so the variable is not read
+    pytest.param("generate", 42, None, "abc", None, id="generate-config-seed"),
+    pytest.param("generate", None, "3", "abc", None, id="generate-flag"),
+    pytest.param("generate", None, None, "abc", "POLYCANON_SEED must be an integer, got 'abc'",
+                 id="generate-variable-not-an-integer"),
+    pytest.param("generate", None, None, "-1", "POLYCANON_SEED must be >= 0, got -1",
+                 id="generate-variable-negative"),
+    pytest.param("generate", 42, "-3", None, "--seed must be >= 0, got -3",
+                 id="generate-flag-negative"),
+    pytest.param("generate", -1, None, "7", "seed must be >= 0, got -1",
+                 id="generate-config-seed-negative"),
+    pytest.param("experiment", None, "-3", "abc", "--seed must be >= 0, got -3",
+                 id="experiment-flag-negative"),
+    pytest.param("experiment", None, None, "-1", "POLYCANON_SEED must be >= 0, got -1",
+                 id="experiment-variable-negative"),
+    pytest.param("experiment", None, None, "abc", "POLYCANON_SEED must be an integer, got 'abc'",
+                 id="experiment-variable-not-an-integer"),
+])
+def test_a_bad_seed_exits_2_naming_its_source(tmp_path, capsys, monkeypatch, command,
+                                              config_seed, flag, env, message):
+    """The seed comes from --seed, else the config, else POLYCANON_SEED; only
+    the source in use is read, and a bad one is a usage error naming it."""
+    if env is None:
+        monkeypatch.delenv("POLYCANON_SEED", raising=False)
+    else:
+        monkeypatch.setenv("POLYCANON_SEED", env)
+    if command == "generate":
+        cfg = load_bundled_config("canonical")
+        del cfg["seed"]
+        if config_seed is not None:
+            cfg["seed"] = config_seed
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["generate", "--config", str(tmp_path / "cfg.json"), "--depth", "2",
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["experiment", "--name", "ablation_c"]
+    if flag is not None:
+        argv += ["--seed", flag]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if message is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "") and err.startswith(message)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["expand"])  # missing --depth
@@ -356,28 +403,47 @@ def test_generate_names_a_missing_config_key(tmp_path, capsys, path):
     assert not (tmp_path / "out").exists()
 
 
-def test_generate_and_analyze_never_load_scipy(tmp_path):
-    # a fresh interpreter, since this test process has loaded scipy already
-    script = """if True:
-        import sys
-        import polycanon
-        loaded = ["scipy" in sys.modules]
-        from polycanon import cli
-        loaded.append("scipy" in sys.modules)
-        out = sys.argv[1]
-        cli.main(["generate", "--depth", "4", "--out", out])
-        loaded.append("scipy" in sys.modules)
-        for name in ("piece.json", "piece.csv", "piece.mid"):
-            cli.main(["analyze", "--in", f"{out}/{name}", "--metrics", "pcc,nlz,mc,rc,vss"])
-        loaded.append("scipy" in sys.modules)
-        print(loaded)
-    """
+def run_fresh(script: str, *args: str) -> str:
+    """What ``script`` prints when run with ``args`` in a fresh interpreter
+    with ``src`` on PYTHONPATH; it must exit 0. This test process has loaded
+    every module already, so only a fresh one shows what a command loads."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(polycanon.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[False, False, False, False]"
+    return done.stdout
+
+
+ANALYSIS_MODULES = ("polycanon.metrics", "polycanon.stats", "polycanon.experiments", "scipy")
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    """The generation commands run without the analysis stack; analyze loads
+    metrics and stats, but neither the experiments nor scipy."""
+    script = f"""if True:
+        import json, sys
+        from polycanon import cli
+
+        def loaded():
+            return [name for name in {ANALYSIS_MODULES!r} if name in sys.modules]
+
+        out = sys.argv[1]
+        stages = {{"import": (0, loaded())}}
+        for argv in (["generate", "--depth", "4", "--out", out],
+                     ["expand", "--depth", "4"],
+                     ["compensate", "--in", f"{{out}}/piece.json", "--out", f"{{out}}/c.json"]):
+            stages[argv[0]] = (cli.main(argv), loaded())
+        codes = [cli.main(["analyze", "--in", f"{{out}}/{{name}}",
+                           "--metrics", "pcc,nlz,mc,rc,vss"])
+                 for name in ("piece.json", "piece.csv", "piece.mid")]
+        stages["analyze"] = (max(codes), loaded())
+        print(json.dumps(stages))
+    """
+    stages = json.loads(run_fresh(script, str(tmp_path)).splitlines()[-1])
+    assert stages == {"import": [0, []], "generate": [0, []], "expand": [0, []],
+                      "compensate": [0, []],
+                      "analyze": [0, ["polycanon.metrics", "polycanon.stats"]]}
 
 
 def test_expand_rejects_an_unknown_grammar_key(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycanon.cli import main
 from polycanon.events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece
+from polycanon.fileio import read_events
 from polycanon.grammar import expand
 from polycanon.hal import (
     CalibrationData,
@@ -395,6 +397,16 @@ def test_precompensate_is_undone_by_adding_the_latency_back(depth, seed, model):
             np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(got[name], want[name])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_the_written_command_stream_keeps_the_constraints(tmp_path, capsys):
+    """`generate` enforces the 50 ms per-key window on sounding onsets, then
+    writes the precompensated command stream unchecked; re-checking that
+    stream at depth 4, seed 0 finds 4 per-key repairs."""
+    assert main(["generate", "--depth", "4", "--seed", "0", "--out", str(tmp_path)]) == 0
+    _, repairs = enforce_constraints(read_events(tmp_path / "piece.json"))
+    assert repairs == []
 
 
 def test_simulate_mismatch_directions():
