@@ -176,8 +176,7 @@ def _cmd_analyze(args) -> int:
             elif metric in ("vss", "wvss", "nwvss"):
                 voices = piece.voices()
                 if len(voices) >= 2:
-                    vss, wvss, nwvss = voice_separation(
-                        *(piece.with_columns(rows=piece.column("voice") == v) for v in voices[:2]))
+                    vss, wvss, nwvss = voice_separation(*map(piece.voice_events, voices[:2]))
                     values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
             else:
                 raise ConfigError(f"unknown metric: {metric}")

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -144,14 +144,18 @@ class Piece:
     order, and full ties keep their input order: :func:`row_order` sorts
     by onset and re-sorts only the rows that share an onset.
 
-    ``events`` is the iteration view: a tuple of :class:`NoteEvent` built
-    from the columns on first access and cached. ``text`` is the writers'
-    view, each column as the strings the JSON and CSV writers print, cached
-    the same way; neither view is serialised or compared. Build pieces with
-    :meth:`from_columns` or :meth:`from_events`; two pieces are equal when
-    their events, sections and metadata are. The metrics take a piece (or a
-    row selection of one, by :meth:`with_columns`) or a sequence of
-    :class:`NoteEvent` alike, and read both through :func:`field`.
+    ``events`` is the iteration view, an :class:`EventView` of every row,
+    made on first access and cached; :meth:`voice_events` and
+    :meth:`section_events` return views of one voice's or section's rows.
+    A view is lazy: it builds its :class:`NoteEvent`s on the first index or
+    iteration. It is unhashable, and equal to a tuple or list of its events.
+    ``text`` is the writers' view, each column as the strings the JSON and
+    CSV writers print, cached like ``events``; neither view is serialised or
+    compared. Build pieces with :meth:`from_columns` or :meth:`from_events`;
+    two pieces are equal when their events, sections and metadata are. The
+    metrics take a ``Piece``, one of its event views, or a sequence of
+    ``NoteEvent`` alike, and read each through :func:`field`, which builds
+    no ``NoteEvent`` from a piece or a view.
     """
 
     __hash__ = None
@@ -216,24 +220,8 @@ class Piece:
         return Piece.from_columns(**cols, sections=self.sections, metadata=dict(self.metadata))
 
     @cached_property
-    def events(self) -> tuple[NoteEvent, ...]:
-        # the rows passed the column checks, so each NoteEvent's slots are
-        # filled directly, at about half the cost of __init__ and its checks
-        set_t, set_p, set_v, set_d, set_vo, set_s, set_g, set_se = _SLOT_SETTERS
-        new = object.__new__
-        events = []
-        for t, p, v, d, vo, s, g, se in zip(*(col.tolist() for col in self._columns.values())):
-            e = new(NoteEvent)
-            set_t(e, t)
-            set_p(e, p)
-            set_v(e, v)
-            set_d(e, d)
-            set_vo(e, vo)
-            set_s(e, s)
-            set_g(e, g)
-            set_se(e, se)
-            events.append(e)
-        return tuple(events)
+    def events(self) -> EventView:
+        return EventView(self._columns)
 
     @cached_property
     def text(self) -> dict[str, list[str]]:
@@ -291,15 +279,11 @@ class Piece:
     def voices(self) -> list[int]:
         return np.unique(self._columns["voice"]).tolist()
 
-    def _rows(self, mask: np.ndarray) -> list[NoteEvent]:
-        events = self.events
-        return [events[i] for i in np.flatnonzero(mask).tolist()]
+    def voice_events(self, voice: int) -> EventView:
+        return EventView(self._columns, np.flatnonzero(self._columns["voice"] == voice))
 
-    def voice_events(self, voice: int) -> list[NoteEvent]:
-        return self._rows(self._columns["voice"] == voice)
-
-    def section_events(self, index: int) -> list[NoteEvent]:
-        return self._rows(self._columns["section"] == index)
+    def section_events(self, index: int) -> EventView:
+        return EventView(self._columns, np.flatnonzero(self._columns["section"] == index))
 
     def duration_span(self) -> float:
         if self.sections:
@@ -309,9 +293,78 @@ class Piece:
         return float(np.max(self.onsets() + self.durations()))
 
 
+class EventView(Sequence):
+    """A read-only sequence of :class:`NoteEvent` over a piece's columns:
+    every row, or the rows an index array names, in that order.
+
+    The view holds the column dict, never the :class:`Piece`, so a piece
+    and its cached view form no reference cycle. ``len`` and :meth:`column`
+    read the columns; the ``NoteEvent``s are built only on the first index
+    or iteration, and cached. A view equals a tuple, a list or a view of
+    the same events, and like a list it is unhashable.
+    """
+
+    __slots__ = ("_columns", "_rows", "_events")
+    __hash__ = None
+
+    def __init__(self, columns: dict[str, np.ndarray], rows: np.ndarray | None = None):
+        self._columns = columns
+        self._rows = rows
+        self._events = None
+
+    def column(self, name: str) -> np.ndarray:
+        """The ``name`` column of the view's rows; all rows read the piece's
+        column without copying."""
+        col = self._columns[name]
+        return col if self._rows is None else col[self._rows]
+
+    def __len__(self):
+        return len(self._columns["onset"] if self._rows is None else self._rows)
+
+    def _built(self) -> tuple[NoteEvent, ...]:
+        if self._events is None:
+            # the rows passed the column checks, so each NoteEvent's slots are
+            # filled directly, at about half the cost of __init__ and its checks
+            set_t, set_p, set_v, set_d, set_vo, set_s, set_g, set_se = _SLOT_SETTERS
+            new = object.__new__
+            events = []
+            for t, p, v, d, vo, s, g, se in zip(*(self.column(name).tolist() for name in COLUMNS)):
+                e = new(NoteEvent)
+                set_t(e, t)
+                set_p(e, p)
+                set_v(e, v)
+                set_d(e, d)
+                set_vo(e, vo)
+                set_s(e, s)
+                set_g(e, g)
+                set_se(e, se)
+                events.append(e)
+            self._events = tuple(events)
+        return self._events
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, EventView):
+            other = other._built()
+        elif isinstance(other, list):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self._built() == other
+
+    def __repr__(self):
+        return f"EventView({list(self)!r})"
+
+
 def field(notes: Piece | Sequence[NoteEvent], name: str) -> np.ndarray:
-    """The ``name`` column of a piece, or the same values, with the column's
-    dtype, read from a sequence of :class:`NoteEvent` in its order."""
-    if isinstance(notes, Piece):
+    """The ``name`` column of a piece or one of its event views, or the same
+    values, with the column's dtype, read from a sequence of
+    :class:`NoteEvent` in its order. A piece or view builds no NoteEvent."""
+    if isinstance(notes, (Piece, EventView)):
         return notes.column(name)
     return np.fromiter(map(attrgetter(name), notes), COLUMNS[name], len(notes))

@@ -15,8 +15,10 @@ to the tick grid; at the default 960 PPQ / 500000 us per quarter one tick is
 The JSON and CSV writers print each value's text from the piece's cached
 text view, :attr:`Piece.text`, so a piece written both ways formats each
 value once, and they write a chunk of rows at a time; the MIDI writer works
-on the columns. The readers parse into lists and build the piece with
-:meth:`Piece.from_columns`.
+on the columns. The readers parse into per-column lists and build the
+piece with :meth:`Piece.from_columns`; the CSV reader parses a chunk of
+lines at a time, one column at a time, and the MIDI reader reads a one-byte
+delta time inline.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -266,8 +269,13 @@ def read_midi(path) -> Piece:
         # an index past the body's end is an event cut off by the track's end
         try:
             while p < len(body):
-                delta, p = _read_vlq(body, p)
-                tick += delta
+                byte = body[p]
+                if byte < 0x80:  # a one-byte delta, the common case
+                    tick += byte
+                    p += 1
+                else:
+                    delta, p = _read_vlq(body, p)
+                    tick += delta
                 byte = body[p]
                 if byte >= 0x80:
                     status = byte
@@ -323,7 +331,7 @@ def read_midi(path) -> Piece:
         sidecar = payload["velocities"]
         shift = payload.get("onset_shift_s", shift)
 
-    columns = [np.array(c, dtype=np.int64) for c in _transpose(notes, 6)]
+    columns = [np.array(c, dtype=np.int64) for c in list(zip(*notes)) or [()] * 6]
     # by (tick, track, pitch), then in the order the notes were read
     order = row_order(columns[1], columns[0], columns[3])
     track, on_tick, off_tick, pitch, v7, low = (c[order] for c in columns)
@@ -341,17 +349,14 @@ def read_midi(path) -> Piece:
 # ---------------------------------------------------------------------------
 
 
-def _transpose(rows: list[tuple], width: int = len(COLUMNS)) -> list[tuple]:
-    return list(zip(*rows)) or [()] * width
-
-
 # the text after each value of a JSON event: the last closes the event and
 # opens the next; _JSON_OPEN opens the first
 _JSON_SEPS = (*(f',\n   "{key}": ' for key, _ in _JSON_FIELDS[1:]), '\n  },\n  {\n   "onset_s": ')
 _JSON_OPEN = '[\n  {\n   "onset_s": '
 _CSV_SEPS = (",",) * (len(COLUMNS) - 1) + ("\n",)
-# rows per write: the text of a whole piece at once, and its encoded copy,
-# would sit in memory next to the piece's text view
+# rows per write, and lines per CSV read: the text of a whole piece at once,
+# and its encoded copy, would sit in memory next to the piece's text view,
+# and the fields of a whole file next to its lines
 _CHUNK_ROWS = 2048
 
 
@@ -426,28 +431,7 @@ def _read_events(path: Path) -> Piece:
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"{path}: malformed event document: {err}") from err
     if suffix == ".csv":
-        rows, linenos = [], []
-        lines = _read_text(path).splitlines()
-        if not lines or lines[0].split(",") != CSV_HEADER:
-            raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != len(CSV_HEADER):
-                raise ParseError(f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields")
-            try:
-                rows.append((float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]),
-                             int(parts[4]), parts[5], int(parts[6]), int(parts[7])))
-            except ValueError as err:
-                raise ParseError(f"{path}: line {lineno}: {err}") from err
-            linenos.append(lineno)
-        try:
-            return Piece.from_columns(*_transpose(rows))
-        except (ValueError, OverflowError) as err:
-            # the error is the first invalid row's; name its line
-            lineno = next(n for n, row in zip(linenos, rows) if not _is_valid(row))
-            raise ParseError(f"{path}: line {lineno}: {err}") from err
+        return _read_csv(path)
     if suffix in (".mid", ".midi"):
         # besides ParseError: a bad onset-shift text or sidecar, or notes the
         # piece's checks reject
@@ -456,6 +440,62 @@ def _read_events(path: Path) -> Piece:
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"{path}: {err}") from err
     raise ParseError(f"unsupported file type: {path}")
+
+
+# how the CSV reader reads each field of a row
+_CSV_TYPES = (float, int, int, float, int, str, int, int)
+
+
+def _read_csv(path: Path) -> Piece:
+    """Parse the rows a chunk of lines at a time, column by column: the
+    chunk's fields are joined and split once, and each column is one ``map``
+    over every eighth field. A chunk that fails is parsed again line by line
+    by :func:`_csv_rows`, whose error names the first bad line."""
+    lines = _read_text(path).splitlines()
+    if not lines or lines[0].split(",") != CSV_HEADER:
+        raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
+    width = len(CSV_HEADER)
+    columns = [[] for _ in CSV_HEADER]
+    for start in range(1, len(lines), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        chunk = list(filter(str.strip, lines[start:stop]))  # blank lines are skipped
+        if not chunk:
+            continue
+        fields = ",".join(chunk).split(",")
+        try:
+            # a short row next to a long one would shift the columns, so each
+            # row's own field count is checked
+            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+                raise ValueError
+            for k, (column, read) in enumerate(zip(columns, _CSV_TYPES)):
+                column.extend(map(read, fields[k::width]))
+        except ValueError:
+            for _ in _csv_rows(path, lines, start, stop):
+                pass  # raises the first bad line's error
+            raise
+    try:
+        return Piece.from_columns(*columns)
+    except (ValueError, OverflowError) as err:
+        # the error is the first invalid row's; name its line
+        lineno = next(n for n, row in _csv_rows(path, lines, 1, len(lines)) if not _is_valid(row))
+        raise ParseError(f"{path}: line {lineno}: {err}") from err
+
+
+def _csv_rows(path: Path, lines: list[str], start: int, stop: int):
+    """(line number, row) of each non-blank line of ``lines[start:stop]``,
+    parsed one line at a time; a line that does not parse raises ParseError
+    naming it."""
+    for lineno, line in enumerate(lines[start:stop], start + 1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(CSV_HEADER):
+            raise ParseError(f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields")
+        try:
+            row = tuple(read(part) for read, part in zip(_CSV_TYPES, parts))
+        except ValueError as err:
+            raise ParseError(f"{path}: line {lineno}: {err}") from err
+        yield lineno, row
 
 
 def _read_text(path: Path) -> str:

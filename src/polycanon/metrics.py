@@ -296,7 +296,8 @@ def _domain_marginals(notes: Piece | Sequence[NoteEvent]):
 
 def separation_components(events_i, events_j) -> tuple[float, float, float]:
     """W1 distances between two voices' pitch, velocity and log-IOI marginals;
-    each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`."""
+    each voice is a :class:`Piece`, one of its event views, or a sequence of
+    :class:`NoteEvent`."""
     pi, vi, ti = _domain_marginals(events_i)
     pj, vj, tj = _domain_marginals(events_j)
     return (wasserstein1(pi, pj), wasserstein1(vi, vj), wasserstein1(ti, tj))
@@ -308,7 +309,8 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
     VSS is the plain mean of the three W1 components; wVSS weights the raw
     components; nwVSS weights the range-normalised components. With no
     weight vector the uniform one is used, making wVSS coincide with VSS.
-    Each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`.
+    Each voice is a :class:`Piece`, one of its event views, or a sequence of
+    :class:`NoteEvent`.
     """
     w = weights or UNIFORM_WEIGHTS
     wp, wv, wt = w.as_tuple()
@@ -321,7 +323,8 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
 
 def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector:
     """Per-domain weights proportional to the mean pairwise W1 separation;
-    each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`.
+    each voice is a :class:`Piece`, one of its event views, or a sequence of
+    :class:`NoteEvent`.
 
     With ``normalized`` the components are divided by their domain ranges
     before weighting (the nwVSS convention). Degenerate all-zero separation
@@ -350,7 +353,8 @@ def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector
 def pcs_distance(events_i, events_j, window: float = 1.0) -> float:
     """Mean windowed (1 - cosine) distance between pitch-class histograms.
 
-    Each voice is a :class:`Piece` or a sequence of :class:`NoteEvent`.
+    Each voice is a :class:`Piece`, one of its event views, or a sequence of
+    :class:`NoteEvent`.
     Windows where either voice is silent are skipped; a voice silent in
     every shared window is an error.
     """
@@ -420,7 +424,11 @@ def lz_complexity(seq: Sequence[Hashable]) -> int:
     one is made) is the phrase's state in the extended automaton.
     """
     codebook: dict = {}
-    codes = [codebook.setdefault(s, len(codebook)) for s in seq]
+    return _lz_phrases([codebook.setdefault(s, len(codebook)) for s in seq])
+
+
+def _lz_phrases(codes: list[int]) -> int:
+    """:func:`lz_complexity` of a sequence of int symbol codes."""
     if not codes:
         raise MetricError("lz_complexity needs a non-empty sequence")
 
@@ -518,13 +526,9 @@ IOI_LO = 0.001
 IOI_HI = 10.0
 
 
-def discretize_events(events: Piece | Sequence[NoteEvent]) -> list[tuple[int, int]]:
-    """(log-IOI bin, pitch class) joint symbols of a piece or NoteEvent sequence.
-
-    IOIs are taken between consecutive onsets of the full stream and quantised
-    into 8 logarithmic bins spanning 1 ms .. 10 s; the first event (no IOI)
-    is dropped.
-    """
+def _ioi_bins_and_classes(events: Piece | Sequence[NoteEvent]) -> tuple[np.ndarray, np.ndarray]:
+    """The log-IOI bins and the pitch classes of :func:`discretize_events`'
+    symbols, as two int arrays."""
     if len(events) < 2:
         raise MetricError("discretize_events needs >= 2 events")
     onsets = field(events, "onset")
@@ -535,11 +539,28 @@ def discretize_events(events: Piece | Sequence[NoteEvent]) -> list[tuple[int, in
     log_span = math.log(IOI_HI / IOI_LO)
     bins = np.floor(IOI_BINS * np.log(iois / IOI_LO) / log_span).astype(int)
     bins = np.clip(bins, 0, IOI_BINS - 1)
-    classes = pitches[order][1:] % 12
+    return bins, pitches[order][1:] % 12
+
+
+def discretize_events(events: Piece | Sequence[NoteEvent]) -> list[tuple[int, int]]:
+    """(log-IOI bin, pitch class) joint symbols of a ``Piece``, one of its
+    event views, or a sequence of ``NoteEvent``.
+
+    IOIs are taken between consecutive onsets of the full stream and quantised
+    into 8 logarithmic bins spanning 1 ms .. 10 s; the first event (no IOI)
+    is dropped.
+    """
+    bins, classes = _ioi_bins_and_classes(events)
     return list(zip(bins.tolist(), classes.tolist()))
 
 
 def normalized_lz(events: Piece | Sequence[NoteEvent]) -> float:
-    """Parsing complexity per event of the discretised stream."""
-    symbols = discretize_events(events)
-    return lz_complexity(symbols) / len(symbols)
+    """Parsing complexity per event of the discretised stream of a ``Piece``,
+    one of its event views, or a sequence of ``NoteEvent``.
+
+    The symbols are parsed as the int codes ``bin * 12 + pitch class``, one
+    per (bin, class) pair of :func:`discretize_events`, so the phrase count
+    is the same and no tuple is built per event.
+    """
+    bins, classes = _ioi_bins_and_classes(events)
+    return _lz_phrases((bins * 12 + classes).tolist()) / len(bins)

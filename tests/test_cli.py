@@ -12,6 +12,7 @@ import pytest
 
 import polycanon
 from polycanon.cli import main
+from polycanon.events import EventView
 from polycanon.presets import load_bundled_config
 
 
@@ -47,6 +48,19 @@ def test_analyze_reports_metrics(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert 0.0 <= doc["pcc"] <= 1.0
     assert doc["vss"] >= 0.0 and "nlz" in doc
+
+
+def test_analyze_builds_no_note_event(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "gen"
+    main(["generate", "--out", str(out), "--seed", "3", "--depth", "3"])
+
+    def build(view):
+        raise AssertionError("a NoteEvent was built")
+
+    monkeypatch.setattr(EventView, "_built", build)
+    for name in ("piece.json", "piece.csv", "piece.mid"):
+        assert main(["analyze", "--in", str(out / name), "--pair", str(out / "piece.json"),
+                     "--metrics", "pcc,nlz,mc,rc,vss"]) == 0
 
 
 def test_analyze_unknown_metric_is_usage_error(tmp_path, capsys):
@@ -250,7 +264,6 @@ def test_a_bad_seed_exits_2_naming_its_source(tmp_path, capsys, monkeypatch, com
         monkeypatch.setenv("POLYCANON_SEED", env)
     if command == "generate":
         cfg = load_bundled_config("canonical")
-        del cfg["seed"]
         if config_seed is not None:
             cfg["seed"] = config_seed
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -266,6 +279,25 @@ def test_a_bad_seed_exits_2_naming_its_source(tmp_path, capsys, monkeypatch, com
         assert (code, err) == (0, "")
     else:
         assert (code, out) == (2, "") and err.startswith(message)
+
+
+def test_polycanon_seed_reaches_generate_with_the_bundled_config(tmp_path, capsys,
+                                                                 monkeypatch):
+    """The bundled config sets no seed, so POLYCANON_SEED picks the piece,
+    and without it the piece is the seed-42 one."""
+    assert "seed" not in load_bundled_config("canonical")
+
+    def generated(name, *argv):
+        out = tmp_path / name
+        assert main(["generate", "--depth", "3", "--out", str(out), *argv]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    monkeypatch.setenv("POLYCANON_SEED", "7")
+    from_variable = generated("variable")
+    monkeypatch.delenv("POLYCANON_SEED")
+    assert from_variable == generated("flag-7", "--seed", "7")
+    seed_42 = generated("flag-42", "--seed", "42")
+    assert generated("default") == seed_42 != from_variable
 
 
 def test_usage_error_exit_code():

@@ -599,3 +599,87 @@ def test_a_cut_event_or_zero_division_is_a_parse_error_naming_the_file(tmp_path,
                      + b"MTrk" + struct.pack(">I", len(body)) + body)
     with pytest.raises(ParseError, match=f"^{path}: "):
         read_events(path)
+
+
+@pytest.fixture(scope="module")
+def long_csv_lines(tmp_path_factory):
+    """The lines of a CSV file of more rows than one reading chunk, with
+    three blank lines after the header."""
+    path = write_events_csv(sample_piece(n=CHUNK_ROWS + 60),
+                            tmp_path_factory.mktemp("long") / "p.csv")
+    lines = path.read_text().splitlines()
+    return [lines[0], "", "  ", "", *lines[1:]]
+
+
+@pytest.mark.parametrize("defect,message", [
+    (lambda parts: parts[:1] + ["x"] + parts[2:], "invalid literal for int() with base 10: 'x'"),
+    (lambda parts: parts[:-1], "expected 8 fields"),
+    (lambda parts: ["nan"] + parts[1:], "onset must be finite, got nan"),
+], ids=["bad-value", "short-row", "non-finite-time"])
+def test_csv_reader_names_the_line_of_a_defect_after_the_first_chunk(tmp_path, long_csv_lines,
+                                                                     defect, message):
+    lines = list(long_csv_lines)
+    index = CHUNK_ROWS + 40  # a row of the second chunk
+    lines[index] = ",".join(defect(lines[index].split(",")))
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: line {index + 1}: {message}"
+
+
+def test_csv_reader_reports_a_bad_line_before_an_earlier_invalid_value(tmp_path, long_csv_lines):
+    # every row is parsed before the piece is checked, as line by line
+    lines = list(long_csv_lines)
+    parts = lines[5].split(",")
+    lines[5] = ",".join(parts[:1] + ["300"] + parts[2:])
+    lines[CHUNK_ROWS + 40] += ","
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {CHUNK_ROWS + 41}: expected 8 fields"):
+        read_events(path)
+    lines[CHUNK_ROWS + 40] = lines[CHUNK_ROWS + 40][:-1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 6: pitch 300 outside"):
+        read_events(path)
+
+
+def test_csv_reader_checks_the_fields_of_each_row(tmp_path):
+    # a short row and a long one hold 16 fields between them, in the wrong places
+    path = tmp_path / "p.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n0,60,500,1,0,A,0\n0,0,60,500,1,0,A,0,0\n")
+    with pytest.raises(ParseError, match="line 2: expected 8 fields"):
+        read_events(path)
+
+
+def track_file(path, body: bytes, division: int = 960) -> Path:
+    path.write_bytes(b"MThd" + struct.pack(">IHHH", 6, 0, 1, division)
+                     + b"MTrk" + struct.pack(">I", len(body)) + body)
+    return path
+
+
+# a delta time in ticks and its variable-length quantity, written out by hand
+DELTAS = {0x7F: b"\x7f", 0x80: b"\x81\x00", 0x3FFF: b"\xff\x7f", 0x4000: b"\x81\x80\x00"}
+
+
+def test_midi_reader_reads_one_and_multi_byte_deltas_exactly(tmp_path):
+    body, ticks, tick = b"", [], 0
+    for delta, vlq in DELTAS.items():  # each note sounds for `delta` ticks
+        tick += delta
+        ticks.append(tick)
+        body += vlq + b"\x90\x3c\x40" + vlq + b"\x80\x3c\x40"
+        tick += delta
+    piece = read_midi(track_file(tmp_path / "d.mid", body))
+    spt = MidiRenderConfig().seconds_per_tick
+    assert np.rint(piece.onsets() / spt).astype(int).tolist() == ticks
+    assert np.rint(piece.durations() / spt).astype(int).tolist() == list(DELTAS)
+
+
+@pytest.mark.parametrize("body,at", [
+    (b"\x81", 1), (b"\x81\x80", 2), (b"\x00\x90\x3c\x40\xff", 5), (b"\x00\x90\x3c\x40\xff\xff", 6),
+])
+def test_a_track_cut_inside_a_multi_byte_delta_is_a_parse_error(tmp_path, body, at):
+    path = track_file(tmp_path / "cut.mid", body)
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: truncated variable-length quantity at byte {at}"

@@ -536,14 +536,37 @@ def test_metrics_read_a_piece_as_they_read_its_note_events(rows):
         from_list = field(list(piece.events), name)
         assert from_list.dtype == dtype and from_list.tolist() == piece.column(name).tolist()
     selections = [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
-    lists = [piece.voice_events(v) for v in piece.voices()]
+    views = [piece.voice_events(v) for v in piece.voices()]
+    lists = [list(view) for view in views]
     for f in (discretize_events, normalized_lz):
-        assert outcome(f, piece) == outcome(f, piece.events)
-        for selection, events in zip(selections, lists):
-            assert outcome(f, selection) == outcome(f, events)
+        assert outcome(f, piece) == outcome(f, piece.events) == outcome(f, list(piece.events))
+        for selection, view, events in zip(selections, views, lists):
+            assert outcome(f, selection) == outcome(f, view) == outcome(f, events)
     for i, j in itertools.combinations(range(len(lists)), 2):
         for f in (metrics.separation_components, voice_separation, pcs_distance):
-            assert outcome(f, selections[i], selections[j]) == outcome(f, lists[i], lists[j])
+            assert (outcome(f, selections[i], selections[j]) == outcome(f, views[i], views[j])
+                    == outcome(f, lists[i], lists[j]))
     for normalized in (False, True):
         assert (outcome(estimate_weights, selections, normalized)
+                == outcome(estimate_weights, views, normalized)
                 == outcome(estimate_weights, lists, normalized))
+
+
+@settings(max_examples=40, deadline=None)
+@given(adapter_rows)
+def test_normalized_lz_is_the_phrase_count_of_the_discretized_stream_per_symbol(rows):
+    piece = Piece.from_columns(*(list(zip(*rows)) or [()] * 5))
+    if len(piece) < 2:
+        return
+    for notes in (piece, piece.events, list(piece.events)):
+        # normalized_lz divides the phrase count by len - 1, so the two agree exactly
+        assert normalized_lz(notes) == lz_complexity(discretize_events(notes)) / (len(notes) - 1)
+
+
+def test_normalized_lz_of_an_event_view_builds_no_note_event(canonical):
+    view = Piece.from_columns(canonical.onsets(), canonical.pitches(), canonical.velocities(),
+                              canonical.durations()).events
+    for f in (normalized_lz, discretize_events):
+        f(view)
+    metrics.separation_components(view, view)
+    assert view._events is None
