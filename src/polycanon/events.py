@@ -128,7 +128,6 @@ COLUMNS = {"onset": np.float64, "pitch": np.int64, "velocity": np.int64,
            "duration": np.float64, "voice": np.int64, "symbol": object,
            "generation": np.int64, "section": np.int64}
 _fields = attrgetter(*COLUMNS)
-_SLOT_SETTERS = tuple(getattr(NoteEvent, name).__set__ for name in COLUMNS)
 
 
 class Piece:
@@ -153,9 +152,9 @@ class Piece:
     CSV writers print, cached like ``events``; neither view is serialised or
     compared. Build pieces with :meth:`from_columns` or :meth:`from_events`;
     two pieces are equal when their events, sections and metadata are. The
-    metrics take a ``Piece``, one of its event views, or a sequence of
-    ``NoteEvent`` alike, and read each through :func:`field`, which builds
-    no ``NoteEvent`` from a piece or a view.
+    metrics take a ``Piece`` or one of its event views and read it through
+    :meth:`column`, so they build no ``NoteEvent``; a list of ``NoteEvent``
+    goes to them through :meth:`from_events`.
     """
 
     __hash__ = None
@@ -170,20 +169,18 @@ class Piece:
                      section=0, sections=(), metadata=None) -> "Piece":
         """A piece from per-note columns; a scalar stands for a constant column.
 
-        Every row is checked against the :class:`NoteEvent` bounds, and the
-        first invalid row raises the ``ValueError`` its ``NoteEvent`` would.
+        Every row is checked against the :class:`NoteEvent` bounds in one
+        pass over the columns, and the first invalid row raises the
+        ``ValueError`` its ``NoteEvent`` would.
         """
         pitch, velocity = np.asarray(pitch), np.asarray(velocity)
         given = (onset, pitch, velocity, duration, voice, symbol, generation, section)
-        # the int64 cast would truncate a fractional pitch or velocity and wrap
-        # a huge or non-finite one, so float-typed ones are checked before it
-        # (integer columns skip this)
-        for value in (pitch, velocity):
-            if (value.dtype.kind == "f"
-                    and not np.all((np.trunc(value) == value) & (np.abs(value) < 2.0**63))):
-                for row in zip(*(np.broadcast_to(c, np.shape(onset)).tolist() for c in given)):
-                    NoteEvent(*row)  # the first invalid row raises
-        cols = {name: np.asarray(value, dtype=dtype)
+        # a float pitch or velocity is cast to int64 only after the row checks:
+        # the cast would truncate a fractional value and wrap a huge or NaN one
+        # (NaN fails every comparison, so the upper bounds are ~(x <= max))
+        floats = [name for name, value in (("pitch", pitch), ("velocity", velocity))
+                  if value.dtype.kind == "f"]
+        cols = {name: np.asarray(value, dtype=None if name in floats else dtype)
                 for (name, dtype), value in zip(COLUMNS.items(), given)}
         n = len(cols["onset"])
         for name, col in cols.items():
@@ -192,11 +189,15 @@ class Piece:
             elif col.shape != (n,):
                 raise ValueError(f"column {name!r} has shape {col.shape}, expected ({n},)")
         t, p, v, d = cols["onset"], cols["pitch"], cols["velocity"], cols["duration"]
-        bad = ((p < 0) | (p > PITCH_MAX) | (v < 0) | (v > VELOCITY_MAX)
+        bad = ((p < 0) | ~(p <= PITCH_MAX) | (v < 0) | ~(v <= VELOCITY_MAX)
                | ~np.isfinite(d) | (d <= 0) | ~np.isfinite(t) | (t < MIN_ONSET - 1e-9))
+        for name in floats:
+            bad |= np.trunc(cols[name]) != cols[name]
         if bad.any():
             i = int(np.argmax(bad))
             NoteEvent(t[i].item(), p[i].item(), v[i].item(), d[i].item())  # raises
+        for name in floats:
+            cols[name] = cols[name].astype(np.int64)
         order = row_order(t, cols["voice"], p, v)
         for name, col in cols.items():
             col = col[order]
@@ -300,8 +301,9 @@ class EventView(Sequence):
     The view holds the column dict, never the :class:`Piece`, so a piece
     and its cached view form no reference cycle. ``len`` and :meth:`column`
     read the columns; the ``NoteEvent``s are built only on the first index
-    or iteration, and cached. A view equals a tuple, a list or a view of
-    the same events, and like a list it is unhashable.
+    or iteration, and cached. The metrics read a view as they read a piece,
+    through :meth:`column`. A view equals a tuple, a list or a view of the
+    same events, and like a list it is unhashable.
     """
 
     __slots__ = ("_columns", "_rows", "_events")
@@ -323,23 +325,8 @@ class EventView(Sequence):
 
     def _built(self) -> tuple[NoteEvent, ...]:
         if self._events is None:
-            # the rows passed the column checks, so each NoteEvent's slots are
-            # filled directly, at about half the cost of __init__ and its checks
-            set_t, set_p, set_v, set_d, set_vo, set_s, set_g, set_se = _SLOT_SETTERS
-            new = object.__new__
-            events = []
-            for t, p, v, d, vo, s, g, se in zip(*(self.column(name).tolist() for name in COLUMNS)):
-                e = new(NoteEvent)
-                set_t(e, t)
-                set_p(e, p)
-                set_v(e, v)
-                set_d(e, d)
-                set_vo(e, vo)
-                set_s(e, s)
-                set_g(e, g)
-                set_se(e, se)
-                events.append(e)
-            self._events = tuple(events)
+            self._events = tuple(map(NoteEvent, *(self.column(name).tolist()
+                                                  for name in COLUMNS)))
         return self._events
 
     def __getitem__(self, index):
@@ -359,12 +346,3 @@ class EventView(Sequence):
 
     def __repr__(self):
         return f"EventView({list(self)!r})"
-
-
-def field(notes: Piece | Sequence[NoteEvent], name: str) -> np.ndarray:
-    """The ``name`` column of a piece or one of its event views, or the same
-    values, with the column's dtype, read from a sequence of
-    :class:`NoteEvent` in its order. A piece or view builds no NoteEvent."""
-    if isinstance(notes, (Piece, EventView)):
-        return notes.column(name)
-    return np.fromiter(map(attrgetter(name), notes), COLUMNS[name], len(notes))

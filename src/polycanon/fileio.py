@@ -12,6 +12,10 @@ one of the two. A note-on without a prefix is widened. Onsets are quantised
 to the tick grid; at the default 960 PPQ / 500000 us per quarter one tick is
 ~0.52 ms.
 
+:func:`read_midi` times ticks by the tempo map of all tracks (500000 us per
+quarter before the first tempo event) and pairs a note-off with an open note
+of its channel and key: the oldest open note closes first.
+
 The JSON and CSV writers print each value's text from the piece's cached
 text view, :attr:`Piece.text`, so a piece written both ways formats each
 value once, and they write a chunk of rows at a time; the MIDI writer works
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -232,7 +237,13 @@ def read_midi(path) -> Piece:
     its 7-bit byte and the CC#88 prefix before it on its channel
     (:func:`velocity_from_cc88`), or widened from the byte when it has none.
     Note-ons with velocity 0 are treated as note-offs (running-status files
-    are supported).
+    are supported). A note-off closes an open note of its channel and key,
+    and the oldest open note closes first; a note open at its track's end
+    lasts one tick. Ticks become seconds through one tempo map gathered from
+    every track: a tempo event holds from its tick on (of two at one tick,
+    the one read last), and 500000 us per quarter holds before the first. A
+    note within one tempo lasts its ticks times that tempo's seconds per
+    tick, and at least one tick.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -244,7 +255,7 @@ def read_midi(path) -> Piece:
     if division == 0:
         raise ParseError("time division of 0 ticks per quarter note")
     pos = 14
-    tempo_us = 500_000
+    tempos = [(0, 500_000)]  # (tick, us per quarter): the default, then as read
     shift = 0.0
     notes = []
 
@@ -262,8 +273,8 @@ def read_midi(path) -> Piece:
         tick = 0
         p = 0
         status = None
-        # per key, the notes still sounding; a note-off ends the oldest one
-        open_notes: dict[int, list[tuple[int, int, int]]] = {}
+        # per channel * 128 + key, the notes still sounding, oldest first
+        open_notes: defaultdict[int, deque] = defaultdict(deque)
         # per channel, the low 3 velocity bits of a CC#88 prefix not yet used
         low_bits: dict[int, int] = {}
         # an index past the body's end is an event cut off by the track's end
@@ -289,7 +300,7 @@ def read_midi(path) -> Piece:
                     payload = body[p:p + mlen]
                     p += mlen
                     if meta_type == 0x51 and mlen == 3:
-                        tempo_us = int.from_bytes(payload, "big")
+                        tempos.append((tick, int.from_bytes(payload, "big")))
                     elif meta_type == 0x01 and payload.startswith(b"onset_shift_s="):
                         shift = float(payload.split(b"=", 1)[1])
                     continue
@@ -311,19 +322,25 @@ def read_midi(path) -> Piece:
 
                 if kind == 0x90 and d2 > 0:
                     low = low_bits.pop(status & 0x0F, -1)
-                    open_notes.setdefault(d1, []).append((tick, d2, low))
-                elif (kind == 0x80 or (kind == 0x90 and d2 == 0)) and open_notes.get(d1):
-                    start, v7, low = open_notes[d1].pop(0)
-                    notes.append((track_index, start, tick, d1, v7, low))
+                    open_notes[(status & 0x0F) << 7 | d1].append((tick, d2, low))
+                elif kind == 0x80 or kind == 0x90:
+                    sounding = open_notes.get((status & 0x0F) << 7 | d1)
+                    if sounding:
+                        start, v7, low = sounding.popleft()
+                        notes.append((track_index, start, tick, d1, v7, low))
                 elif kind == 0xB0 and d1 == 88:
                     low_bits[status & 0x0F] = d2 >> 4
         except IndexError:
             raise ParseError(f"track {track_index} ends inside an event") from None
-        for pitch, sounding in open_notes.items():
-            notes.extend((track_index, start, start + 1, pitch, v7, low)
+        for key, sounding in open_notes.items():
+            notes.extend((track_index, start, start + 1, key & 0x7F, v7, low)
                          for start, v7, low in sounding)
 
-    spt = tempo_us / 1e6 / division
+    # the tempo map: each change's tick, seconds per tick and start in seconds
+    change, tempo_us = (np.array(c, dtype=np.int64) for c in zip(*tempos))
+    order = np.argsort(change, kind="stable")  # at one tick, the tempo read last holds
+    change, spt = change[order], tempo_us[order] / 1e6 / division
+    change_s = np.concatenate(([0.0], np.cumsum(np.diff(change) * spt[:-1])))
     sidecar_path = Path(str(path) + ".velocity.json")
     sidecar = None
     if sidecar_path.exists():
@@ -339,8 +356,13 @@ def read_midi(path) -> Piece:
     if sidecar is not None:
         k = min(len(sidecar), len(notes))
         velocity[:k] = np.asarray(sidecar[:k]).astype(np.int64)
-    return Piece.from_columns(on_tick * spt - shift, pitch, velocity,
-                              np.maximum((off_tick - on_tick) * spt, spt),
+    ticks = np.stack((on_tick, off_tick))
+    seg = np.searchsorted(change, ticks, side="right") - 1  # the tempo each tick is in
+    on_s, off_s = change_s[seg] + (ticks - change[seg]) * spt[seg]
+    # a note within one tempo scales its span of ticks at once, so a one-tempo
+    # file reads durations max((off - on) * spt, spt) exactly
+    duration = np.where(seg[0] == seg[1], (off_tick - on_tick) * spt[seg[0]], off_s - on_s)
+    return Piece.from_columns(on_s - shift, pitch, velocity, np.maximum(duration, spt[seg[0]]),
                               np.maximum(track - 1, 0), metadata={"source": str(path)})
 
 

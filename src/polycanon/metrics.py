@@ -18,7 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .events import PITCH_MAX, VELOCITY_MAX, NoteEvent, Piece, field
+from .events import PITCH_MAX, VELOCITY_MAX, EventView, Piece
 from .stats import ks_distance, wasserstein1
 
 LOG2_12 = math.log2(12)
@@ -282,12 +282,12 @@ class WeightVector:
 UNIFORM_WEIGHTS = WeightVector(1 / 3, 1 / 3, 1 / 3)
 
 
-def _domain_marginals(notes: Piece | Sequence[NoteEvent]):
+def _domain_marginals(notes: Piece | EventView):
     if len(notes) < 2:
         raise MetricError("voice separation needs >= 2 events per voice")
-    pitches = field(notes, "pitch").astype(float)
-    velocities = field(notes, "velocity").astype(float)
-    iois = np.diff(np.sort(field(notes, "onset")))
+    pitches = notes.column("pitch").astype(float)
+    velocities = notes.column("velocity").astype(float)
+    iois = np.diff(np.sort(notes.column("onset")))
     iois = iois[iois > 0]
     if iois.size == 0:
         raise MetricError("voice has no positive inter-onset intervals")
@@ -296,8 +296,7 @@ def _domain_marginals(notes: Piece | Sequence[NoteEvent]):
 
 def separation_components(events_i, events_j) -> tuple[float, float, float]:
     """W1 distances between two voices' pitch, velocity and log-IOI marginals;
-    each voice is a :class:`Piece`, one of its event views, or a sequence of
-    :class:`NoteEvent`."""
+    each voice is a :class:`Piece` or one of its event views."""
     pi, vi, ti = _domain_marginals(events_i)
     pj, vj, tj = _domain_marginals(events_j)
     return (wasserstein1(pi, pj), wasserstein1(vi, vj), wasserstein1(ti, tj))
@@ -309,8 +308,7 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
     VSS is the plain mean of the three W1 components; wVSS weights the raw
     components; nwVSS weights the range-normalised components. With no
     weight vector the uniform one is used, making wVSS coincide with VSS.
-    Each voice is a :class:`Piece`, one of its event views, or a sequence of
-    :class:`NoteEvent`.
+    Each voice is a :class:`Piece` or one of its event views.
     """
     w = weights or UNIFORM_WEIGHTS
     wp, wv, wt = w.as_tuple()
@@ -323,8 +321,7 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
 
 def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector:
     """Per-domain weights proportional to the mean pairwise W1 separation;
-    each voice is a :class:`Piece`, one of its event views, or a sequence of
-    :class:`NoteEvent`.
+    each voice is a :class:`Piece` or one of its event views.
 
     With ``normalized`` the components are divided by their domain ranges
     before weighting (the nwVSS convention). Degenerate all-zero separation
@@ -353,21 +350,20 @@ def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector
 def pcs_distance(events_i, events_j, window: float = 1.0) -> float:
     """Mean windowed (1 - cosine) distance between pitch-class histograms.
 
-    Each voice is a :class:`Piece`, one of its event views, or a sequence of
-    :class:`NoteEvent`.
+    Each voice is a :class:`Piece` or one of its event views.
     Windows where either voice is silent are skipped; a voice silent in
     every shared window is an error.
     """
     if window <= 0:
         raise MetricError("window must be > 0")
-    oi = field(events_i, "onset")
-    oj = field(events_j, "onset")
+    oi = events_i.column("onset")
+    oj = events_j.column("onset")
     if oi.size == 0 or oj.size == 0:
         raise MetricError("pcs_distance needs non-empty voices")
     t_end = max(oi.max(), oj.max())
     n_windows = max(1, int(math.ceil((t_end + 1e-9) / window)))
-    pi = field(events_i, "pitch") % 12
-    pj = field(events_j, "pitch") % 12
+    pi = events_i.column("pitch") % 12
+    pj = events_j.column("pitch") % 12
     dists = []
     for k in range(n_windows):
         lo, hi = k * window, (k + 1) * window
@@ -526,13 +522,13 @@ IOI_LO = 0.001
 IOI_HI = 10.0
 
 
-def _ioi_bins_and_classes(events: Piece | Sequence[NoteEvent]) -> tuple[np.ndarray, np.ndarray]:
+def _ioi_bins_and_classes(events: Piece | EventView) -> tuple[np.ndarray, np.ndarray]:
     """The log-IOI bins and the pitch classes of :func:`discretize_events`'
     symbols, as two int arrays."""
     if len(events) < 2:
         raise MetricError("discretize_events needs >= 2 events")
-    onsets = field(events, "onset")
-    pitches = field(events, "pitch")
+    onsets = events.column("onset")
+    pitches = events.column("pitch")
     order = np.argsort(onsets, kind="mergesort")
     iois = np.diff(onsets[order])
     iois = np.clip(iois, IOI_LO, IOI_HI)
@@ -542,9 +538,9 @@ def _ioi_bins_and_classes(events: Piece | Sequence[NoteEvent]) -> tuple[np.ndarr
     return bins, pitches[order][1:] % 12
 
 
-def discretize_events(events: Piece | Sequence[NoteEvent]) -> list[tuple[int, int]]:
-    """(log-IOI bin, pitch class) joint symbols of a ``Piece``, one of its
-    event views, or a sequence of ``NoteEvent``.
+def discretize_events(events: Piece | EventView) -> list[tuple[int, int]]:
+    """(log-IOI bin, pitch class) joint symbols of a ``Piece`` or one of its
+    event views.
 
     IOIs are taken between consecutive onsets of the full stream and quantised
     into 8 logarithmic bins spanning 1 ms .. 10 s; the first event (no IOI)
@@ -554,9 +550,9 @@ def discretize_events(events: Piece | Sequence[NoteEvent]) -> list[tuple[int, in
     return list(zip(bins.tolist(), classes.tolist()))
 
 
-def normalized_lz(events: Piece | Sequence[NoteEvent]) -> float:
-    """Parsing complexity per event of the discretised stream of a ``Piece``,
-    one of its event views, or a sequence of ``NoteEvent``.
+def normalized_lz(events: Piece | EventView) -> float:
+    """Parsing complexity per event of the discretised stream of a ``Piece``
+    or one of its event views.
 
     The symbols are parsed as the int codes ``bin * 12 + pitch class``, one
     per (bin, class) pair of :func:`discretize_events`, so the phrase count

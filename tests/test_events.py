@@ -16,7 +16,6 @@ from polycanon.events import (
     KEY_RESET_WINDOW,
     NoteEvent,
     Piece,
-    field,
     key_reset_kept,
     row_order,
 )
@@ -66,7 +65,7 @@ def test_selections_match_the_event_view(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(note_rows)
-def test_field_reads_a_view_as_it_reads_a_list_of_its_events(rows):
+def test_a_view_column_holds_its_events_fields(rows):
     piece = Piece.from_columns(*columns_of(rows))
     views = [piece.events, *map(piece.voice_events, range(3)),
              *map(piece.section_events, range(3))]
@@ -74,11 +73,11 @@ def test_field_reads_a_view_as_it_reads_a_list_of_its_events(rows):
         events = list(view)
         assert len(view) == len(events)
         for name, dtype in COLUMNS.items():
-            column = field(view, name)
+            column = view.column(name)
             assert column.dtype == dtype
-            assert column.tolist() == field(events, name).tolist()
+            assert column.tolist() == [getattr(e, name) for e in events]
     for name in COLUMNS:
-        assert field(piece.events, name) is piece.column(name)
+        assert piece.events.column(name) is piece.column(name)
 
 
 def test_an_event_view_is_an_unhashable_sequence_equal_to_its_events():
@@ -319,6 +318,9 @@ NOTE_EVENT_CALLS = {"NoteEvent", "voice_events", "section_events", "from_events"
 # checks; `polycanon analyze` passes voice views to voice_separation, which
 # reads their columns and builds no NoteEvent (test_cli checks that at run time)
 NOTE_EVENT_ALLOWED = {("fileio.py", "_is_valid"), ("cli.py", "_cmd_analyze")}
+# the modules that may name NoteEvent at all, in an import, an annotation or
+# a call: its home, the package exports and the CSV reader's row check
+NOTE_EVENT_MODULES = {"events.py", "__init__.py", "fileio.py"}
 
 
 class NoteEventUses(ast.NodeVisitor):
@@ -327,12 +329,38 @@ class NoteEventUses(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
+        self._quoted(node.returns)
         self.generic_visit(node)
         self.scope.pop()
+
+    def _named(self, node, name):
+        if name == "NoteEvent" and self.module not in NOTE_EVENT_MODULES:
+            self.found.append((self.module, self.scope[-1], getattr(node, "lineno", 0), name))
+
+    def visit_Name(self, node):
+        self._named(node, node.id)
+
+    def visit_alias(self, node):
+        self._named(node, node.name.rpartition(".")[2])
+
+    def visit_arg(self, node):
+        self._quoted(node.annotation)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        self._quoted(node.annotation)
+        self.generic_visit(node)
+
+    def _quoted(self, annotation):
+        # a quoted annotation, or a quoted part of one, names what its text does
+        for sub in ast.walk(annotation) if annotation else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                self.visit(ast.parse(sub.value, mode="eval"))
 
     def visit_Attribute(self, node):
         if node.attr == "events":
             self.found.append((self.module, self.scope[-1], node.lineno, ".events"))
+        self._named(node, node.attr)
         self.generic_visit(node)
 
     def visit_Call(self, node):
@@ -342,16 +370,27 @@ class NoteEventUses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def note_event_uses(module: str, source: str) -> list:
+    visitor = NoteEventUses(module)
+    visitor.visit(ast.parse(source))
+    return visitor.found
+
+
 def test_only_events_py_reads_or_builds_note_events():
     src = Path(polycanon.__file__).parent
     found = []
     for path in sorted(src.rglob("*.py")):
         module = path.relative_to(src).as_posix()
         if module != "events.py":
-            visitor = NoteEventUses(module)
-            visitor.visit(ast.parse(path.read_text()))
-            found += visitor.found
+            found += note_event_uses(module, path.read_text())
     assert found == []
+    # the NoteEvent name fails the check wherever it stands in another module
+    for source in ("from .events import NoteEvent", "from . import events\nevents.NoteEvent",
+                   "def f(notes: Sequence[NoteEvent]): pass",
+                   "def f(notes: 'Sequence[NoteEvent]'): pass",
+                   "def f() -> 'list[NoteEvent]': pass", "x: NoteEvent = None", "f(NoteEvent)"):
+        assert note_event_uses("metrics.py", source), source
+        assert not note_event_uses("fileio.py", source), source
 
 
 class RowOrderUses(ast.NodeVisitor):

@@ -683,3 +683,33 @@ def test_a_track_cut_inside_a_multi_byte_delta_is_a_parse_error(tmp_path, body, 
     with pytest.raises(ParseError) as err:
         read_events(path)
     assert str(err.value) == f"{path}: truncated variable-length quantity at byte {at}"
+
+
+def test_midi_reader_pairs_a_note_off_within_its_channel(tmp_path):
+    # one key at 960 ppq and 500,000 us per quarter: channel 0 on at 0 s,
+    # channel 1 on at 0.05 s, channel 1 off at 0.1 s, channel 0 off at 0.5 s
+    body = b"\x00\x90\x3c\x40" b"\x60\x91\x3c\x40" b"\x60\x81\x3c\x40" b"\x86\x00\x80\x3c\x40"
+    piece = read_midi(track_file(tmp_path / "channels.mid", body))
+    assert piece.onsets().tolist() == pytest.approx([0.0, 0.05])
+    assert piece.durations().tolist() == pytest.approx([0.5, 0.05])
+
+
+def tempo_event(us_per_quarter: int) -> bytes:
+    return b"\xff\x51\x03" + us_per_quarter.to_bytes(3, "big")
+
+
+@pytest.mark.parametrize("fmt", [0, 1])
+def test_midi_reader_follows_the_tempo_map(tmp_path, fmt):
+    # 960 ppq: 500,000 us per quarter, then 250,000 us from tick 960; the
+    # note at tick 480 sounds 480 ticks at each tempo
+    tempo_map = [(0, tempo_event(500_000)), (960, tempo_event(250_000))]
+    notes = [(0, b"\x90\x3c\x40"), (480, b"\x90\x40\x40"), (960, b"\x80\x3c\x40"),
+             (960, b"\x90\x3e\x40"), (1440, b"\x80\x40\x40"), (1920, b"\x80\x3e\x40")]
+    tracks = [tempo_map + notes] if fmt == 0 else [tempo_map, notes]
+    path = tmp_path / "tempo.mid"
+    path.write_bytes(b"MThd" + struct.pack(">IHHH", 6, fmt, len(tracks), 960)
+                     + b"".join(map(track_reference, tracks)))
+    piece = read_midi(path)
+    assert piece.onsets().tolist() == pytest.approx([0.0, 0.25, 0.5])
+    assert piece.durations().tolist() == pytest.approx([0.5, 0.375, 0.25])
+    assert piece.pitches().tolist() == [0x3C, 0x40, 0x3E]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycanon import metrics
-from polycanon.events import COLUMNS, NoteEvent, Piece, field
+from polycanon.events import NoteEvent, Piece
 from polycanon.grammar import expand
 from polycanon.metrics import (
     MetricError,
@@ -36,8 +36,8 @@ STRINGS = {d: expand(fibonacci_grammar(), d).text for d in range(9)}
 
 def make_voice(pitches, velocities=None, step=0.5, voice=0):
     velocities = velocities or [500] * len(pitches)
-    return [NoteEvent(i * step, p, v, 0.1, voice=voice)
-            for i, (p, v) in enumerate(zip(pitches, velocities))]
+    return Piece.from_events(NoteEvent(i * step, p, v, 0.1, voice=voice)
+                             for i, (p, v) in enumerate(zip(pitches, velocities)))
 
 
 # -- contours and coherence ---------------------------------------------------
@@ -209,7 +209,7 @@ def test_pcc_examples():
 
 def test_voice_separation_identical_is_zero():
     v = make_voice([60, 64, 67, 72])
-    vss, wvss, nwvss = voice_separation(v, list(v))
+    vss, wvss, nwvss = voice_separation(v, v)
     assert vss == wvss == nwvss == 0.0
 
 
@@ -236,13 +236,13 @@ def test_estimate_weights_single_domain():
 def test_estimate_weights_degenerate_falls_back_uniform():
     v = make_voice([60, 60, 60])
     with pytest.warns(UserWarning):
-        w = estimate_weights([v, list(v)])
+        w = estimate_weights([v, v])
     assert w.as_tuple() == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 def test_pcs_distance_examples():
     vi = make_voice([60, 64, 67, 60, 64, 67], step=0.3)
-    assert pcs_distance(vi, list(vi)) == pytest.approx(0.0)
+    assert pcs_distance(vi, vi) == pytest.approx(0.0)
     vj = make_voice([61, 66, 70, 61, 66, 70], step=0.3)
     assert pcs_distance(vi, vj) == pytest.approx(1.0)
 
@@ -250,19 +250,19 @@ def test_pcs_distance_examples():
 def test_pcs_distance_matches_window_oracle():
     rng = make_rng(8)
     c_major = [48 + c for c in (0, 2, 4, 5, 7, 9, 11)]
-    vi = [NoteEvent(float(t), int(rng.choice(c_major)), 500, 0.1)
-          for t in np.sort(rng.uniform(0, 5, 60))]
-    vj = [NoteEvent(float(t), int(rng.integers(48, 85)), 500, 0.1, voice=1)
-          for t in np.sort(rng.uniform(0, 5, 60))]
+    vi = Piece.from_events([NoteEvent(float(t), int(rng.choice(c_major)), 500, 0.1)
+                            for t in np.sort(rng.uniform(0, 5, 60))])
+    vj = Piece.from_events([NoteEvent(float(t), int(rng.integers(48, 85)), 500, 0.1, voice=1)
+                            for t in np.sort(rng.uniform(0, 5, 60))])
     ours = pcs_distance(vi, vj, window=1.0)
     dists = []
     for k in range(5):
         hi_ = np.zeros(12)
         hj_ = np.zeros(12)
-        for e in vi:
+        for e in vi.events:
             if k <= e.onset < k + 1:
                 hi_[e.pitch % 12] += 1
-        for e in vj:
+        for e in vj.events:
             if k <= e.onset < k + 1:
                 hj_[e.pitch % 12] += 1
         if hi_.any() and hj_.any():
@@ -274,7 +274,7 @@ def test_pcs_distance_matches_window_oracle():
 def test_pcs_distance_silent_voice_errors():
     vi = make_voice([60, 62])
     with pytest.raises(MetricError):
-        pcs_distance(vi, [])
+        pcs_distance(vi, make_voice([]))
 
 
 # -- sequence measures --------------------------------------------------------
@@ -471,7 +471,7 @@ def test_det_bounds(s):
 
 
 def periodic_events(n, period=0.25):
-    return [NoteEvent(i * period, 60, 500, 0.1) for i in range(n)]
+    return Piece.from_events(NoteEvent(i * period, 60, 500, 0.1) for i in range(n))
 
 
 def test_normalized_lz_constant_stream_vanishes():
@@ -484,9 +484,9 @@ def test_normalized_lz_constant_stream_vanishes():
 def test_normalized_lz_random_exceeds_structured(canonical):
     rng = make_rng(12)
     n = 600
-    random_events = [NoteEvent(float(t), int(rng.integers(0, 128)), 500, 0.05)
-                     for t in np.sort(rng.uniform(0, 10, n))]
-    structured = list(canonical.events[:n])
+    random_events = Piece.from_events(NoteEvent(float(t), int(rng.integers(0, 128)), 500, 0.05)
+                                      for t in np.sort(rng.uniform(0, 10, n)))
+    structured = Piece.from_events(canonical.events[:n])
     assert normalized_lz(random_events) > normalized_lz(structured)
 
 
@@ -531,25 +531,18 @@ adapter_rows = st.lists(st.tuples(
 @given(adapter_rows)
 def test_metrics_read_a_piece_as_they_read_its_note_events(rows):
     piece = Piece.from_columns(*(list(zip(*rows)) or [()] * 5))
-    for name, dtype in COLUMNS.items():
-        assert field(piece, name) is piece.column(name)
-        from_list = field(list(piece.events), name)
-        assert from_list.dtype == dtype and from_list.tolist() == piece.column(name).tolist()
     selections = [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
     views = [piece.voice_events(v) for v in piece.voices()]
-    lists = [list(view) for view in views]
     for f in (discretize_events, normalized_lz):
-        assert outcome(f, piece) == outcome(f, piece.events) == outcome(f, list(piece.events))
-        for selection, view, events in zip(selections, views, lists):
-            assert outcome(f, selection) == outcome(f, view) == outcome(f, events)
-    for i, j in itertools.combinations(range(len(lists)), 2):
+        assert outcome(f, piece) == outcome(f, piece.events)
+        for selection, view in zip(selections, views):
+            assert outcome(f, selection) == outcome(f, view)
+    for i, j in itertools.combinations(range(len(views)), 2):
         for f in (metrics.separation_components, voice_separation, pcs_distance):
-            assert (outcome(f, selections[i], selections[j]) == outcome(f, views[i], views[j])
-                    == outcome(f, lists[i], lists[j]))
+            assert outcome(f, selections[i], selections[j]) == outcome(f, views[i], views[j])
     for normalized in (False, True):
         assert (outcome(estimate_weights, selections, normalized)
-                == outcome(estimate_weights, views, normalized)
-                == outcome(estimate_weights, lists, normalized))
+                == outcome(estimate_weights, views, normalized))
 
 
 @settings(max_examples=40, deadline=None)
@@ -558,7 +551,7 @@ def test_normalized_lz_is_the_phrase_count_of_the_discretized_stream_per_symbol(
     piece = Piece.from_columns(*(list(zip(*rows)) or [()] * 5))
     if len(piece) < 2:
         return
-    for notes in (piece, piece.events, list(piece.events)):
+    for notes in (piece, piece.events):
         # normalized_lz divides the phrase count by len - 1, so the two agree exactly
         assert normalized_lz(notes) == lz_complexity(discretize_events(notes)) / (len(notes) - 1)
 
