@@ -156,7 +156,7 @@ def _cmd_analyze(args) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     values: dict = {}
     pitches = piece.pitches()
-    iois = np.diff(np.sort(piece.onsets()))
+    iois = np.diff(piece.onsets())
     for metric in wanted:
         try:
             if metric == "pcc":
@@ -169,8 +169,7 @@ def _cmd_analyze(args) -> int:
                 base = pitches if other is not None else pitches[: len(pitches) // 2]
                 values["mc"] = melodic_coherence(base, ref)
             elif metric == "rc":
-                ref = (np.diff(np.sort(other.onsets())) if other is not None
-                       else iois[len(iois) // 2:])
+                ref = np.diff(other.onsets()) if other is not None else iois[len(iois) // 2:]
                 base = iois if other is not None else iois[: len(iois) // 2]
                 values["rc"] = rhythmic_coherence(base, ref)
             elif metric in ("vss", "wvss", "nwvss"):

@@ -15,6 +15,7 @@ MIN_ONSET = -0.030
 PITCH_MAX = 127
 VELOCITY_MAX = 1023
 KEY_RESET_WINDOW = 0.050  # seconds; electromechanical per-key reset time
+KEYBOARD = range(21, 109)  # the 88 keys of a piano, A0..C8
 
 
 def row_order(primary, *keys) -> np.ndarray:
@@ -296,7 +297,10 @@ class Piece:
 
 class EventView(Sequence):
     """A read-only sequence of :class:`NoteEvent` over a piece's columns:
-    every row, or the rows an index array names, in that order.
+    every row, or the rows an index array names, in that order. The piece
+    makes every view with rising row indices, so a view keeps the piece's
+    row order and its onsets never decrease; the metrics and ``analyze``
+    rely on this instead of sorting the onsets again.
 
     The view holds the column dict, never the :class:`Piece`, so a piece
     and its cached view form no reference cycle. ``len`` and :meth:`column`

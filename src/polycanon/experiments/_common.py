@@ -24,12 +24,8 @@ def section_streams(piece: Piece):
     out = []
     for index, (symbol, lo, hi) in enumerate(piece.sections):
         rows = piece.column("section") == index
-        onsets = piece.onsets()[rows]
-        order = np.argsort(onsets, kind="mergesort")
-        pitches = piece.pitches()[rows][order]
-        velocities = piece.velocities()[rows][order]
-        iois = np.diff(onsets[order])
-        out.append((symbol, pitches, iois, velocities, hi - lo))
+        iois = np.diff(piece.onsets()[rows])
+        out.append((symbol, piece.pitches()[rows], iois, piece.velocities()[rows], hi - lo))
     return out
 
 

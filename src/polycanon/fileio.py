@@ -20,9 +20,9 @@ The JSON and CSV writers print each value's text from the piece's cached
 text view, :attr:`Piece.text`, so a piece written both ways formats each
 value once, and they write a chunk of rows at a time; the MIDI writer works
 on the columns. The readers parse into per-column lists and build the
-piece with :meth:`Piece.from_columns`; the CSV reader parses a chunk of
-lines at a time, one column at a time, and the MIDI reader reads a one-byte
-delta time inline.
+piece with :meth:`Piece.from_columns`; the CSV reader makes one pass over
+the lines, splitting each and appending its converted fields to their
+columns, and the MIDI reader reads a one-byte delta time inline.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import json
 import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +62,8 @@ class MidiRenderConfig:
     def __post_init__(self):
         if self.ppq < 96:
             raise ValueError(f"PPQ must be >= 96, got {self.ppq}")
-        if self.tempo_us <= 0:
-            raise ValueError("tempo must be positive")
+        if not 0 < self.tempo_us <= 0xFFFFFF:  # a tempo event holds 3 bytes
+            raise ValueError(f"tempo must be 1..16777215 us per quarter, got {self.tempo_us}")
         if self.velocity_mode not in ("sidecar", "cc88", "off"):
             raise ValueError(f"unknown velocity mode {self.velocity_mode!r}")
 
@@ -376,9 +375,8 @@ def read_midi(path) -> Piece:
 _JSON_SEPS = (*(f',\n   "{key}": ' for key, _ in _JSON_FIELDS[1:]), '\n  },\n  {\n   "onset_s": ')
 _JSON_OPEN = '[\n  {\n   "onset_s": '
 _CSV_SEPS = (",",) * (len(COLUMNS) - 1) + ("\n",)
-# rows per write, and lines per CSV read: the text of a whole piece at once,
-# and its encoded copy, would sit in memory next to the piece's text view,
-# and the fields of a whole file next to its lines
+# rows per write: the text of a whole piece at once, and its encoded copy,
+# would sit in memory next to the piece's text view
 _CHUNK_ROWS = 2048
 
 
@@ -464,60 +462,43 @@ def _read_events(path: Path) -> Piece:
     raise ParseError(f"unsupported file type: {path}")
 
 
-# how the CSV reader reads each field of a row
-_CSV_TYPES = (float, int, int, float, int, str, int, int)
-
-
 def _read_csv(path: Path) -> Piece:
-    """Parse the rows a chunk of lines at a time, column by column: the
-    chunk's fields are joined and split once, and each column is one ``map``
-    over every eighth field. A chunk that fails is parsed again line by line
-    by :func:`_csv_rows`, whose error names the first bad line."""
+    """Parse the rows in one pass over the lines: each non-blank line is
+    split, checked for 8 fields, and each field converted and appended to
+    its column; a line that fails raises ParseError naming it. A row the
+    piece's checks reject is named through the parsed columns."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0].split(",") != CSV_HEADER:
         raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
     width = len(CSV_HEADER)
     columns = [[] for _ in CSV_HEADER]
-    for start in range(1, len(lines), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        chunk = list(filter(str.strip, lines[start:stop]))  # blank lines are skipped
-        if not chunk:
-            continue
-        fields = ",".join(chunk).split(",")
-        try:
-            # a short row next to a long one would shift the columns, so each
-            # row's own field count is checked
-            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
-                raise ValueError
-            for k, (column, read) in enumerate(zip(columns, _CSV_TYPES)):
-                column.extend(map(read, fields[k::width]))
-        except ValueError:
-            for _ in _csv_rows(path, lines, start, stop):
-                pass  # raises the first bad line's error
-            raise
+    (add_onset, add_pitch, add_velocity, add_duration, add_voice, add_symbol, add_generation,
+     add_section) = (column.append for column in columns)
+    try:
+        for lineno, line in enumerate(lines[1:], 2):
+            parts = line.split(",")
+            if len(parts) != width:
+                if not line.strip():
+                    continue  # a blank line, which always has too few fields
+                raise ValueError(f"expected {width} fields")
+            onset, pitch, velocity, duration, voice, symbol, generation, section = parts
+            add_onset(float(onset))
+            add_pitch(int(pitch))
+            add_velocity(int(velocity))
+            add_duration(float(duration))
+            add_voice(int(voice))
+            add_symbol(symbol)
+            add_generation(int(generation))
+            add_section(int(section))
+    except ValueError as err:
+        raise ParseError(f"{path}: line {lineno}: {err}") from err
     try:
         return Piece.from_columns(*columns)
     except (ValueError, OverflowError) as err:
         # the error is the first invalid row's; name its line
-        lineno = next(n for n, row in _csv_rows(path, lines, 1, len(lines)) if not _is_valid(row))
+        linenos = (n for n, line in enumerate(lines[1:], 2) if line.strip())
+        lineno = next(n for n, row in zip(linenos, zip(*columns)) if not _is_valid(row))
         raise ParseError(f"{path}: line {lineno}: {err}") from err
-
-
-def _csv_rows(path: Path, lines: list[str], start: int, stop: int):
-    """(line number, row) of each non-blank line of ``lines[start:stop]``,
-    parsed one line at a time; a line that does not parse raises ParseError
-    naming it."""
-    for lineno, line in enumerate(lines[start:stop], start + 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(CSV_HEADER):
-            raise ParseError(f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields")
-        try:
-            row = tuple(read(part) for read, part in zip(_CSV_TYPES, parts))
-        except ValueError as err:
-            raise ParseError(f"{path}: line {lineno}: {err}") from err
-        yield lineno, row
 
 
 def _read_text(path: Path) -> str:

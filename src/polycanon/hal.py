@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import KEY_RESET_WINDOW, Piece, VELOCITY_MAX, key_reset_kept, row_order
+from .events import KEY_RESET_WINDOW, KEYBOARD, Piece, VELOCITY_MAX, key_reset_kept, row_order
 from .stochastic import config_section
 
 
@@ -220,7 +220,7 @@ def fit_power_law(data: CalibrationData, l_max: float = 30.0,
 class ConstraintSet:
     velocity_range: tuple[int, int] = (0, VELOCITY_MAX)
     min_key_ioi: float = KEY_RESET_WINDOW
-    max_polyphony: int = 88
+    max_polyphony: int = len(KEYBOARD)
     scan_resolution: float = 0.001
 
     def __post_init__(self):

@@ -287,7 +287,7 @@ def _domain_marginals(notes: Piece | EventView):
         raise MetricError("voice separation needs >= 2 events per voice")
     pitches = notes.column("pitch").astype(float)
     velocities = notes.column("velocity").astype(float)
-    iois = np.diff(np.sort(notes.column("onset")))
+    iois = np.diff(notes.column("onset"))
     iois = iois[iois > 0]
     if iois.size == 0:
         raise MetricError("voice has no positive inter-onset intervals")
@@ -527,15 +527,11 @@ def _ioi_bins_and_classes(events: Piece | EventView) -> tuple[np.ndarray, np.nda
     symbols, as two int arrays."""
     if len(events) < 2:
         raise MetricError("discretize_events needs >= 2 events")
-    onsets = events.column("onset")
-    pitches = events.column("pitch")
-    order = np.argsort(onsets, kind="mergesort")
-    iois = np.diff(onsets[order])
-    iois = np.clip(iois, IOI_LO, IOI_HI)
+    iois = np.clip(np.diff(events.column("onset")), IOI_LO, IOI_HI)
     log_span = math.log(IOI_HI / IOI_LO)
     bins = np.floor(IOI_BINS * np.log(iois / IOI_LO) / log_span).astype(int)
     bins = np.clip(bins, 0, IOI_BINS - 1)
-    return bins, pitches[order][1:] % 12
+    return bins, events.column("pitch")[1:] % 12
 
 
 def discretize_events(events: Piece | EventView) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_until
-from .events import KEY_RESET_WINDOW, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
+from .events import KEY_RESET_WINDOW, KEYBOARD, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, resolve
 from .stochastic import MIN_IOI, reject_unknown_keys, renewal_onsets, thinned_onsets
@@ -185,7 +185,8 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
       polyphony -- chords of `chord_size` distinct pitches every `period` s
       trill     -- `rate_hz` alternation across `keys`; per-key rate must stay
                    within the key reset limit
-      arpeggio  -- `span` consecutive semitones upward at `ioi` s
+      arpeggio  -- `span` consecutive semitones upward at `ioi` s, all on the
+                   88 keys (`events.KEYBOARD`)
 
     An option the kind does not read raises ConfigError naming it.
     """
@@ -196,13 +197,12 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
     if kind == "polyphony":
         chord_size, n_chords = int(cfg["chord_size"]), int(cfg["n_chords"])
         period = float(cfg["period"])
-        if chord_size > 88:
+        if chord_size > len(KEYBOARD):
             raise InfeasibleError("polyphony: chord size exceeds the 88-key limit")
         if period < KEY_RESET_WINDOW:
             raise InfeasibleError("polyphony: chord period violates the per-key reset time")
-        pitches = np.linspace(21, 108, chord_size).round().astype(int)
-        if len(set(pitches.tolist())) < chord_size:
-            raise InfeasibleError("polyphony: cannot place that many distinct pitches")
+        # the grid's step is at least one key, so the pitches are distinct
+        pitches = np.linspace(KEYBOARD[0], KEYBOARD[-1], chord_size).round().astype(int)
         onset = np.repeat(np.arange(n_chords) * period, chord_size)
         pitch = np.tile(pitches, n_chords)
         hold, symbol, total = period * 0.9, "P", n_chords * period
@@ -219,7 +219,7 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
         hold, symbol, total = step * 0.9, "T", duration
     else:
         span, ioi, start = int(cfg["span"]), float(cfg["ioi"]), int(cfg["start"])
-        if start + span - 1 > PITCH_MAX:
+        if start < KEYBOARD[0] or start + span - 1 > KEYBOARD[-1]:
             raise InfeasibleError("arpeggio: span leaves the 88-key range")
         onset, pitch = np.arange(span) * ioi, start + np.arange(span)
         hold, symbol, total = ioi, "R", span * ioi

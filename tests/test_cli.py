@@ -422,6 +422,16 @@ def test_generate_rejects_a_midi_setting_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_generate_rejects_a_tempo_a_midi_file_cannot_state(tmp_path, capsys):
+    cfg = load_bundled_config("canonical")
+    cfg["midi"]["tempo_us"] = 16777216  # one past the 3 bytes of a tempo event
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "midi: tempo must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("path", ["grammar", "grammar.rules", "mapping.symbols.A.ratios",
                                   "mapping.symbols.B.ioi.rate"])
 def test_generate_names_a_missing_config_key(tmp_path, capsys, path):

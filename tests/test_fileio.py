@@ -1,7 +1,8 @@
 import json
 import struct
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycanon.cli import main
-from polycanon.events import NoteEvent, Piece
+from polycanon.events import COLUMNS, NoteEvent, Piece
 from polycanon.fileio import _CHUNK_ROWS as CHUNK_ROWS
 from polycanon.fileio import (
     CSV_HEADER,
@@ -19,6 +20,7 @@ from polycanon.fileio import (
     read_events,
     read_midi,
     velocity_from_7bit,
+    velocity_from_cc88,
     velocity_to_7bit,
     write_events_csv,
     write_events_json,
@@ -713,3 +715,268 @@ def test_midi_reader_follows_the_tempo_map(tmp_path, fmt):
     assert piece.onsets().tolist() == pytest.approx([0.0, 0.25, 0.5])
     assert piece.durations().tolist() == pytest.approx([0.5, 0.375, 0.25])
     assert piece.pitches().tolist() == [0x3C, 0x40, 0x3E]
+
+
+# ---------------------------------------------------------------------------
+# A MIDI tempo the file can state
+# ---------------------------------------------------------------------------
+
+
+def test_a_tempo_beyond_three_bytes_is_rejected():
+    # a tempo event holds 3 bytes: 2**24 + 500,000 would be written as 500,000
+    with pytest.raises(ValueError, match="tempo"):
+        MidiRenderConfig(tempo_us=2**24 + 500_000)
+    with pytest.raises(ValueError, match="tempo"):
+        MidiRenderConfig(tempo_us=0)
+
+
+def test_the_largest_tempo_a_file_can_state_reads_back(tmp_path):
+    cfg = MidiRenderConfig(tempo_us=0xFFFFFF)
+    piece = Piece.from_events([NoteEvent(0.0, 60, 500, 0.5), NoteEvent(1.0, 62, 500, 0.5)])
+    back = read_midi(write_midi(piece, cfg, tmp_path / "slow.mid"))
+    assert back.onsets().tolist() == pytest.approx([0.0, 1.0], abs=cfg.seconds_per_tick)
+
+
+# ---------------------------------------------------------------------------
+# read_midi on foreign files, against a per-event reference
+# ---------------------------------------------------------------------------
+
+# few channels and keys, so that notes overlap on one channel and key and a
+# CC#88 prefix lands on the note's own channel or on another one
+channels, keys = st.integers(0, 2), st.integers(60, 62)
+foreign_events = st.one_of(
+    st.tuples(st.just("on"), channels, keys, st.integers(1, 127)),
+    # a note-off as 0x80 with any velocity, or as a note-on of velocity 0
+    st.tuples(st.just("off"), channels, keys, st.sampled_from([0x80, 0x90]), st.integers(0, 127)),
+    st.tuples(st.just("tempo"), st.integers(10_000, 0xFFFFFF)),
+    st.tuples(st.just("program"), channels, st.integers(0, 127)),
+    st.tuples(st.just("cc"), channels, st.sampled_from([88, 88, 7, 64]), st.integers(0, 127)),
+)
+# (delta ticks, event, whether a channel event may reuse the running status)
+foreign_tracks = st.lists(st.lists(st.tuples(st.one_of(st.just(0), st.integers(0, 3000)),
+                                             foreign_events, st.booleans()), max_size=25),
+                          min_size=1, max_size=4)
+
+
+def foreign_track_chunk(track) -> bytes:
+    body, running = bytearray(), None
+    for delta, event, reuse in track:
+        body += vlq_reference(delta)
+        kind = event[0]
+        if kind == "tempo":
+            body += tempo_event(event[1])
+            running = None  # a meta event ends running status
+            continue
+        if kind == "on":
+            status, data = 0x90 | event[1], [event[2], event[3]]
+        elif kind == "off":
+            status = event[3] | event[1]
+            data = [event[2], event[4] if event[3] == 0x80 else 0]
+        elif kind == "program":
+            status, data = 0xC0 | event[1], [event[2]]
+        else:
+            status, data = 0xB0 | event[1], [event[2], event[3]]
+        if not (reuse and status == running):
+            body.append(status)
+        body += bytes(data)
+        running = status
+    body += vlq_reference(0) + b"\xff\x2f\x00"
+    return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+
+def read_midi_reference(tracks, division):
+    """(onset, pitch, velocity, duration, voice, symbol, generation, section)
+    of every note, event by event: a note-off closes the oldest open note of
+    its channel and key, a note open at its track's end lasts one tick, a
+    CC#88 prefix gives its low bits to the next note-on of its channel in its
+    track, and each tick is timed through the tempo map of all tracks."""
+    timed = [list(zip(accumulate(delta for delta, _, _ in track), (e for _, e, _ in track)))
+             for track in tracks]
+    # the default tempo, then every tempo event by tick; at one tick, in the order read
+    tempo_map = [(0, 500_000)] + sorted(((tick, event[1]) for track in timed
+                                         for tick, event in track if event[0] == "tempo"),
+                                        key=lambda change: change[0])
+
+    def tempo_at(tick):
+        """Seconds at ``tick``, and the seconds per tick of the tempo it is in."""
+        seconds, last_tick, us = 0.0, 0, 500_000
+        for change_tick, change_us in tempo_map:
+            if change_tick > tick:
+                break
+            seconds += (change_tick - last_tick) * us / 1e6 / division
+            last_tick, us = change_tick, change_us
+        return seconds + (tick - last_tick) * us / 1e6 / division, us / 1e6 / division
+
+    rows = []
+    for index, track in enumerate(timed):
+        sounding, low_bits, ended = defaultdict(list), {}, []
+        for tick, event in track:
+            if event[0] == "on":
+                sounding[event[1], event[2]].append((tick, event[3], low_bits.pop(event[1], None)))
+            elif event[0] == "off" and sounding[event[1], event[2]]:
+                ended.append((event[2], tick, *sounding[event[1], event[2]].pop(0)))
+            elif event[0] == "cc" and event[2] == 88:
+                low_bits[event[1]] = event[3] >> 4
+        ended += [(key, start + 1, start, v7, low)
+                  for (_, key), notes in sounding.items() for start, v7, low in notes]
+        for key, off, on, v7, low in ended:
+            velocity = velocity_from_7bit(v7) if low is None else velocity_from_cc88(v7, low)
+            (on_s, tick_s), (off_s, _) = tempo_at(on), tempo_at(off)
+            rows.append((on_s, key, velocity, max(off_s - on_s, tick_s), max(index - 1, 0),
+                         "", 0, 0))
+    return rows
+
+
+def assert_same_notes(piece, rows):
+    """The piece's rows and ``rows`` as sorted multisets: times within 1e-9 s,
+    every other field exactly."""
+    def ordered(notes):
+        return sorted(notes, key=lambda r: (r[4], r[1], r[2], r[0], r[3]))
+
+    got = ordered(zip(*(piece.column(name).tolist() for name in COLUMNS)))
+    want = ordered(rows)
+    assert [r[1:3] + r[4:] for r in got] == [r[1:3] + r[4:] for r in want]
+    assert np.allclose([(r[0], r[3]) for r in got], [(r[0], r[3]) for r in want],
+                       rtol=0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1]), st.sampled_from([96, 480, 960]), foreign_tracks)
+@example(1, 960, [[(0, ("tempo", 400_000), False)],
+                  [(0, ("tempo", 250_000), False), (0, ("cc", 1, 88, 0x70), False),
+                   (0, ("cc", 0, 88, 0x30), False), (0, ("on", 0, 60, 90), False),
+                   (0, ("on", 0, 60, 40), True), (480, ("off", 0, 60, 0x90, 0), True),
+                   (0, ("on", 1, 60, 70), False), (960, ("off", 0, 60, 0x80, 64), False)]])
+def test_read_midi_matches_a_per_event_reference_on_foreign_files(fmt, division, tracks):
+    tracks = tracks[:1] if fmt == 0 else tracks
+    data = (b"MThd" + struct.pack(">IHHH", 6, fmt, len(tracks), division)
+            + b"".join(map(foreign_track_chunk, tracks)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "foreign.mid"
+        path.write_bytes(data)
+        piece = read_midi(path)
+    assert_same_notes(piece, read_midi_reference(tracks, division))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass CSV reader against a per-line reference
+# ---------------------------------------------------------------------------
+
+CSV_TYPES = (float, int, int, float, int, str, int, int)
+
+
+def read_csv_reference(path):
+    """One row tuple per non-blank line; the first line that does not parse
+    raises, then the first row that fails the NoteEvent checks or the int64
+    range of its int fields."""
+    lines = path.read_text().splitlines()
+    if not lines or lines[0].split(",") != CSV_HEADER:
+        raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(CSV_HEADER):
+            raise ParseError(f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields")
+        try:
+            rows.append((lineno, tuple(read(part) for read, part in zip(CSV_TYPES, parts))))
+        except ValueError as err:
+            raise ParseError(f"{path}: line {lineno}: {err}") from None
+    for lineno, row in rows:
+        try:
+            NoteEvent(*row)
+            for value in row[1:3] + row[4:5] + row[6:]:
+                np.int64(value)  # OverflowError beyond int64
+        except (ValueError, OverflowError) as err:
+            raise ParseError(f"{path}: line {lineno}: {err}") from None
+    return Piece.from_events([NoteEvent(*row) for _, row in rows])
+
+
+# what an edited character becomes: the characters of numbers, of nan and
+# inf, and of the format's syntax
+CSV_EDIT_CHARS = "0123456789-+.eE, \nnaif"
+
+
+def csv_variants(text: str, count: int, seed: int):
+    """``count`` seeded edits of a CSV file's text, a few of each kind; every
+    fourth also has blank lines put in first, so that they come before the
+    other edits' lines."""
+    rng = np.random.default_rng(seed)
+
+    def some_row(lines):
+        return int(rng.choice([k for k, line in enumerate(lines) if k and line.strip()]))
+
+    def with_field(text, column, value):
+        lines = text.splitlines()
+        row = some_row(lines)
+        parts = lines[row].split(",")
+        parts[column] = value
+        lines[row] = ",".join(parts)
+        return "\n".join(lines) + "\n"
+
+    def edit_characters(text):
+        chars = list(text)
+        for _ in range(rng.integers(1, 5)):
+            at = int(rng.integers(len(chars)))
+            new = CSV_EDIT_CHARS[rng.integers(len(CSV_EDIT_CHARS))]
+            kind = rng.integers(3)
+            if kind == 0:
+                chars[at] = new
+            elif kind == 1:
+                del chars[at]
+            else:
+                chars.insert(at, new)
+        return "".join(chars)
+
+    def move_a_comma(text):
+        lines = text.splitlines()
+        row = some_row(lines)
+        line = lines[row]
+        if rng.integers(2):
+            at = line.index(",")
+            lines[row] = line[:at] + line[at + 1:]
+        else:
+            at = int(rng.integers(len(line) + 1))
+            lines[row] = line[:at] + "," + line[at:]
+        return "\n".join(lines) + "\n"
+
+    def blank_lines(text):
+        lines = text.splitlines()
+        for _ in range(rng.integers(1, 4)):
+            lines.insert(int(rng.integers(1, len(lines) + 1)), ["", " ", "\t  "][rng.integers(3)])
+        return "\n".join(lines) + "\n"
+
+    def cut_last_line(text):
+        return text[:len(text) - 1 - int(rng.integers(1, len(text.splitlines()[-1])))]
+
+    kinds = [
+        edit_characters, edit_characters, edit_characters, move_a_comma, blank_lines,
+        lambda text: with_field(text, [0, 3][rng.integers(2)],
+                                ["nan", "inf", "-inf"][rng.integers(3)]),
+        lambda text: with_field(text, 1, f"{rng.integers(21, 108)}.5"),
+        lambda text: with_field(text, 4, str(10**30)),
+        cut_last_line,
+    ]
+    return [kinds[k % len(kinds)](blank_lines(text) if k % 4 == 2 else text) for k in range(count)]
+
+
+def test_the_csv_reader_equals_a_per_line_reference(tmp_path, depth3_text):
+    path = tmp_path / "v.csv"
+    head = "".join(depth3_text[".csv"].decode().splitlines(keepends=True)[:301])  # 300 rows
+    outcomes = Counter()
+    for text in csv_variants(head, 200, seed=31):
+        path.write_text(text)
+        try:
+            want = read_csv_reference(path)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                read_events(path)
+            assert str(got.value) == str(err)
+            outcomes[str(err).split(": ")[2].split(" ")[0]] += 1
+        else:
+            assert read_events(path) == want
+            outcomes["read"] += 1
+    # the variants reach both readers' every outcome: a piece, a field count,
+    # a conversion, a row check and the int64 range
+    assert {"read", "expected", "could", "invalid", "onset", "Python"} <= set(outcomes), outcomes

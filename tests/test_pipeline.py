@@ -353,6 +353,18 @@ def test_beyond_human_infeasible_configs():
         generate_beyond_human("glissando")
 
 
+@pytest.mark.parametrize("start,span", [(100, 20), (0, 10), (20, 5), (105, 5)])
+def test_beyond_human_arpeggio_stays_on_the_keyboard(start, span):
+    # pitches 100-119 pass MIDI's 0..127 but leave the 88 keys, A0 (21) to C8 (108)
+    with pytest.raises(InfeasibleError, match="88-key range"):
+        generate_beyond_human("arpeggio", start=start, span=span)
+
+
+def test_beyond_human_arpeggio_may_span_the_whole_keyboard():
+    piece = generate_beyond_human("arpeggio", start=21, span=88)
+    assert piece.pitches().tolist() == list(range(21, 109))
+
+
 @pytest.mark.parametrize("kind,cfg,key", [
     ("trill", dict(rate=40.0), "rate"),
     ("polyphony", dict(chord_sise=10), "chord_sise"),
