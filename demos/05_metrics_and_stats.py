@@ -35,9 +35,7 @@ print(f"RC({sym0},{sym2}) = {rhythmic_coherence(i0, i2):.3f}   "
 print(f"concentration: A section {pitch_class_concentration(p0):.3f}, "
       f"B section {pitch_class_concentration(p1):.3f}")
 
-v0 = piece.with_columns(rows=piece.column("voice") == 0)
-v1 = piece.with_columns(rows=piece.column("voice") == 1)
-vss, wvss, nwvss = voice_separation(v0, v1)
+vss, wvss, nwvss = voice_separation(piece.voice_events(0), piece.voice_events(1))
 print(f"voice separation: VSS {vss:.2f}, range-normalised {nwvss:.4f}")
 
 print("\nsequence measures of the grammar strings:")

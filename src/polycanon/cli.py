@@ -174,7 +174,7 @@ def _cmd_analyze(args) -> int:
                 values["rc"] = rhythmic_coherence(base, ref)
             elif metric in ("vss", "wvss", "nwvss"):
                 voices = piece.voices()
-                if len(voices) >= 2:
+                if len(voices) >= 2 and metric not in values:  # all three come at once
                     vss, wvss, nwvss = voice_separation(*map(piece.voice_events, voices[:2]))
                     values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
             else:

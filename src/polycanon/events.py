@@ -131,6 +131,14 @@ COLUMNS = {"onset": np.float64, "pitch": np.int64, "velocity": np.int64,
 _fields = attrgetter(*COLUMNS)
 
 
+class RowError(ValueError):
+    """A row :meth:`Piece.from_columns` rejects; ``row`` is its index as given."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class Piece:
     """An onset-sorted table of notes with section provenance and run metadata.
 
@@ -170,18 +178,15 @@ class Piece:
                      section=0, sections=(), metadata=None) -> "Piece":
         """A piece from per-note columns; a scalar stands for a constant column.
 
-        Every row is checked against the :class:`NoteEvent` bounds in one
-        pass over the columns, and the first invalid row raises the
-        ``ValueError`` its ``NoteEvent`` would.
+        One pass over the columns checks each row against the :class:`NoteEvent`
+        bounds and its int fields against int64. The first bad row in the order
+        given raises :class:`RowError` with its index and its ``NoteEvent``'s
+        message, or else that of ``np.int64`` on its int fields.
         """
-        pitch, velocity = np.asarray(pitch), np.asarray(velocity)
         given = (onset, pitch, velocity, duration, voice, symbol, generation, section)
-        # a float pitch or velocity is cast to int64 only after the row checks:
-        # the cast would truncate a fractional value and wrap a huge or NaN one
-        # (NaN fails every comparison, so the upper bounds are ~(x <= max))
-        floats = [name for name, value in (("pitch", pitch), ("velocity", velocity))
-                  if value.dtype.kind == "f"]
-        cols = {name: np.asarray(value, dtype=None if name in floats else dtype)
+        # int columns keep numpy's inferred dtype until the rows pass, as a cast would truncate
+        # a fraction or wrap a huge or NaN value (NaN fails each test: upper bounds are ~(x <= max))
+        cols = {name: np.asarray(value, dtype=None if dtype is np.int64 else dtype)
                 for (name, dtype), value in zip(COLUMNS.items(), given)}
         n = len(cols["onset"])
         for name, col in cols.items():
@@ -192,13 +197,27 @@ class Piece:
         t, p, v, d = cols["onset"], cols["pitch"], cols["velocity"], cols["duration"]
         bad = ((p < 0) | ~(p <= PITCH_MAX) | (v < 0) | ~(v <= VELOCITY_MAX)
                | ~np.isfinite(d) | (d <= 0) | ~np.isfinite(t) | (t < MIN_ONSET - 1e-9))
-        for name in floats:
-            bad |= np.trunc(cols[name]) != cols[name]
+        for col in (p, v):
+            if col.dtype.kind == "f":
+                bad |= np.trunc(col) != col
+        # a dtype that does not cast safely to int64 is range-checked on the values as given, a
+        # list's as objects: numpy infers float64 for [0, 2**63 - 1, 2**63], rounding 2**63 - 1 up
+        wide = [np.broadcast_to(x if isinstance(x, np.ndarray) else np.array(x, dtype=object), (n,))
+                for (name, dtype), x in zip(COLUMNS.items(), given)
+                if dtype is np.int64 and not np.can_cast(cols[name].dtype, np.int64)]
+        with np.errstate(invalid="ignore"):  # a NaN among objects is out of range
+            for col in wide:
+                bad |= ~((col >= -2**63) & (col < 2**63))
         if bad.any():
             i = int(np.argmax(bad))
-            NoteEvent(t[i].item(), p[i].item(), v[i].item(), d[i].item())  # raises
-        for name in floats:
-            cols[name] = cols[name].astype(np.int64)
+            try:
+                NoteEvent(t.item(i), p.item(i), v.item(i), d.item(i))
+                for col in wide:
+                    np.int64(col.item(i))
+            except (ValueError, OverflowError) as err:
+                raise RowError(str(err), i) from err
+        for name, dtype in COLUMNS.items():
+            cols[name] = cols[name].astype(dtype, copy=False)
         order = row_order(t, cols["voice"], p, v)
         for name, col in cols.items():
             col = col[order]

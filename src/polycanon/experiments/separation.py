@@ -62,7 +62,7 @@ def _four_voice_piece(condition: str, aggregate_rate: float, duration: float, rn
 
 
 def _pairwise_vss(piece: Piece) -> list[float]:
-    voices = [piece.with_columns(rows=piece.column("voice") == v) for v in piece.voices()]
+    voices = [piece.voice_events(v) for v in piece.voices()]
     values = []
     for i in range(len(voices)):
         for j in range(i + 1, len(voices)):
@@ -97,7 +97,7 @@ def constraints(report, seed: int, full_scale: bool) -> None:
 
     # harmonic-territory check independent of dynamics
     piece = _four_voice_piece("pitch", 20.0, CONSTRAINT_DURATION, rng)
-    outer = [piece.with_columns(rows=piece.column("voice") == v) for v in (0, 3)]
+    outer = [piece.voice_events(v) for v in (0, 3)]
     report.add("pcs_distance_outer_pair", pcs_distance(*outer),
                "constraints.pcs_distance")
 

@@ -19,10 +19,10 @@ of its channel and key: the oldest open note closes first.
 The JSON and CSV writers print each value's text from the piece's cached
 text view, :attr:`Piece.text`, so a piece written both ways formats each
 value once, and they write a chunk of rows at a time; the MIDI writer works
-on the columns. The readers parse into per-column lists and build the
-piece with :meth:`Piece.from_columns`; the CSV reader makes one pass over
-the lines, splitting each and appending its converted fields to their
-columns, and the MIDI reader reads a one-byte delta time inline.
+on the columns. The readers only parse, into per-column lists, and
+:meth:`Piece.from_columns` judges the rows; the CSV reader names the line of
+the row it rejects. The CSV reader appends each line's converted fields to
+their columns in one pass, and the MIDI reader reads a one-byte delta inline.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece, row_order
+from .events import COLUMNS, MIN_ONSET, VELOCITY_MAX, Piece, RowError, row_order
 from .stochastic import config_section
 
 # the event keys in column order, with the type each JSON value is read as;
@@ -46,7 +46,7 @@ CSV_HEADER = [key for key, _ in _JSON_FIELDS]
 
 # Pieces carrying pre-compensated (negative) onsets are shifted late by this
 # fixed amount so tick times stay non-negative; recorded in metadata.
-NEGATIVE_ONSET_SHIFT = 0.030
+NEGATIVE_ONSET_SHIFT = -MIN_ONSET
 
 
 class ParseError(ValueError):
@@ -465,8 +465,8 @@ def _read_events(path: Path) -> Piece:
 def _read_csv(path: Path) -> Piece:
     """Parse the rows in one pass over the lines: each non-blank line is
     split, checked for 8 fields, and each field converted and appended to
-    its column; a line that fails raises ParseError naming it. A row the
-    piece's checks reject is named through the parsed columns."""
+    its column; a line that fails raises ParseError naming it, as does the
+    row the piece's checks reject."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0].split(",") != CSV_HEADER:
         raise ParseError(f"{path}: line 1: expected header {','.join(CSV_HEADER)}")
@@ -494,10 +494,8 @@ def _read_csv(path: Path) -> Piece:
         raise ParseError(f"{path}: line {lineno}: {err}") from err
     try:
         return Piece.from_columns(*columns)
-    except (ValueError, OverflowError) as err:
-        # the error is the first invalid row's; name its line
-        linenos = (n for n, line in enumerate(lines[1:], 2) if line.strip())
-        lineno = next(n for n, row in zip(linenos, zip(*columns)) if not _is_valid(row))
+    except RowError as err:
+        lineno = [n for n, line in enumerate(lines[1:], 2) if line.strip()][err.row]
         raise ParseError(f"{path}: line {lineno}: {err}") from err
 
 
@@ -506,15 +504,3 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not text: {err}") from err
-
-
-_INT64 = range(-2**63, 2**63)
-
-
-def _is_valid(row: tuple) -> bool:
-    try:
-        NoteEvent(*row)
-    except ValueError:
-        return False
-    # NoteEvent bounds pitch and velocity only; the other int64 columns overflow
-    return all(v in _INT64 for v, dtype in zip(row, COLUMNS.values()) if dtype is np.int64)

@@ -53,17 +53,16 @@ class PitchSet:
                 raise ConfigError("weights must sum to 1")
             cdf = np.cumsum(np.asarray(self.weights, dtype=float))
             cdf /= cdf[-1]
-        notes = tuple(range(self.lo + (c - self.lo) % 12, self.hi + 1, 12) for c in self.classes)
-        for c, placements in zip(self.classes, notes):
-            if not placements:
-                raise ConfigError(f"pitch class {c} has no notes in [{self.lo}, {self.hi}]")
-        # sampler tables, derived from the fields (not fields themselves):
-        # the class CDF, and each class's octave placements in the register
+        # sampler tables, derived from the fields: the class CDF, and per class
+        # the lowest note in the register and the count of its octave placements
+        first = self.lo + (np.array(self.classes) - self.lo) % 12
+        counts = (self.hi - first) // 12 + 1
+        if counts.min() < 1:
+            c = self.classes[int(np.argmin(counts))]
+            raise ConfigError(f"pitch class {c} has no notes in [{self.lo}, {self.hi}]")
         object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_notes", notes)
-        # the placements as arrays for vector draws: lowest note and count per class
-        object.__setattr__(self, "_first", np.array([p[0] for p in notes]))
-        object.__setattr__(self, "_counts", np.array([len(p) for p in notes]))
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_counts", counts)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` pitches: a class each (uniform or weighted), then a uniform
@@ -82,15 +81,11 @@ class PitchSet:
 
     def pmf(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact (pitches, probabilities) of the sampler, in pitch order."""
-        values, probs = [], []
-        n_classes = len(self.classes)
-        for i, notes in enumerate(self._notes):
-            w = self.weights[i] if self.weights else 1.0 / n_classes
-            for note in notes:
-                values.append(note)
-                probs.append(w / len(notes))
+        w = np.array(self.weights or [1.0 / len(self.classes)] * len(self.classes))
+        values = np.concatenate([np.arange(f, self.hi + 1, 12) for f in self._first.tolist()])
+        probs = np.repeat(w / self._counts, self._counts)
         order = np.argsort(values)
-        return np.array(values)[order], np.array(probs)[order]
+        return values[order], probs[order]
 
     def widened(self, factor: float) -> "PitchSet":
         """Register scaled about its centre by `factor`, clamped to 0..``PITCH_MAX``."""

@@ -63,6 +63,25 @@ def test_analyze_builds_no_note_event(tmp_path, capsys, monkeypatch):
                      "--metrics", "pcc,nlz,mc,rc,vss"]) == 0
 
 
+def test_analyze_computes_voice_separation_once(tmp_path, capsys, monkeypatch):
+    from polycanon import metrics
+
+    out = tmp_path / "gen"
+    main(["generate", "--out", str(out), "--seed", "3", "--depth", "3"])
+    capsys.readouterr()
+    calls = []
+
+    def counted(*voices):
+        calls.append(voices)
+        return voice_separation(*voices)
+
+    voice_separation = metrics.voice_separation
+    monkeypatch.setattr(metrics, "voice_separation", counted)
+    assert main(["analyze", "--in", str(out / "piece.json"), "--metrics", "vss,wvss,nwvss"]) == 0
+    assert len(calls) == 1
+    assert set(json.loads(capsys.readouterr().out)) >= {"vss", "wvss", "nwvss"}
+
+
 def test_analyze_unknown_metric_is_usage_error(tmp_path, capsys):
     out = tmp_path / "gen"
     main(["generate", "--out", str(out), "--seed", "3", "--depth", "2"])

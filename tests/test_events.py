@@ -16,6 +16,7 @@ from polycanon.events import (
     KEY_RESET_WINDOW,
     NoteEvent,
     Piece,
+    RowError,
     key_reset_kept,
     row_order,
 )
@@ -131,9 +132,37 @@ def test_from_columns_raises_the_note_event_message(bad):
     with pytest.raises(ValueError) as expected:
         NoteEvent(*bad)
     rows = [(0.5, 60, 500, 0.1), bad, (0.0, 128, 500, 0.1)]  # the first bad row is reported
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(RowError) as got:
         Piece.from_columns(*zip(*rows))
     assert str(got.value) == str(expected.value)
+    assert got.value.row == 1
+
+
+TOO_LARGE = "Python int too large to convert to C long"
+
+
+@pytest.mark.parametrize("pitch,voice,row,message", [
+    ([60, 300, 60], [0, 0, 10**30], 1, "pitch 300 outside [0, 127]"),
+    ([60, 60, 300], [0, 10**30, 0], 1, TOO_LARGE),
+    ([60, 60, 60], [0, 1, 2**63], 2, TOO_LARGE),  # numpy infers float64 for these voices
+    ([60, 60, 60], [0, 2**63 - 1, 2**63], 2, TOO_LARGE),  # which rounds 2**63 - 1 to 2**63
+    ([60, 60, 60], [0, -2**63 - 1, 2**63], 1, TOO_LARGE),  # and -2**63 - 1 to -2**63
+    ([60, 60, 60], np.array([0, 1, 2**63], dtype=np.uint64), 2, TOO_LARGE),
+    ([60, 60, 60], np.array([0.0, 2.0**63, 1.0]), 1, TOO_LARGE),
+    ([60, 60, 60], np.array([0.0, 1.0, math.nan]), 2, "cannot convert float NaN to integer"),
+], ids=["pitch-first", "voice-first", "2**63", "2**63-1", "-2**63-1", "uint64", "float64", "nan"])
+def test_from_columns_checks_the_int64_range_in_the_order_given(pitch, voice, row, message):
+    with pytest.raises(RowError) as got:
+        Piece.from_columns([0.0, 0.1, 0.2], pitch, 500, 0.1, voice)
+    assert (got.value.row, str(got.value)) == (row, message)
+
+
+def test_from_columns_casts_the_int_columns_it_accepts_to_int64():
+    piece = Piece.from_columns([0.0, 0.1], np.array([60, 61], dtype=np.uint32), [500.0, 501.0],
+                               0.1, [0, 2**63 - 1], generation=np.array([1, 2], dtype=np.uint64))
+    assert all(piece.column(name).dtype == np.int64
+               for name in ("pitch", "velocity", "voice", "generation", "section"))
+    assert piece.column("voice").tolist() == [0, 2**63 - 1]
 
 
 def test_note_event_rejects_non_finite_times():
@@ -314,13 +343,14 @@ def test_key_reset_kept_rejects_pitches_outside_the_keys(pitches):
 # the NoteEvent view of a piece and the calls that build or select NoteEvents;
 # outside events.py the package reads notes through the Piece columns
 NOTE_EVENT_CALLS = {"NoteEvent", "voice_events", "section_events", "from_events", "with_events"}
-# (module, function): fileio._is_valid finds a bad CSV row by the NoteEvent
-# checks; `polycanon analyze` passes voice views to voice_separation, which
-# reads their columns and builds no NoteEvent (test_cli checks that at run time)
-NOTE_EVENT_ALLOWED = {("fileio.py", "_is_valid"), ("cli.py", "_cmd_analyze")}
+# (module, function): these pass voice views to voice_separation or
+# pcs_distance, which read their columns and build no NoteEvent (test_cli
+# checks that at run time for `polycanon analyze`)
+NOTE_EVENT_ALLOWED = {("cli.py", "_cmd_analyze"), ("experiments/separation.py", "_pairwise_vss"),
+                      ("experiments/separation.py", "constraints")}
 # the modules that may name NoteEvent at all, in an import, an annotation or
-# a call: its home, the package exports and the CSV reader's row check
-NOTE_EVENT_MODULES = {"events.py", "__init__.py", "fileio.py"}
+# a call: its home and the package exports
+NOTE_EVENT_MODULES = {"events.py", "__init__.py"}
 
 
 class NoteEventUses(ast.NodeVisitor):
@@ -390,7 +420,7 @@ def test_only_events_py_reads_or_builds_note_events():
                    "def f(notes: 'Sequence[NoteEvent]'): pass",
                    "def f() -> 'list[NoteEvent]': pass", "x: NoteEvent = None", "f(NoteEvent)"):
         assert note_event_uses("metrics.py", source), source
-        assert not note_event_uses("fileio.py", source), source
+        assert not note_event_uses("__init__.py", source), source
 
 
 class RowOrderUses(ast.NodeVisitor):

@@ -455,26 +455,58 @@ def test_csv_reader_rejects_a_fractional_pitch_or_velocity_with_the_line(tmp_pat
         read_events(path)
 
 
-@pytest.mark.parametrize("field", ["pitch", "voice"])
-def test_json_reader_rejects_an_integer_beyond_int64(tmp_path, field):
+# numpy infers object for the voices [..., 10**30, ...] and float64 for [..., 2**63, ...]
+@pytest.mark.parametrize("field,value", [("pitch", 10**30), ("voice", 10**30), ("voice", 2**63)],
+                         ids=["pitch", "voice", "voice-2**63"])
+def test_json_reader_rejects_an_integer_beyond_int64(tmp_path, field, value):
     path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
     doc = json.loads(path.read_text())
-    doc["events"][1][field] = 10**30
+    doc["events"][1][field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="malformed event document"):
         read_events(path)
 
 
-@pytest.mark.parametrize("column", [1, 4])  # pitch, and voice, which NoteEvent does not bound
-def test_csv_reader_rejects_an_integer_beyond_int64_with_the_line(tmp_path, column):
+# pitch, and voice, which NoteEvent does not bound
+@pytest.mark.parametrize("column,value", [(1, 10**30), (4, 10**30), (4, 2**63)],
+                         ids=["1", "4", "4-2**63"])
+def test_csv_reader_rejects_an_integer_beyond_int64_with_the_line(tmp_path, column, value):
     path = write_events_csv(sample_piece(n=3), tmp_path / "p.csv")
     lines = path.read_text().splitlines()
     parts = lines[2].split(",")
-    parts[column] = str(10**30)
+    parts[column] = str(value)
     lines[2] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 3: "):
         read_events(path)
+
+
+@pytest.mark.parametrize("line2,line3,message", [
+    ((1, "300"), (4, str(10**30)), "pitch 300 outside [0, 127]"),
+    ((4, str(10**30)), (1, "300"), "Python int too large to convert to C long"),
+], ids=["pitch-first", "voice-first"])
+def test_csv_reader_names_the_first_invalid_row_with_its_own_message(tmp_path, line2, line3,
+                                                                     message):
+    path = write_events_csv(sample_piece(n=3), tmp_path / "p.csv")
+    lines = path.read_text().splitlines()
+    for index, (column, value) in ((1, line2), (2, line3)):
+        parts = lines[index].split(",")
+        parts[column] = value
+        lines[index] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: line 2: {message}"
+
+
+def test_json_reader_gives_the_first_invalid_rows_own_message(tmp_path):
+    path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
+    doc = json.loads(path.read_text())
+    doc["events"][1]["pitch"], doc["events"][2]["voice"] = 300, 10**30
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: malformed event document: pitch 300 outside [0, 127]"
 
 
 @pytest.fixture(scope="module")
@@ -893,6 +925,10 @@ def read_csv_reference(path):
     return Piece.from_events([NoteEvent(*row) for _, row in rows])
 
 
+# (column, value) of the causes that make a row invalid after it parses: pitch
+# 300, a voice beyond int64 as an object or as a float64 column, and a NaN onset
+TWO_ROW_CAUSES = [(1, "300"), (4, str(10**30)), (4, str(2**63)), (0, "nan")]
+
 # what an edited character becomes: the characters of numbers, of nan and
 # inf, and of the format's syntax
 CSV_EDIT_CHARS = "0123456789-+.eE, \nnaif"
@@ -950,13 +986,24 @@ def csv_variants(text: str, count: int, seed: int):
     def cut_last_line(text):
         return text[:len(text) - 1 - int(rng.integers(1, len(text.splitlines()[-1])))]
 
+    def two_bad_rows(text):
+        # two rows made bad by two different causes, the rows in random order
+        lines = text.splitlines()
+        rows = rng.choice([k for k, line in enumerate(lines) if k and line.strip()], 2,
+                          replace=False)
+        for row, cause in zip(rows, rng.choice(len(TWO_ROW_CAUSES), 2, replace=False)):
+            column, value = TWO_ROW_CAUSES[cause]
+            parts = lines[row].split(",")
+            lines[row] = ",".join(parts[:column] + [value] + parts[column + 1:])
+        return "\n".join(lines) + "\n"
+
     kinds = [
         edit_characters, edit_characters, edit_characters, move_a_comma, blank_lines,
         lambda text: with_field(text, [0, 3][rng.integers(2)],
                                 ["nan", "inf", "-inf"][rng.integers(3)]),
         lambda text: with_field(text, 1, f"{rng.integers(21, 108)}.5"),
         lambda text: with_field(text, 4, str(10**30)),
-        cut_last_line,
+        cut_last_line, two_bad_rows,
     ]
     return [kinds[k % len(kinds)](blank_lines(text) if k % 4 == 2 else text) for k in range(count)]
 
@@ -978,5 +1025,6 @@ def test_the_csv_reader_equals_a_per_line_reference(tmp_path, depth3_text):
             assert read_events(path) == want
             outcomes["read"] += 1
     # the variants reach both readers' every outcome: a piece, a field count,
-    # a conversion, a row check and the int64 range
-    assert {"read", "expected", "could", "invalid", "onset", "Python"} <= set(outcomes), outcomes
+    # a conversion, the row checks and the int64 range
+    assert {"read", "expected", "could", "invalid", "onset", "pitch", "Python"} <= set(outcomes), \
+        outcomes

@@ -85,7 +85,8 @@ def pitch_pmf(ps):
     """The pmf helper that PitchSet.pmf replaced, kept as a reference."""
     values, probs = [], []
     n_classes = len(ps.classes)
-    for i, notes in enumerate(ps._notes):
+    placements = [range(ps.lo + (c - ps.lo) % 12, ps.hi + 1, 12) for c in ps.classes]
+    for i, notes in enumerate(placements):
         w = ps.weights[i] if ps.weights else 1.0 / n_classes
         for note in notes:
             values.append(note)
@@ -108,6 +109,7 @@ def test_pitch_set_sample_follows_choice_stream(ps):
     PitchSet((0, 4, 7), 48, 84),
     PitchSet(tuple(range(12)), 21, 108),
     PitchSet((0, 2, 5, 7, 11), 21, 108, weights=(0.4, 0.3, 0.0, 0.2, 0.1)),
+    PitchSet((0, 4, 7), 48, 84).widened(1.1**8),  # the cp pre-switch set at generation 8
 ])
 def test_pitch_set_sample_n_support_and_pmf(ps):
     n = 40_000
