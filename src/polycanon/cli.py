@@ -154,6 +154,8 @@ def _cmd_analyze(args) -> int:
     piece = read_events(args.infile)
     other = read_events(args.pair) if args.pair else None
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not wanted:
+        raise ConfigError(f"--metrics names no metric: {args.metrics!r}")
     values: dict = {}
     pitches = piece.pitches()
     iois = np.diff(piece.onsets())
@@ -174,7 +176,9 @@ def _cmd_analyze(args) -> int:
                 values["rc"] = rhythmic_coherence(base, ref)
             elif metric in ("vss", "wvss", "nwvss"):
                 voices = piece.voices()
-                if len(voices) >= 2 and metric not in values:  # all three come at once
+                if len(voices) < 2:
+                    raise MetricError(f"voice separation needs 2 voices, got {len(voices)}")
+                if metric not in values:  # all three come at once
                     vss, wvss, nwvss = voice_separation(*map(piece.voice_events, voices[:2]))
                     values.update({"vss": vss, "wvss": wvss, "nwvss": nwvss})
             else:

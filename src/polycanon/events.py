@@ -106,29 +106,64 @@ class NoteEvent:
     section: int = 0
 
     def __post_init__(self):
-        if isinstance(self.pitch, float) and not self.pitch.is_integer():
-            raise ValueError(f"pitch {self.pitch} is not an integer")
-        if not 0 <= self.pitch <= PITCH_MAX:
-            raise ValueError(f"pitch {self.pitch} outside [0, {PITCH_MAX}]")
-        if isinstance(self.velocity, float) and not self.velocity.is_integer():
-            raise ValueError(f"velocity {self.velocity} is not an integer")
-        if not 0 <= self.velocity <= VELOCITY_MAX:
-            raise ValueError(f"velocity {self.velocity} outside [0, {VELOCITY_MAX}]")
-        if not math.isfinite(self.duration):
-            raise ValueError(f"duration must be finite, got {self.duration}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not math.isfinite(self.onset):
-            raise ValueError(f"onset must be finite, got {self.onset}")
-        if self.onset < MIN_ONSET - 1e-9:
-            raise ValueError(f"onset {self.onset} below {MIN_ONSET}")
+        if problem := note_problem(*_fields(self)):
+            raise ValueError(problem)
 
 
-# the NoteEvent fields in constructor order, with each column's dtype
-COLUMNS = {"onset": np.float64, "pitch": np.int64, "velocity": np.int64,
-           "duration": np.float64, "voice": np.int64, "symbol": object,
-           "generation": np.int64, "section": np.int64}
+# The note columns in NoteEvent field order: each one's key in event files, its dtype, and
+# the closed bounds of its values with the message for one beyond them. An int64 column
+# holds integers (any int64 without bounds), a float64 one finite numbers, symbol a str.
+# An onset may lie 1e-9 below the floor; 5e-324, the least positive float, bounds duration.
+SCHEMA = {
+    "onset": ("onset_s", np.float64, MIN_ONSET - 1e-9, math.inf, f"onset {{}} below {MIN_ONSET}"),
+    "pitch": ("pitch", np.int64, 0, PITCH_MAX, f"pitch {{}} outside [0, {PITCH_MAX}]"),
+    "velocity": ("velocity10", np.int64, 0, VELOCITY_MAX,
+                 f"velocity {{}} outside [0, {VELOCITY_MAX}]"),
+    "duration": ("duration_s", np.float64, 5e-324, math.inf, "duration must be positive, got {}"),
+    "voice": ("voice", np.int64, None, None, None),
+    "symbol": ("symbol", object, None, None, None),
+    "generation": ("generation", np.int64, None, None, None),
+    "section": ("section", np.int64, None, None, None),
+}
+COLUMNS = {name: rule[1] for name, rule in SCHEMA.items()}  # each column's dtype
 _fields = attrgetter(*COLUMNS)
+# what a symbol in a CSV event file cannot hold: the separator and str.splitlines' breaks
+CSV_UNSAFE = ",\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+_NUMBER = (int, float, np.number)
+
+
+def csv_symbol_problem(symbols) -> str | None:
+    """The message for the first of ``symbols`` that holds a character of
+    :data:`CSV_UNSAFE`, or None."""
+    for symbol in symbols:
+        if any(char in CSV_UNSAFE for char in symbol):
+            return f"symbol {symbol!r} cannot be written to a CSV event file"
+    return None
+
+
+def note_problem(*row) -> str | None:
+    """The message for the first of ``row``'s values (the :class:`NoteEvent`
+    fields in order) that breaks its rule in :data:`SCHEMA`, or None. An int
+    column's bounds are checked before its fraction; a value beyond int64
+    gets numpy's message."""
+    for (name, (_, dtype, low, high, beyond)), x in zip(SCHEMA.items(), row):
+        if dtype is object:
+            if not isinstance(x, str):
+                return f"{name} {x!r} is not a str"
+        elif type(x) is bool or not isinstance(x, _NUMBER):
+            return f"{name} {x!r} is not a number"
+        elif dtype is np.float64 and not math.isfinite(x):
+            return f"{name} must be finite, got {x}"
+        elif low is not None and not low <= x <= high:
+            return beyond.format(x)
+        elif low is None and not -2**63 <= x < 2**63:  # NaN too
+            try:
+                np.int64(int(x))
+            except (OverflowError, ValueError) as err:
+                return str(err)
+        elif dtype is np.int64 and x % 1:
+            return f"{name} {x} is not an integer"
+    return None
 
 
 class RowError(ValueError):
@@ -142,10 +177,8 @@ class RowError(ValueError):
 class Piece:
     """An onset-sorted table of notes with section provenance and run metadata.
 
-    The notes are stored as eight numpy columns of equal length, named as
-    the :class:`NoteEvent` fields: ``onset`` and ``duration`` (float64
-    seconds), ``pitch``, ``velocity``, ``voice``, ``generation`` and
-    ``section`` (int64) and ``symbol`` (an object array of str). The columns
+    The notes are stored as eight numpy columns of equal length, named,
+    typed and bounded as :data:`SCHEMA` says (times in seconds). The columns
     are read-only: :meth:`column`, :meth:`onsets`, :meth:`pitches`,
     :meth:`velocities` and :meth:`durations` return them without copying,
     and writing to one raises. Rows are in (onset, voice, pitch, velocity)
@@ -178,15 +211,17 @@ class Piece:
                      section=0, sections=(), metadata=None) -> "Piece":
         """A piece from per-note columns; a scalar stands for a constant column.
 
-        One pass over the columns checks each row against the :class:`NoteEvent`
-        bounds and its int fields against int64. The first bad row in the order
-        given raises :class:`RowError` with its index and its ``NoteEvent``'s
-        message, or else that of ``np.int64`` on its int fields.
+        The rows are judged by :data:`SCHEMA` a column at a time: an int64 array
+        pays only a dtype check and its bounds, a float or object int column is
+        also checked for fractions and the int64 range, and a number column of
+        str or bool is rejected; the symbols' type is not checked. The first bad
+        row in the order given raises :class:`RowError` with its index and the
+        message :func:`note_problem` gives for its values as given.
         """
         given = (onset, pitch, velocity, duration, voice, symbol, generation, section)
-        # int columns keep numpy's inferred dtype until the rows pass, as a cast would truncate
-        # a fraction or wrap a huge or NaN value (NaN fails each test: upper bounds are ~(x <= max))
-        cols = {name: np.asarray(value, dtype=None if dtype is np.int64 else dtype)
+        # number columns keep numpy's inferred dtype until the rows pass, as a cast would read a
+        # str or bool as a number, truncate a fraction or wrap a huge or NaN value
+        cols = {name: np.asarray(value, dtype=object if dtype is object else None)
                 for (name, dtype), value in zip(COLUMNS.items(), given)}
         n = len(cols["onset"])
         for name, col in cols.items():
@@ -194,35 +229,34 @@ class Piece:
                 cols[name] = np.broadcast_to(col, (n,))
             elif col.shape != (n,):
                 raise ValueError(f"column {name!r} has shape {col.shape}, expected ({n},)")
-        t, p, v, d = cols["onset"], cols["pitch"], cols["velocity"], cols["duration"]
-        bad = ((p < 0) | ~(p <= PITCH_MAX) | (v < 0) | ~(v <= VELOCITY_MAX)
-               | ~np.isfinite(d) | (d <= 0) | ~np.isfinite(t) | (t < MIN_ONSET - 1e-9))
-        for col in (p, v):
-            if col.dtype.kind == "f":
-                bad |= np.trunc(col) != col
-        # a dtype that does not cast safely to int64 is range-checked on the values as given, a
-        # list's as objects: numpy infers float64 for [0, 2**63 - 1, 2**63], rounding 2**63 - 1 up
-        wide = [np.broadcast_to(x if isinstance(x, np.ndarray) else np.array(x, dtype=object), (n,))
-                for (name, dtype), x in zip(COLUMNS.items(), given)
-                if dtype is np.int64 and not np.can_cast(cols[name].dtype, np.int64)]
-        with np.errstate(invalid="ignore"):  # a NaN among objects is out of range
-            for col in wide:
-                bad |= ~((col >= -2**63) & (col < 2**63))
+        bad = np.zeros(n, dtype=bool)
+        with np.errstate(invalid="ignore"):  # NaN fails each test: x % 1 != 0, ~(x >= low)
+            for (name, (_, dtype, low, high, _)), value in zip(SCHEMA.items(), given):
+                col = cols[name]
+                if col.dtype.kind in "bUS" and dtype is not object:
+                    bad[:] = True  # note_problem finds the first str or bool
+                    break
+                if dtype is np.float64:
+                    col = cols[name] = col.astype(np.float64, copy=False)
+                    bad |= ~np.isfinite(col)
+                elif dtype is np.int64 and not np.can_cast(col.dtype, np.int64):
+                    bad |= col % 1 != 0
+                    # the int64 range on the values as given, a list's as objects: numpy
+                    # infers float64 for [0, 2**63 - 1, 2**63], rounding 2**63 - 1 up
+                    raw = value if isinstance(value, np.ndarray) else np.array(value, object)
+                    bad |= ~((raw >= -2**63) & (raw < 2**63))
+                if low is not None:
+                    bad |= ~((col >= low) & (col <= high))
         if bad.any():
-            i = int(np.argmax(bad))
-            try:
-                NoteEvent(t.item(i), p.item(i), v.item(i), d.item(i))
-                for col in wide:
-                    np.int64(col.item(i))
-            except (ValueError, OverflowError) as err:
-                raise RowError(str(err), i) from err
+            raw = [np.broadcast_to(x if isinstance(x, np.ndarray) else np.array(x, object), (n,))
+                   for x in given]
+            for i in np.flatnonzero(bad).tolist():
+                if problem := note_problem(*(col.item(i) for col in raw)):
+                    raise RowError(problem, i)
+        order = row_order(cols["onset"], cols["voice"], cols["pitch"], cols["velocity"])
         for name, dtype in COLUMNS.items():
-            cols[name] = cols[name].astype(dtype, copy=False)
-        order = row_order(t, cols["voice"], p, v)
-        for name, col in cols.items():
-            col = col[order]
+            col = cols[name] = cols[name].astype(dtype, copy=False)[order]
             col.flags.writeable = False
-            cols[name] = col
         return Piece(cols, sections, dict(metadata or {}))
 
     @staticmethod

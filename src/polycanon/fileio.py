@@ -19,10 +19,14 @@ of its channel and key: the oldest open note closes first.
 The JSON and CSV writers print each value's text from the piece's cached
 text view, :attr:`Piece.text`, so a piece written both ways formats each
 value once, and they write a chunk of rows at a time; the MIDI writer works
-on the columns. The readers only parse, into per-column lists, and
-:meth:`Piece.from_columns` judges the rows; the CSV reader names the line of
-the row it rejects. The CSV reader appends each line's converted fields to
-their columns in one pass, and the MIDI reader reads a one-byte delta inline.
+on the columns. The event keys come from ``events.SCHEMA``, and only a
+format's own limits are checked here: the characters a CSV symbol cannot
+hold (``events.CSV_UNSAFE``) and the voices a MIDI file can hold. The
+readers only parse, into per-column lists, and :meth:`Piece.from_columns`
+judges the rows; the CSV reader names the line of the row it rejects. The
+JSON reader takes each value as given and checks only its JSON type, the
+CSV reader appends each line's converted fields to their columns in one
+pass, and the MIDI reader reads a one-byte delta inline.
 """
 
 from __future__ import annotations
@@ -35,14 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import COLUMNS, MIN_ONSET, VELOCITY_MAX, Piece, RowError, row_order
+from .events import (COLUMNS, MIN_ONSET, SCHEMA, VELOCITY_MAX, Piece, RowError,
+                     csv_symbol_problem, note_problem, row_order)
 from .stochastic import config_section
 
-# the event keys in column order, with the type each JSON value is read as;
-# pitch and velocity are read as given, so Piece.from_columns rejects a fraction
-_JSON_FIELDS = (("onset_s", float), ("pitch", None), ("velocity10", None), ("duration_s", float),
-                ("voice", int), ("symbol", str), ("generation", int), ("section", int))
-CSV_HEADER = [key for key, _ in _JSON_FIELDS]
+# the event keys in column order
+CSV_HEADER = [rule[0] for rule in SCHEMA.values()]
+# the header counts tracks in 16 bits: the tempo track, then one per voice from 0
+MIDI_MAX_VOICE = 0xFFFF - 2
 
 # Pieces carrying pre-compensated (negative) onsets are shifted late by this
 # fixed amount so tick times stay non-negative; recorded in metadata.
@@ -187,8 +191,9 @@ def write_midi(piece: Piece, cfg: MidiRenderConfig, path) -> Path:
     n = len(piece)
     onsets, pitches, velocities = piece.onsets(), piece.pitches(), piece.velocities()
     voices = piece.column("voice")
-    if n and voices.min() < 0:
-        raise ValueError(f"MIDI tracks need voice indices >= 0, got {voices.min()}")
+    if n and not 0 <= voices.min() <= voices.max() <= MIDI_MAX_VOICE:
+        bad = voices.min() if voices.min() < 0 else voices.max()
+        raise ValueError(f"MIDI tracks need voices in 0..{MIDI_MAX_VOICE:,}, got {bad}")
     shift = NEGATIVE_ONSET_SHIFT if n and onsets.min() < 0 else 0.0
     spt = cfg.seconds_per_tick
     tick_on = np.rint((onsets + shift) / spt).astype(np.int64)
@@ -372,9 +377,9 @@ def read_midi(path) -> Piece:
 
 # the text after each value of a JSON event: the last closes the event and
 # opens the next; _JSON_OPEN opens the first
-_JSON_SEPS = (*(f',\n   "{key}": ' for key, _ in _JSON_FIELDS[1:]), '\n  },\n  {\n   "onset_s": ')
-_JSON_OPEN = '[\n  {\n   "onset_s": '
-_CSV_SEPS = (",",) * (len(COLUMNS) - 1) + ("\n",)
+_JSON_OPEN = f'[\n  {{\n   "{CSV_HEADER[0]}": '
+_JSON_SEPS = (*(f',\n   "{key}": ' for key in CSV_HEADER[1:]), "\n  }," + _JSON_OPEN[1:])
+_CSV_SEPS = (",",) * (len(CSV_HEADER) - 1) + ("\n",)
 # rows per write: the text of a whole piece at once, and its encoded copy,
 # would sit in memory next to the piece's text view
 _CHUNK_ROWS = 2048
@@ -420,8 +425,12 @@ def write_events_json(piece: Piece, path) -> Path:
 
 
 def write_events_csv(piece: Piece, path) -> Path:
-    return _write_rows(Path(path), ",".join(CSV_HEADER) + "\n",
-                       [piece.text[name] for name in COLUMNS], _CSV_SEPS, "\n")
+    """Write the header and a line per note; a symbol that holds a character of
+    ``events.CSV_UNSAFE`` raises ValueError before the file is opened."""
+    columns = [piece.text[name] for name in COLUMNS]
+    if problem := csv_symbol_problem(dict.fromkeys(columns[5])):
+        raise ValueError(problem)
+    return _write_rows(Path(path), ",".join(CSV_HEADER) + "\n", columns, _CSV_SEPS, "\n")
 
 
 def read_events(path) -> Piece:
@@ -443,8 +452,12 @@ def _read_events(path: Path) -> Piece:
             raise ParseError(f"{path}: invalid JSON at line {err.lineno}, column {err.colno}") from err
         try:
             events = doc["events"]
-            columns = [[d[key] for d in events] if read is None else [read(d[key]) for d in events]
-                       for key, read in _JSON_FIELDS]
+            columns = [[d[key] for d in events] for key in CSV_HEADER]
+            # JSON types numpy would read as numbers: a symbol is a str, any other value a number
+            if any(not set(map(type, col)) <= ({str} if dtype is object else {int, float})
+                   for col, dtype in zip(columns, COLUMNS.values())):
+                raise next(RowError(problem, i) for i, row in enumerate(zip(*columns))
+                           if (problem := note_problem(*row)))
             sections = tuple(tuple(s) for s in doc.get("sections", []))
             return Piece.from_columns(*columns, sections=sections,
                                       metadata=doc.get("metadata", {}))

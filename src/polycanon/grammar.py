@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .events import csv_symbol_problem
 from .stochastic import ConfigError, config_list, config_value, make_rng
 from .stochastic import reject_unknown_keys, require_keys
 
@@ -33,6 +34,8 @@ class Grammar:
     rules: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
+        if problem := csv_symbol_problem(sorted(self.alphabet)):
+            raise InvalidGrammarError(problem)
         for sym in self.axiom:
             if sym not in self.alphabet:
                 raise InvalidGrammarError(f"axiom symbol {sym!r} not in alphabet")
@@ -76,7 +79,8 @@ def grammar_from_strings(rules: dict[str, str], axiom: str, alphabet=None) -> Gr
 
 def grammar_from_config(cfg: dict) -> Grammar:
     """The ``grammar`` section's grammar; a key it does not read, one it
-    needs and lacks, a value of the wrong type or an invalid grammar raises
+    needs and lacks, a value of the wrong type or an invalid grammar (one
+    with a symbol that holds a comma or a line break, say) raises
     ConfigError naming its path, e.g. ``grammar.axoim`` or ``grammar.rules.A``."""
     reject_unknown_keys(cfg, ("rules", "axiom", "alphabet"), "grammar")
     require_keys(cfg, ("rules", "axiom"), "grammar")

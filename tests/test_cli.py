@@ -82,6 +82,30 @@ def test_analyze_computes_voice_separation_once(tmp_path, capsys, monkeypatch):
     assert set(json.loads(capsys.readouterr().out)) >= {"vss", "wvss", "nwvss"}
 
 
+@pytest.mark.parametrize("char", [",", "\n", "\u2028"], ids=repr)
+def test_generate_rejects_a_grammar_symbol_its_csv_file_cannot_hold(tmp_path, capsys, char):
+    cfg = load_bundled_config("canonical")
+    cfg["grammar"] = {"alphabet": [char, "B"], "axiom": char, "rules": {char: char + "B", "B": char}}
+    cfg["mapping"]["symbols"][char] = cfg["mapping"]["symbols"].pop("A")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    argv = ["generate", "--config", str(path), "--depth", "3", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"grammar: symbol {char!r} cannot be written to a CSV event file\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_names_no_metric_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "gen"
+    main(["generate", "--out", str(out), "--seed", "3", "--depth", "2"])
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out / "piece.json"), "--metrics", ","]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == "--metrics names no metric: ','\n"
+
+
 def test_analyze_unknown_metric_is_usage_error(tmp_path, capsys):
     out = tmp_path / "gen"
     main(["generate", "--out", str(out), "--seed", "3", "--depth", "2"])
@@ -154,6 +178,9 @@ TWO_VOICES = [(0.0, 60, 0), (0.1, 62, 1), (0.2, 64, 0)]
                  ": vss: voice separation needs >= 2 events per voice", id="analyze-2-notes"),
     pytest.param(["analyze", "--in", "BAD"], events_doc(*TWO_VOICES),
                  ": vss: voice separation needs >= 2 events per voice", id="analyze-3-notes"),
+    pytest.param(["analyze", "--in", "BAD", "--metrics", "vss"],
+                 events_doc(*((t, p, 0) for t, p, _ in TWO_VOICES)),
+                 ": vss: voice separation needs 2 voices, got 1", id="analyze-1-voice"),
     pytest.param(["analyze", "--in", "BAD", "--metrics", "mc"], events_doc(*TWO_VOICES[:1]),
                  ": mc: melodic_coherence needs", id="analyze-mc-1-note"),
     pytest.param(["analyze", "--in", "BAD", "--metrics", "mc"], events_doc(*TWO_VOICES),

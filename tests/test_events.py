@@ -1,6 +1,7 @@
 import ast
 import gc
 import math
+import re
 import weakref
 from collections.abc import Sequence
 from pathlib import Path
@@ -123,7 +124,7 @@ BAD_ROWS = [
     (-math.inf, 60, 500, 0.1), (-0.031, 60, 500, 0.1), (math.nan, 60, 500, math.nan),
     (-1.0, 200, 2000, -1.0), (0.0, 60.7, 500, 0.1), (0.0, 60, 500.9, 0.1),
     (0.0, 60.5, 500.5, 0.1), (0.0, math.inf, 500, 0.1), (0.0, 60, math.nan, 0.1),
-    (0.0, 1e300, 500, 0.1),
+    (0.0, 1e300, 500, 0.1), (0.0, "60", 500, 0.1), ("0.25", 60, 500, 0.1),
 ]
 
 
@@ -189,6 +190,42 @@ def test_fractional_pitch_or_velocity_is_rejected_not_truncated():
     assert piece.pitches().dtype == np.int64 and piece.pitches().tolist() == [60, 61]
     assert piece.velocities().tolist() == [500, 700]
     assert NoteEvent(0.0, 60.0, 500.0, 0.1) == NoteEvent(0.0, 60, 500, 0.1)
+
+
+@pytest.mark.parametrize("name", ["voice", "generation", "section"])
+def test_a_fractional_int_field_is_rejected_not_truncated(name):
+    with pytest.raises(ValueError, match=f"^{name} 1.5 is not an integer$"):
+        NoteEvent(0.0, 60, 500, 0.1, **{name: 1.5})
+    with pytest.raises(RowError, match=f"^{name} 1.5 is not an integer$") as got:
+        Piece.from_columns([0.0, 0.1], 60, 500, 0.1, **{name: [0, 1.5]})
+    assert got.value.row == 1
+    with pytest.raises(RowError, match=f"^{name} -0.5 is not an integer$"):
+        Piece.from_columns([0.0, 0.1], 60, 500, 0.1, **{name: np.array([-0.5, 1.0])})
+
+
+@pytest.mark.parametrize("column,row,message", [
+    ({"pitch": [True, False]}, 0, "pitch True is not a number"),
+    ({"velocity": np.array([500, 1]).astype(bool)}, 0, "velocity True is not a number"),
+    ({"duration": np.array(["0.1", "0.2"])}, 0, "duration '0.1' is not a number"),
+    ({"voice": [0, "1"]}, 1, "voice '1' is not a number"),
+    ({"section": np.array([b"0", b"1"])}, 0, "section b'0' is not a number"),
+], ids=["bool-list", "bool-array", "str-array", "str-in-list", "bytes"])
+def test_from_columns_rejects_a_number_column_of_str_or_bool(column, row, message):
+    columns = {"onset": [0.0, 0.1], "pitch": 60, "velocity": 500, "duration": 0.1, **column}
+    with pytest.raises(RowError) as got:
+        Piece.from_columns(**columns)
+    assert (got.value.row, str(got.value)) == (row, message)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("symbol", 7, "symbol 7 is not a str"), ("voice", True, "voice True is not a number"),
+    ("generation", None, "generation None is not a number"),
+    ("section", np.uint64(2**63), "Python int too large to convert to C long"),
+])
+def test_note_event_checks_the_type_and_int64_range_of_every_field(field, value, message):
+    with pytest.raises(ValueError) as got:
+        NoteEvent(0.0, 60, 500, 0.1, **{field: value})
+    assert str(got.value) == message
 
 
 def test_from_columns_broadcasts_scalars_and_rejects_ragged_columns():
@@ -462,3 +499,26 @@ def test_rows_are_put_in_order_only_by_row_order():
         visitor.visit(ast.parse(path.read_text()))
         found += visitor.found
     assert found == []
+
+
+# the event-file keys that differ from their column names, which only events.SCHEMA spells
+EVENT_KEY = re.compile(r"\b(onset_s|velocity10|duration_s)\b")
+
+
+def event_key_literals(source: str) -> list:
+    return [(node.lineno, node.value) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and EVENT_KEY.search(node.value)]
+
+
+def test_only_events_py_spells_the_event_file_keys():
+    src = Path(polycanon.__file__).parent
+    found = [(path.relative_to(src).as_posix(), *hit) for path in sorted(src.rglob("*.py"))
+             if path.relative_to(src).as_posix() != "events.py"
+             for hit in event_key_literals(path.read_text())]
+    assert found == []
+    # a key fails the check in any str constant: a literal, a part of an f-string, a docstring
+    for source in ('x = "onset_s"', "x = f'{a}velocity10'", 'd["duration_s"]',
+                   'def f():\n    """Reads onset_s."""'):
+        assert event_key_literals(source), source
+    assert not event_key_literals('x = ["onset", "onset_sd", "velocity10x"]')

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import tempfile
 from collections import Counter, defaultdict
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycanon.cli import main
-from polycanon.events import COLUMNS, NoteEvent, Piece
+from polycanon.events import COLUMNS, CSV_UNSAFE, MIN_ONSET, NoteEvent, Piece, RowError
 from polycanon.fileio import _CHUNK_ROWS as CHUNK_ROWS
 from polycanon.fileio import (
     CSV_HEADER,
@@ -433,7 +434,8 @@ def test_csv_reader_names_the_line_of_an_out_of_range_value(tmp_path):
         read_events(path)
 
 
-@pytest.mark.parametrize("field,value", [("pitch", 60.7), ("velocity10", 500.9)])
+@pytest.mark.parametrize("field,value", [("pitch", 60.7), ("velocity10", 500.9), ("voice", 1.5),
+                                         ("generation", 1.5), ("section", 1.5)])
 def test_json_reader_rejects_a_fractional_pitch_or_velocity(tmp_path, field, value):
     path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
     doc = json.loads(path.read_text())
@@ -507,6 +509,117 @@ def test_json_reader_gives_the_first_invalid_rows_own_message(tmp_path):
     with pytest.raises(ParseError) as err:
         read_events(path)
     assert str(err.value) == f"{path}: malformed event document: pitch 300 outside [0, 127]"
+
+
+def test_json_reader_names_a_fraction_before_a_later_integer_beyond_int64(tmp_path):
+    # numpy infers an object column for these pitches, which the fraction rule covers too
+    path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
+    doc = json.loads(path.read_text())
+    doc["events"][1]["pitch"], doc["events"][2]["pitch"] = 60.5, 10**30
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: malformed event document: pitch 60.5 is not an integer"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("onset_s", "0.25", "onset '0.25' is not a number"),
+    ("voice", "3", "voice '3' is not a number"),
+    ("symbol", 7, "symbol 7 is not a str"),
+    ("pitch", True, "pitch True is not a number"),
+    ("pitch", "60", "pitch '60' is not a number"),
+    ("duration_s", None, "duration None is not a number"),
+], ids=["str-onset", "str-voice", "int-symbol", "bool-pitch", "str-pitch", "null-duration"])
+def test_json_reader_takes_each_value_as_given_in_its_json_type(tmp_path, field, value, message):
+    path = write_events_json(sample_piece(n=3), tmp_path / "p.json")
+    doc = json.loads(path.read_text())
+    doc["events"][1][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as err:
+        read_events(path)
+    assert str(err.value) == f"{path}: malformed event document: {message}"
+    assert err.value.__cause__.row == 1
+
+
+@pytest.mark.parametrize("char", CSV_UNSAFE, ids=repr)
+def test_csv_writer_rejects_a_symbol_it_cannot_hold_before_opening_the_file(tmp_path, char):
+    piece = Piece.from_columns([0.0, 0.1], 60, 500, 0.1, symbol=["A", f"B{char}"])
+    with pytest.raises(ValueError) as err:
+        write_events_csv(piece, tmp_path / "p.csv")
+    assert str(err.value) == f"symbol {f'B{char}'!r} cannot be written to a CSV event file"
+    assert not (tmp_path / "p.csv").exists()
+    assert read_events(write_events_json(piece, tmp_path / "p.json")) == piece
+
+
+@pytest.mark.parametrize("voice", [-1, 65_534, 10**6])
+def test_midi_writer_names_the_voices_a_file_can_hold(tmp_path, voice):
+    piece = Piece.from_columns([0.0, 0.1], 60, 500, 0.1, voice=[0, voice])
+    with pytest.raises(ValueError) as err:
+        write_midi(piece, MidiRenderConfig(), tmp_path / "p.mid")
+    assert str(err.value) == f"MIDI tracks need voices in 0..65,533, got {voice}"
+    assert not (tmp_path / "p.mid").exists()
+
+
+# any value of its column's type: a str symbol, an int in int64, a finite float from the floor
+valid_notes = st.lists(st.tuples(
+    st.one_of(st.floats(-0.03, 1e9), st.sampled_from([-0.03, -0.0, MIN_ONSET - 1e-9])),
+    st.integers(0, 127), st.integers(0, 1023),
+    st.floats(0.0, 1e9, exclude_min=True) | st.just(5e-324), st.integers(-2**63, 2**63 - 1),
+    st.text(max_size=3) | st.sampled_from([f"A{c}" for c in CSV_UNSAFE]),
+    st.integers(-2**63, 2**63 - 1), st.integers(-2**63, 2**63 - 1)), max_size=12)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2**63, 2**63), st.text(max_size=3),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_notes, st.lists(st.tuples(st.text(max_size=2), st.floats(0, 10), st.floats(0, 10))),
+       st.dictionaries(st.text(max_size=3), json_scalars, max_size=3))
+def test_a_piece_from_columns_reads_back_equal_from_json_and_csv(notes, sections, metadata):
+    piece = Piece.from_columns(*(list(zip(*notes)) or [()] * len(COLUMNS)),
+                               sections=sections, metadata=metadata)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert read_events(write_events_json(piece, Path(tmp) / "p.json")) == piece
+        csv_path = Path(tmp) / "p.csv"
+        if any(c in symbol for symbol in piece.column("symbol").tolist() for c in CSV_UNSAFE):
+            with pytest.raises(ValueError, match="cannot be written to a CSV event file"):
+                write_events_csv(piece, csv_path)
+            assert not csv_path.exists()
+        else:
+            back = read_events(write_events_csv(piece, csv_path))
+            assert all(np.array_equal(back.column(name), piece.column(name)) for name in COLUMNS)
+
+
+# values of each column's type that all three inputs carry, valid or not
+carried_notes = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.5, -0.03, -0.031, -1.0, math.nan, math.inf, -math.inf]),
+    st.sampled_from([60, -1, 128, 10**30]), st.sampled_from([500, -1, 1024, -10**30]),
+    st.sampled_from([0.1, 0.0, -0.5, math.nan, math.inf]),
+    st.sampled_from([0, 7, 2**63, -2**63 - 1, 10**30]), st.sampled_from(["A", ""]),
+    st.sampled_from([0, 2**63]), st.sampled_from([0, -2**63 - 1])), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(carried_notes)
+def test_from_columns_and_both_text_readers_name_the_same_first_bad_row(notes):
+    try:
+        expected = Piece.from_columns(*zip(*notes))
+    except RowError as err:
+        expected = (err.row, str(err))
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path, csv_path = Path(tmp) / "p.json", Path(tmp) / "p.csv"
+        json_path.write_text(json.dumps({"events": [dict(zip(CSV_HEADER, n)) for n in notes]}))
+        csv_path.write_text("\n".join([",".join(CSV_HEADER)]
+                                      + [",".join(map(str, n)) for n in notes]) + "\n")
+        for path in (json_path, csv_path):
+            if isinstance(expected, Piece):
+                assert read_events(path) == expected
+                continue
+            with pytest.raises(ParseError) as got:
+                read_events(path)
+            row, message = expected
+            where = "malformed event document" if path == json_path else f"line {row + 2}"
+            assert str(got.value) == f"{path}: {where}: {message}"
+            assert got.value.__cause__.row == row
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from polycanon.grammar import (
     shuffle_preserving_counts,
     symbol_counts,
 )
+from polycanon.events import CSV_UNSAFE
 from polycanon.metrics import information_rate
 from polycanon.presets import fibonacci_grammar, load_bundled_config
 from polycanon.stochastic import ConfigError
@@ -116,3 +117,14 @@ def test_grammar_from_config_names_a_missing_key(key):
     del cfg[key]
     with pytest.raises(ConfigError, match=rf"missing config key\(s\): grammar\.{key}$"):
         grammar_from_config(cfg)
+
+
+@pytest.mark.parametrize("char", CSV_UNSAFE, ids=repr)
+def test_a_symbol_a_csv_event_file_cannot_hold_is_rejected(char):
+    message = f"grammar: symbol {char!r} cannot be written to a CSV event file"
+    for cfg in ({"rules": {"A": "AB", "B": "A" + char}, "axiom": "A"},
+                {"rules": {"A": "AB", "B": "A"}, "axiom": char},
+                {"rules": {"A": "AB", "B": "A"}, "axiom": "A", "alphabet": ["A", "B", char]}):
+        with pytest.raises(ConfigError) as err:
+            grammar_from_config(cfg)
+        assert str(err.value) == message
