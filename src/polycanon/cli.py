@@ -10,8 +10,8 @@ a ConfigError), and ``main`` alone turns it into its message on stderr and
 exit 2: an unusable or unreadable config or latency model, an unreadable
 event file or one too short for a requested metric, an unknown metric, an
 unreadable or missing experiment report, an unknown experiment, no
-experiment named, a negative depth, or a seed that is negative or not an
-integer.
+experiment named, a negative depth, a generated grammar symbol the mapping
+lacks, or a seed that is negative or not an integer.
 
 The module loads only what expand, generate and compensate run: analyze
 imports ``metrics`` (and with it ``stats``) and experiment imports
@@ -39,7 +39,7 @@ from .fileio import (
 from .grammar import expand as grammar_expand
 from .grammar import grammar_from_config
 from .hal import ConstraintSet, enforce_constraints, model_from_config, precompensate
-from .mapping import table_from_config
+from .mapping import MappingError, table_from_config
 from .pipeline import generate
 from .presets import load_bundled_config
 from .stochastic import ConfigError, config_value, make_rng, reject_unknown_keys, require_keys
@@ -114,7 +114,10 @@ def _cmd_generate(args) -> int:
         raise ConfigError(f"depth must be >= 0, got {depth}")
     seed = _seed(args.seed, cfg)
     symbols = grammar_expand(grammar, depth)
-    piece = generate(symbols, table, make_rng(seed), seed=seed)
+    try:
+        piece = generate(symbols, table, make_rng(seed), seed=seed)
+    except MappingError as err:  # a symbol of the expanded string the table lacks
+        raise ConfigError(f"mapping: grammar {err.args[0]}") from err
     piece, violations = enforce_constraints(piece, ConstraintSet())
     compensated = _precompensate(piece, model)
 
@@ -160,6 +163,10 @@ def _cmd_analyze(args) -> int:
     pitches = piece.pitches()
     iois = np.diff(piece.onsets())
     for metric in wanted:
+        # the file a too-short error names: mc and rc against --pair need two
+        # notes of each piece, so the pair is the short one when --in is not
+        short = (args.pair if other is not None and metric in ("mc", "rc") and len(piece) > 1
+                 else args.infile)
         try:
             if metric == "pcc":
                 values["pcc"] = pitch_class_concentration(pitches)
@@ -185,7 +192,7 @@ def _cmd_analyze(args) -> int:
                 raise ConfigError(f"unknown metric: {metric}")
         except MetricError as err:
             # a readable piece too short for the metric
-            raise ParseError(f"{args.infile}: {metric}: {err}") from err
+            raise ParseError(f"{short}: {metric}: {err}") from err
     report = MetricReport(**values)
     if args.csv:
         print(MetricReport.csv_header())

@@ -175,7 +175,7 @@ def null_stream(density: float, rng) -> Piece:
     return Piece.from_columns(onsets, bits[:, 0] >> 25, bits[:, 1] >> 22, 0.05)
 
 
-def window_counts(piece: Piece, horizon: float, window: float = 1.0) -> np.ndarray:
-    """Onsets per unit time in each half-open window [k*window, (k+1)*window)."""
-    edges = np.arange(int(round(horizon / window)) + 1) * window
-    return np.diff(np.searchsorted(piece.onsets(), edges)) / window
+def window_counts(piece: Piece, horizon: float) -> np.ndarray:
+    """Onsets in each half-open 1 s window [k, k + 1) up to ``horizon``."""
+    edges = np.arange(int(round(horizon)) + 1)
+    return np.diff(np.searchsorted(piece.onsets(), edges)).astype(float)

@@ -119,7 +119,7 @@ def wvss_weights(report, seed: int, full_scale: bool) -> None:
     validation, and the low/high-density weight transfer."""
     rng = derive_rng(seed, "wvss")
     high = _stratified_voices(120.0, 17.0, rng)
-    w_high = estimate_weights(high, normalized=True)
+    w_high = estimate_weights(high)
     report.add("weights_high_density",
                tuple(round(w, 4) for w in w_high.as_tuple()), "wvss.weights")
     report.add("velocity_weight", w_high.w_velocity, "wvss.velocity_weight")
@@ -127,8 +127,8 @@ def wvss_weights(report, seed: int, full_scale: bool) -> None:
     halves = []
     for parity in (0, 1):
         halves.append([voice.with_columns(rows=slice(parity, None, 2)) for voice in high])
-    w_even = estimate_weights(halves[0], normalized=True)
-    w_odd = estimate_weights(halves[1], normalized=True)
+    w_even = estimate_weights(halves[0])
+    w_odd = estimate_weights(halves[1])
     deviation_pp = 100.0 * max(abs(a - b) for a, b in
                                zip(w_even.as_tuple(), w_odd.as_tuple()))
     r = float(np.corrcoef(w_even.as_tuple(), w_odd.as_tuple())[0, 1])
@@ -136,7 +136,7 @@ def wvss_weights(report, seed: int, full_scale: bool) -> None:
     report.add("split_half_correlation", r, "wvss.split_half.correlation")
 
     low = _stratified_voices(20.0, 50.0, rng)
-    w_low = estimate_weights(low, normalized=True)
+    w_low = estimate_weights(low)
     report.add("temporal_weight_low_high",
                (round(w_low.w_temporal, 4), round(w_high.w_temporal, 4)),
                "wvss.weights")

@@ -240,6 +240,7 @@ def read_midi(path) -> Piece:
     Without a velocity sidecar, a note-on's 10-bit velocity is decoded from
     its 7-bit byte and the CC#88 prefix before it on its channel
     (:func:`velocity_from_cc88`), or widened from the byte when it has none.
+    A sidecar's values must be JSON numbers, and each is judged as given.
     Note-ons with velocity 0 are treated as note-offs (running-status files
     are supported). A note-off closes an open note of its channel and key,
     and the oldest open note closes first; a note open at its track's end
@@ -351,15 +352,17 @@ def read_midi(path) -> Piece:
         payload = json.loads(sidecar_path.read_text())
         sidecar = payload["velocities"]
         shift = payload.get("onset_shift_s", shift)
+        if not (_has_json_type(sidecar, np.int64) and _has_json_type([shift], np.float64)):
+            raise ValueError(f"{sidecar_path.name}: velocities and onset_shift_s must be "
+                             "JSON numbers")
 
     columns = [np.array(c, dtype=np.int64) for c in list(zip(*notes)) or [()] * 6]
     # by (tick, track, pitch), then in the order the notes were read
     order = row_order(columns[1], columns[0], columns[3])
     track, on_tick, off_tick, pitch, v7, low = (c[order] for c in columns)
     velocity = np.where(low >= 0, velocity_from_cc88(v7, low), velocity_from_7bit(v7))
-    if sidecar is not None:
-        k = min(len(sidecar), len(notes))
-        velocity[:k] = np.asarray(sidecar[:k]).astype(np.int64)
+    if sidecar is not None:  # as given, so the piece's checks judge each value
+        velocity = sidecar[:len(notes)] + velocity[len(sidecar):].tolist()
     ticks = np.stack((on_tick, off_tick))
     seg = np.searchsorted(change, ticks, side="right") - 1  # the tempo each tick is in
     on_s, off_s = change_s[seg] + (ticks - change[seg]) * spt[seg]
@@ -453,9 +456,7 @@ def _read_events(path: Path) -> Piece:
         try:
             events = doc["events"]
             columns = [[d[key] for d in events] for key in CSV_HEADER]
-            # JSON types numpy would read as numbers: a symbol is a str, any other value a number
-            if any(not set(map(type, col)) <= ({str} if dtype is object else {int, float})
-                   for col, dtype in zip(columns, COLUMNS.values())):
+            if not all(map(_has_json_type, columns, COLUMNS.values())):
                 raise next(RowError(problem, i) for i, row in enumerate(zip(*columns))
                            if (problem := note_problem(*row)))
             sections = tuple(tuple(s) for s in doc.get("sections", []))
@@ -473,6 +474,13 @@ def _read_events(path: Path) -> Piece:
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ParseError(f"{path}: {err}") from err
     raise ParseError(f"unsupported file type: {path}")
+
+
+def _has_json_type(values, dtype) -> bool:
+    """Whether each JSON value is of the type a column of ``dtype`` takes: a str
+    for a symbol, any other value a number, and not a bool or str that numpy
+    would read as one."""
+    return set(map(type, values)) <= ({str} if dtype is object else {int, float})
 
 
 def _read_csv(path: Path) -> Piece:

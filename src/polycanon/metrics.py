@@ -319,13 +319,13 @@ def voice_separation(events_i, events_j, weights: WeightVector | None = None):
     return vss, wvss, nwvss
 
 
-def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector:
+def estimate_weights(voices: Sequence) -> WeightVector:
     """Per-domain weights proportional to the mean pairwise W1 separation;
     each voice is a :class:`Piece` or one of its event views.
 
-    With ``normalized`` the components are divided by their domain ranges
-    before weighting (the nwVSS convention). Degenerate all-zero separation
-    falls back to uniform weights with a warning.
+    The components are divided by their domain ranges before weighting (the
+    nwVSS convention). Degenerate all-zero separation falls back to uniform
+    weights with a warning.
     """
     if len(voices) < 2:
         raise MetricError("estimate_weights needs >= 2 voices")
@@ -334,9 +334,7 @@ def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector
     for i in range(len(voices)):
         for j in range(i + 1, len(voices)):
             comps = np.array(separation_components(voices[i], voices[j]))
-            if normalized:
-                comps = comps / np.array([RANGE_PITCH, RANGE_VELOCITY, RANGE_TEMPORAL])
-            totals += comps
+            totals += comps / np.array([RANGE_PITCH, RANGE_VELOCITY, RANGE_TEMPORAL])
             n_pairs += 1
     means = totals / n_pairs
     total = means.sum()
@@ -347,28 +345,25 @@ def estimate_weights(voices: Sequence, normalized: bool = False) -> WeightVector
     return WeightVector(float(w[0]), float(w[1]), float(w[2]))
 
 
-def pcs_distance(events_i, events_j, window: float = 1.0) -> float:
-    """Mean windowed (1 - cosine) distance between pitch-class histograms.
+def pcs_distance(events_i, events_j) -> float:
+    """Mean (1 - cosine) distance between pitch-class histograms over 1 s windows.
 
     Each voice is a :class:`Piece` or one of its event views.
     Windows where either voice is silent are skipped; a voice silent in
     every shared window is an error.
     """
-    if window <= 0:
-        raise MetricError("window must be > 0")
     oi = events_i.column("onset")
     oj = events_j.column("onset")
     if oi.size == 0 or oj.size == 0:
         raise MetricError("pcs_distance needs non-empty voices")
     t_end = max(oi.max(), oj.max())
-    n_windows = max(1, int(math.ceil((t_end + 1e-9) / window)))
+    n_windows = max(1, int(math.ceil(t_end + 1e-9)))
     pi = events_i.column("pitch") % 12
     pj = events_j.column("pitch") % 12
     dists = []
     for k in range(n_windows):
-        lo, hi = k * window, (k + 1) * window
-        hist_i = np.bincount(pi[(oi >= lo) & (oi < hi)], minlength=12).astype(float)
-        hist_j = np.bincount(pj[(oj >= lo) & (oj < hi)], minlength=12).astype(float)
+        hist_i = np.bincount(pi[(oi >= k) & (oi < k + 1)], minlength=12).astype(float)
+        hist_j = np.bincount(pj[(oj >= k) & (oj < k + 1)], minlength=12).astype(float)
         ni, nj = np.linalg.norm(hist_i), np.linalg.norm(hist_j)
         if ni == 0 or nj == 0:
             continue
@@ -472,8 +467,8 @@ def _lz_phrases(codes: list[int]) -> int:
 RQA_BLOCK_CELLS = 1 << 20
 
 
-def rqa_determinism(seq: Sequence[Hashable], min_line: int = 2) -> float:
-    """Share of recurrence points lying on diagonal lines of length >= min_line.
+def rqa_determinism(seq: Sequence[Hashable]) -> float:
+    """Share of recurrence points lying on diagonal lines of length >= 2.
 
     Recurrence matrix R(i, j) = 1 iff seq[i] == seq[j], main diagonal excluded.
     Computed on the upper triangle (the ratio is triangle-invariant). A
@@ -506,7 +501,7 @@ def rqa_determinism(seq: Sequence[Hashable], min_line: int = 2) -> float:
         total += int(np.count_nonzero(block))
         edges = np.flatnonzero(np.diff(block, prepend=False))
         runs = edges[1::2] - edges[0::2]
-        on_lines += int(runs[runs >= min_line].sum())
+        on_lines += int(runs[runs >= 2].sum())
         d = stop
     if total == 0:
         return 0.0

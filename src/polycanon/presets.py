@@ -41,14 +41,14 @@ def canonical_table(depth_weighted: bool = False) -> MappingTable:
     return replace(table, scale_ioi=0.9, scale_pitch=1.1) if depth_weighted else table
 
 
-def rational_canon(tau_base: float = 3.0) -> tuple[VoiceSpec, VoiceSpec]:
-    """3:4 canon; the default base interval gives voice IOIs of 1.0 s and 0.75 s."""
-    return VoiceSpec(3.0, tau_base), VoiceSpec(4.0, tau_base)
+def rational_canon() -> tuple[VoiceSpec, VoiceSpec]:
+    """3:4 canon on a base interval of 3 s: voice IOIs of 1.0 s and 0.75 s."""
+    return VoiceSpec(3.0, 3.0), VoiceSpec(4.0, 3.0)
 
 
-def transcendental_canon(tau_base: float = 1.0) -> tuple[VoiceSpec, VoiceSpec]:
-    """e:pi canon; with tau_base 1.0 the voice IOIs are 1/e and 1/pi seconds."""
-    return VoiceSpec(math.e, tau_base), VoiceSpec(math.pi, tau_base)
+def transcendental_canon() -> tuple[VoiceSpec, VoiceSpec]:
+    """e:pi canon on a base interval of 1 s: voice IOIs of 1/e and 1/pi seconds."""
+    return VoiceSpec(math.e, 1.0), VoiceSpec(math.pi, 1.0)
 
 
 def cp_switch_configs() -> tuple[ParameterConfig, ParameterConfig]:

@@ -2,10 +2,10 @@
 and two-segment breakpoint regression.
 
 Only what the experiment harness needs. Standard machinery (the KS test,
-Mann-Whitney, paired and pooled t with the noncentral-t CI, Kruskal-Wallis,
-correlations) is delegated to scipy, which each of those functions imports
-when it is called: ``ks_test``, ``mann_whitney``, ``paired_t_test``,
-``cohens_d_ci``, ``t_test_with_d``, ``kruskal_wallis`` and ``correlation``.
+Mann-Whitney, paired and pooled t, Kruskal-Wallis, correlations) is delegated
+to scipy, which each of those functions imports when it is called:
+``ks_test``, ``mann_whitney``, ``paired_t_test``, ``t_test_with_d``,
+``kruskal_wallis`` and ``correlation``.
 Everything else runs on numpy alone, so importing this module, or calling
 the metrics that use its distances, never loads scipy: KS distances, the W1
 distance (scipy's own arithmetic, so both give the same float), bootstrap,
@@ -36,7 +36,6 @@ class TestResult:
     p_value: float
     effect_name: str = ""
     effect_size: float | None = None
-    ci: tuple[float, float] | None = None
     df: float | None = None
     undefined: bool = False
     note: str = ""
@@ -140,37 +139,8 @@ def mann_whitney(x, y) -> TestResult:
                       extras={"method": method, "u_min": min(u, x.size * y.size - u)})
 
 
-def _nct_inverse(t_obs: float, df: float, tail_prob: float, tol: float = 1e-6) -> float:
-    """Noncentrality delta with P(T_{df,delta} > t_obs) = tail_prob, by bisection."""
-    from scipy import stats as sps
-
-    lo = -abs(t_obs) - 50.0
-    hi = abs(t_obs) + 50.0
-    # sf is increasing in the noncentrality parameter
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sps.nct.sf(t_obs, df, mid) < tail_prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def cohens_d_ci(t_obs: float, df: float, n1: int, n2: int, level: float = 0.95):
-    """CI for Cohen's d by inverting the noncentral t distribution.
-
-    sf(t_obs) grows with the noncentrality, so the lower bound solves
-    sf = alpha/2 and the upper bound solves sf = 1 - alpha/2.
-    """
-    alpha = 1.0 - level
-    scale = np.sqrt(1.0 / n1 + 1.0 / n2)
-    lo = _nct_inverse(t_obs, df, alpha / 2.0) * scale
-    hi = _nct_inverse(t_obs, df, 1.0 - alpha / 2.0) * scale
-    return float(lo), float(hi)
-
-
 def t_test_with_d(x, y) -> TestResult:
-    """Pooled-variance two-sample t test with Cohen's d and its 95% CI.
+    """Pooled-variance two-sample t test with Cohen's d.
 
     Zero pooled variance leaves d undefined; the result is flagged rather
     than raising, since constant-vs-anything contrasts are legitimate inputs.
@@ -192,9 +162,8 @@ def t_test_with_d(x, y) -> TestResult:
     t = (x.mean() - y.mean()) / np.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
     p = 2.0 * sps.t.sf(abs(t), df)
     d = (x.mean() - y.mean()) / np.sqrt(pooled_var)
-    ci = cohens_d_ci(float(t), df, n1, n2)
     return TestResult(float(t), float(p), effect_name="cohen d", effect_size=float(d),
-                      ci=ci, df=float(df))
+                      df=float(df))
 
 
 def paired_t_test(x, y) -> TestResult:
@@ -260,22 +229,18 @@ def bootstrap_ci(data, statistic: Callable, n_boot: int = 2000, level: float = 0
     return float(lo), float(hi)
 
 
-def permutation_test(observed: float, nulls, side: str = "greater") -> float:
-    """Monte Carlo permutation p-value: (1 + #extreme) / (len(nulls) + 1).
+def permutation_test(observed: float, nulls) -> float:
+    """One-sided Monte Carlo permutation p-value: (1 + #extreme) / (len(nulls) + 1).
 
-    ``nulls`` holds the statistic of each null draw. A null within 1e-12 of
-    ``observed`` counts as extreme, so float dust in a recomputed statistic
-    cannot make a tie look less extreme than the observation.
+    ``nulls`` holds the statistic of each null draw; one at or above
+    ``observed``, or within 1e-12 below it, is extreme, so float dust in a
+    recomputed statistic cannot make a tie look less extreme than the
+    observation.
     """
     nulls = np.asarray(nulls, dtype=float)
     if len(nulls) < 100:
         raise ValueError("permutation_test needs >= 100 trials")
-    if side == "greater":
-        extreme = np.sum(nulls >= observed - 1e-12)
-    elif side == "less":
-        extreme = np.sum(nulls <= observed + 1e-12)
-    else:
-        raise ValueError(f"unknown side {side!r}")
+    extreme = np.sum(nulls >= observed - 1e-12)
     return (1 + int(extreme)) / (len(nulls) + 1)
 
 
@@ -382,9 +347,9 @@ def piecewise_fit(x, y) -> PiecewiseFit:
     )
 
 
-def piecewise_breakpoint_ci(x, y, n_boot: int = 2000, level: float = 0.95,
+def piecewise_breakpoint_ci(x, y, n_boot: int = 2000,
                             rng: np.random.Generator | None = None) -> tuple[float, float]:
-    """Percentile bootstrap CI for the breakpoint.
+    """Percentile bootstrap 95% CI for the breakpoint.
 
     The density levels form a designed grid, so this is a residual bootstrap:
     the fitted two-segment curve stays, residuals are resampled onto it, and
@@ -405,6 +370,7 @@ def piecewise_breakpoint_ci(x, y, n_boot: int = 2000, level: float = 0.95,
     n = x.size
     idx = np.array([rng.integers(0, n, n) for _ in range(n_boot)]).reshape(n_boot, n)
     values = _best_breakpoints(x, fitted + residuals[idx])
-    alpha = 1.0 - level
+    # 1 - 0.95 is not the float 0.05, and the lower quantile reads its last bit
+    alpha = 1.0 - 0.95
     lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

@@ -125,7 +125,8 @@ def test_accelerating_search_matches_brute_force_enumeration():
         assert any(abs(e.time - t) < 1e-9 for t, _ in raw)
 
 
-@pytest.mark.parametrize("voices", [rational_canon(1.0), transcendental_canon(),
+@pytest.mark.parametrize("voices", [(VoiceSpec(3.0, 1.0), VoiceSpec(4.0, 1.0)),
+                                    transcendental_canon(),
                                     (VoiceSpec(1.0, 1.0, alpha=1.01), VoiceSpec(1.3, 1.0))],
                          ids=["rational", "transcendental", "accelerating"])
 @pytest.mark.parametrize("epsilon", [0.01, 0.2, 0.45, 0.9])

@@ -97,6 +97,19 @@ def test_generate_rejects_a_grammar_symbol_its_csv_file_cannot_hold(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_generate_names_a_grammar_symbol_the_mapping_lacks(tmp_path, capsys):
+    cfg = load_bundled_config("canonical")
+    cfg["grammar"] = {"axiom": "A", "rules": {"A": "AC", "C": "A"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    argv = ["generate", "--config", str(path), "--depth", "3", "--seed", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "mapping: grammar symbol 'C' has no mapping\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_names_no_metric_is_usage_error(tmp_path, capsys):
     out = tmp_path / "gen"
     main(["generate", "--out", str(out), "--seed", "3", "--depth", "2"])
@@ -185,6 +198,12 @@ TWO_VOICES = [(0.0, 60, 0), (0.1, 62, 1), (0.2, 64, 0)]
                  ": mc: melodic_coherence needs", id="analyze-mc-1-note"),
     pytest.param(["analyze", "--in", "BAD", "--metrics", "mc"], events_doc(*TWO_VOICES),
                  ": mc: melodic_coherence needs", id="analyze-mc-3-notes"),
+    pytest.param(["analyze", "--in", "GOOD", "--pair", "BAD", "--metrics", "mc"],
+                 events_doc(*TWO_VOICES[:1]), ": mc: melodic_coherence needs",
+                 id="analyze-pair-mc-1-note"),
+    pytest.param(["analyze", "--in", "GOOD", "--pair", "BAD", "--metrics", "rc"],
+                 events_doc(*TWO_VOICES[:1]), ": rc: rhythmic_coherence needs",
+                 id="analyze-pair-rc-1-note"),
     pytest.param(["analyze", "--in", "BAD", "--metrics", "rc"], events_doc(*TWO_VOICES[:2]),
                  ": rc: rhythmic_coherence needs non-empty IOI samples", id="analyze-rc-2-notes"),
 ])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tempfile
 from collections import Counter, defaultdict
@@ -716,21 +717,31 @@ def test_corrupt_text_files_read_or_exit_2(tmp_path, capsys, depth3_text, suffix
     assert outcomes["read"] and outcomes["ParseError"] and outcomes["exit 0"], outcomes
 
 
+# each sidecar value is taken in its JSON type, as the event document's are
+NOT_NUMBERS = "bad.mid.velocity.json: velocities and onset_shift_s must be JSON numbers"
+SIDECAR_MESSAGES = {b'{"velocities": [500.7, true]}': NOT_NUMBERS,
+                    b'{"velocities": ["500", 600]}': NOT_NUMBERS,
+                    b'{"velocities": [], "onset_shift_s": true}': NOT_NUMBERS,
+                    b'{"velocities": [500.7]}': "velocity 500.7 is not an integer"}
+
+
 @pytest.mark.parametrize("shift,sidecar", [
     (b"0.0", b"{not json"),
     (b"0.0", b'{"onset_shift_s": 0.0}'),
     (b"0.0", b'{"velocities": 7}'),
     (b"0.0", b'{"velocities": [2000]}'),
     (b"abc", None),
+    *((b"0.0", sidecar) for sidecar in SIDECAR_MESSAGES),
 ])
 def test_a_bad_shift_text_or_sidecar_is_a_parse_error_naming_the_file(tmp_path, depth3_midi,
                                                                        shift, sidecar):
+    message = SIDECAR_MESSAGES.get(sidecar, "")
     data, _ = depth3_midi
     path = tmp_path / "bad.mid"
     path.write_bytes(data.replace(b"onset_shift_s=0.0", b"onset_shift_s=" + shift))
     if sidecar is not None:
         Path(str(path) + ".velocity.json").write_bytes(sidecar)
-    with pytest.raises(ParseError, match=f"^{path}: "):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         read_events(path)
 
 

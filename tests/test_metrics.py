@@ -254,7 +254,7 @@ def test_pcs_distance_matches_window_oracle():
                             for t in np.sort(rng.uniform(0, 5, 60))])
     vj = Piece.from_events([NoteEvent(float(t), int(rng.integers(48, 85)), 500, 0.1, voice=1)
                             for t in np.sort(rng.uniform(0, 5, 60))])
-    ours = pcs_distance(vi, vj, window=1.0)
+    ours = pcs_distance(vi, vj)
     dists = []
     for k in range(5):
         hi_ = np.zeros(12)
@@ -406,7 +406,7 @@ def test_det_no_recurrence():
     assert rqa_determinism("ABCD") == 0.0
 
 
-def per_diagonal_determinism(seq, min_line=2):
+def per_diagonal_determinism(seq):
     """The one-diagonal-at-a-time loop that the block form replaced."""
     seq = list(seq)
     n = len(seq)
@@ -422,7 +422,7 @@ def per_diagonal_determinism(seq, min_line=2):
         padded = np.concatenate([[0], eq.astype(np.int8), [0]])
         edges = np.flatnonzero(np.diff(padded))
         runs = edges[1::2] - edges[0::2]
-        on_lines += int(runs[runs >= min_line].sum())
+        on_lines += int(runs[runs >= 2].sum())
     if total == 0:
         return 0.0
     return on_lines / total
@@ -432,13 +432,13 @@ def per_diagonal_determinism(seq, min_line=2):
 @given(st.one_of(st.text(alphabet="AB", min_size=2, max_size=80),
                  st.text(alphabet="ABCDEFGHIJ", min_size=2, max_size=80),
                  st.integers(2, 80).map(lambda n: "A" * n)),
-       st.integers(1, 4), st.sampled_from([1, 7, 64, 500, metrics.RQA_BLOCK_CELLS]))
-def test_det_blocks_equal_the_per_diagonal_loop(s, min_line, block_cells):
+       st.sampled_from([1, 7, 64, 500, metrics.RQA_BLOCK_CELLS]))
+def test_det_blocks_equal_the_per_diagonal_loop(s, block_cells):
     # small block bounds split the triangle into many blocks, down to one
     # diagonal per block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "RQA_BLOCK_CELLS", block_cells)
-        assert rqa_determinism(s, min_line) == per_diagonal_determinism(s, min_line)
+        assert rqa_determinism(s) == per_diagonal_determinism(s)
 
 
 LONG_TEXTS = {"periodic": "AB" * 750 + "A", "thirteen": "ABCDEFGHIJKLM" * 116,
@@ -451,14 +451,16 @@ def test_det_beyond_one_block_equals_the_per_diagonal_loop(name):
     # 1,500 symbols or more: the triangle takes more than one block of the bound
     text = LONG_TEXTS[name]
     assert len(text) ** 2 // 2 > metrics.RQA_BLOCK_CELLS
-    for min_line in (1, 2, 4):
-        assert rqa_determinism(text, min_line) == per_diagonal_determinism(text, min_line)
+    assert rqa_determinism(text) == per_diagonal_determinism(text)
 
 
 def test_det_no_recurrence_and_all_equal_strings():
     text = "".join(chr(0x100 + i) for i in range(1200))
     assert rqa_determinism(text) == per_diagonal_determinism(text) == 0.0
-    assert rqa_determinism("A" * 1200, 1) == 1.0
+    # every recurrence point but the one cell of the last diagonal is on a line
+    points = 1200 * 1199 // 2
+    assert rqa_determinism("A" * 1200) == per_diagonal_determinism("A" * 1200)
+    assert rqa_determinism("A" * 1200) == (points - 1) / points
 
 
 @settings(max_examples=40, deadline=None)
@@ -540,9 +542,7 @@ def test_metrics_read_a_piece_as_they_read_its_note_events(rows):
     for i, j in itertools.combinations(range(len(views)), 2):
         for f in (metrics.separation_components, voice_separation, pcs_distance):
             assert outcome(f, selections[i], selections[j]) == outcome(f, views[i], views[j])
-    for normalized in (False, True):
-        assert (outcome(estimate_weights, selections, normalized)
-                == outcome(estimate_weights, views, normalized))
+    assert outcome(estimate_weights, selections) == outcome(estimate_weights, views)
 
 
 @settings(max_examples=40, deadline=None)
