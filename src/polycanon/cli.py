@@ -42,7 +42,7 @@ from .hal import ConstraintSet, enforce_constraints, model_from_config, precompe
 from .mapping import MappingError, table_from_config
 from .pipeline import generate
 from .presets import load_bundled_config
-from .stochastic import ConfigError, config_value, make_rng, reject_unknown_keys, require_keys
+from .stochastic import ConfigError, config_keys, config_value, make_rng
 
 EXIT_OK = 0
 EXIT_EXPERIMENT_FAILED = 3
@@ -87,8 +87,6 @@ def _load_config(path: str | None) -> dict:
 def _cmd_expand(args) -> int:
     cfg = _load_config(args.grammar)
     grammar = grammar_from_config(cfg["grammar"] if "grammar" in cfg else cfg)
-    if args.depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {args.depth}")
     result = grammar_expand(grammar, args.depth)
     print(result.text)
     if args.tags:
@@ -96,24 +94,17 @@ def _cmd_expand(args) -> int:
     return EXIT_OK
 
 
-# the sections of the config document that `generate` reads
-CONFIG_KEYS = ("grammar", "mapping", "depth", "seed", "hal", "midi")
-
-
 def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    reject_unknown_keys(cfg, CONFIG_KEYS, "")
-    require_keys(cfg, ("grammar", "mapping"), "")
+    config_keys(cfg, "", ("grammar", "mapping"), ("depth", "seed", "hal", "midi"))
     midi = midi_from_config(cfg.get("midi", {}))
     grammar = grammar_from_config(cfg["grammar"])
     table = table_from_config(cfg["mapping"])
     model = model_from_config(cfg.get("hal", {}))
     depth = (args.depth if args.depth is not None
              else config_value(cfg.get("depth", 4), int, "depth"))
-    if depth < 0:
-        raise ConfigError(f"depth must be >= 0, got {depth}")
+    symbols = grammar_expand(grammar, depth)  # a bad depth is named before a bad seed
     seed = _seed(args.seed, cfg)
-    symbols = grammar_expand(grammar, depth)
     try:
         piece = generate(symbols, table, make_rng(seed), seed=seed)
     except MappingError as err:  # a symbol of the expanded string the table lacks

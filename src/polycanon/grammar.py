@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .events import csv_symbol_problem
-from .stochastic import ConfigError, config_list, config_value, make_rng
-from .stochastic import reject_unknown_keys, require_keys
+from .stochastic import ConfigError, config_keys, config_list, config_value, make_rng
 
 
 class InvalidGrammarError(ValueError):
@@ -82,8 +81,7 @@ def grammar_from_config(cfg: dict) -> Grammar:
     needs and lacks, a value of the wrong type or an invalid grammar (one
     with a symbol that holds a comma or a line break, say) raises
     ConfigError naming its path, e.g. ``grammar.axoim`` or ``grammar.rules.A``."""
-    reject_unknown_keys(cfg, ("rules", "axiom", "alphabet"), "grammar")
-    require_keys(cfg, ("rules", "axiom"), "grammar")
+    config_keys(cfg, "grammar", ("rules", "axiom"), ("alphabet",))
     rules = {head: config_value(body, str, f"grammar.rules.{head}")
              for head, body in config_value(cfg["rules"], dict, "grammar.rules").items()}
     alphabet = cfg.get("alphabet")
@@ -99,7 +97,7 @@ def grammar_from_config(cfg: dict) -> Grammar:
 def expand(grammar: Grammar, depth: int) -> SymbolString:
     """Apply parallel rewriting `depth` times to the axiom, tagging generations."""
     if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+        raise ConfigError(f"depth must be >= 0, got {depth}")
     current = [TaggedSymbol(s, 0) for s in grammar.axiom]
     for _ in range(depth):
         rewritten: list[TaggedSymbol] = []

@@ -97,20 +97,12 @@ class FilterConfig:
 def _window_extremes(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Exact max and min of values[lo[i]:hi[i]] for every i (each slice non-empty).
 
-    A sparse table holds the extremes of every power-of-two run, so each
-    window is the union of two overlapping runs: O(n log w) memory and time
-    for a longest window w, never an (n x w) matrix.
+    One ``reduceat`` each over the interleaved bounds lo[0], hi[0], lo[1], ...:
+    its even results are the windows. The padding value lets ``hi`` equal n.
     """
-    level = np.frexp(hi - lo)[1] - 1  # floor(log2(window length)), exact
-    top = np.tile(values, (int(level.max()) + 1, 1))
-    bottom = top.copy()
-    for k in range(1, len(top)):
-        half = 1 << (k - 1)
-        np.maximum(top[k - 1, :-half], top[k - 1, half:], out=top[k, :-half])
-        np.minimum(bottom[k - 1, :-half], bottom[k - 1, half:], out=bottom[k, :-half])
-    right = hi - (1 << level)
-    return (np.maximum(top[level, lo], top[level, right]),
-            np.minimum(bottom[level, lo], bottom[level, right]))
+    bounds = np.column_stack((lo, hi)).ravel()
+    padded = np.append(values, 0)
+    return np.maximum.reduceat(padded, bounds)[::2], np.minimum.reduceat(padded, bounds)[::2]
 
 
 def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece:
@@ -124,7 +116,7 @@ def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece
     if not len(piece):
         return piece.with_columns()
     onsets = piece.onsets()
-    velocities = piece.velocities().astype(float)
+    velocities = piece.velocities()
     half = cfg.window / 2.0
     lo = np.searchsorted(onsets, onsets - half, side="left")
     hi = np.searchsorted(onsets, onsets + half, side="right")
@@ -135,7 +127,7 @@ def robustness_filter(piece: Piece, cfg: FilterConfig = FilterConfig()) -> Piece
     mean = (prefix[hi[flagged]] - prefix[lo[flagged]]) / (hi[flagged] - lo[flagged])
     compressed = np.clip(np.round(mean + cfg.gamma * (velocities[flagged] - mean)),
                          0, VELOCITY_MAX).astype(int)
-    out = piece.velocities().copy()
+    out = velocities.copy()
     out[flagged] = compressed
     return piece.with_columns(velocity=out)
 
@@ -337,8 +329,8 @@ def _true_latencies(velocities, true_model: LatencyModel, noise: NoiseSpec, rng)
 
 
 def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyModel,
-                      noise: NoiseSpec = NoiseSpec(), trials: int = 50,
-                      rng: np.random.Generator | None = None) -> MismatchResult:
+                      noise: NoiseSpec = NoiseSpec(), *, trials: int,
+                      rng: np.random.Generator) -> MismatchResult:
     """Onset-jitter SD with and without compensation when the true latency law
     deviates from the assumed one, over seeded trials.
 
@@ -348,7 +340,6 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
     v = np.asarray(velocities, dtype=float)
     assumed_ms = latency(assumed, v)
     raw = np.empty(trials)

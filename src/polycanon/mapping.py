@@ -14,12 +14,11 @@ from .events import PITCH_MAX
 from .stochastic import (
     ConfigError,
     Distribution,
+    config_keys,
     config_list,
     config_value,
     dist_from_config,
     dist_to_config,
-    reject_unknown_keys,
-    require_keys,
 )
 
 
@@ -174,8 +173,7 @@ def _pitch_to_config(source: PitchSource) -> dict:
 
 def _pitch_from_config(cfg: dict, path: str) -> PitchSource:
     if isinstance(cfg, dict) and cfg.get("type") == "pitch_set":
-        reject_unknown_keys(cfg, ("type", "classes", "lo", "hi", "weights"), path)
-        require_keys(cfg, ("classes", "lo", "hi"), path)
+        config_keys(cfg, path, ("type", "classes", "lo", "hi"), ("weights",))
         weights = cfg.get("weights")
         return PitchSet(config_list(cfg["classes"], int, f"{path}.classes"),
                         config_value(cfg["lo"], int, f"{path}.lo"),
@@ -198,9 +196,7 @@ def config_from_dict(cfg: dict, path: str = "") -> ParameterConfig:
     """A symbol's parameters from their JSON form; a key it does not read, or
     one it needs and lacks, raises ConfigError naming it under ``path``."""
     at = f"{path}." if path else ""
-    keys = ("ioi", "pitch", "velocity", "ratios", "duration")
-    reject_unknown_keys(cfg, keys, path)
-    require_keys(cfg, keys, path)
+    config_keys(cfg, path, ("ioi", "pitch", "velocity", "ratios", "duration"))
     pitch_cfg = cfg["pitch"]
     if isinstance(pitch_cfg, list):
         pitch = tuple(_pitch_from_config(p, f"{at}pitch.{i}") for i, p in enumerate(pitch_cfg))
@@ -227,8 +223,7 @@ def table_from_config(cfg: dict) -> MappingTable:
     """The ``mapping`` section's table; a key it does not read, or one it
     needs and lacks, raises ConfigError naming its path, e.g.
     ``mapping.symbols.A.ioi.sigma`` or ``mapping.symbols.A.ratios``."""
-    reject_unknown_keys(cfg, ("symbols", "scale_ioi", "scale_pitch"), "mapping")
-    require_keys(cfg, ("symbols",), "mapping")
+    config_keys(cfg, "mapping", ("symbols",), ("scale_ioi", "scale_pitch"))
     symbols = config_value(cfg["symbols"], dict, "mapping.symbols")
     return MappingTable(
         configs={s: config_from_dict(c, f"mapping.symbols.{s}") for s, c in symbols.items()},

@@ -11,7 +11,7 @@ from .canon import ConvergenceQuery, VoiceSpec, find_convergences, voice_times_u
 from .events import KEY_RESET_WINDOW, KEYBOARD, Piece, PITCH_MAX, VELOCITY_MAX, key_reset_kept
 from .grammar import SymbolString
 from .mapping import MappingTable, ParameterConfig, resolve
-from .stochastic import MIN_IOI, reject_unknown_keys, renewal_onsets, thinned_onsets
+from .stochastic import MIN_IOI, config_keys, renewal_onsets, thinned_onsets
 
 
 class InfeasibleError(ValueError):
@@ -192,7 +192,7 @@ def generate_beyond_human(kind: str, **cfg) -> Piece:
     """
     if kind not in TEXTURE_DEFAULTS:
         raise ValueError(f"unknown beyond-human kind {kind!r}")
-    reject_unknown_keys(cfg, TEXTURE_DEFAULTS[kind], kind)
+    config_keys(cfg, kind, optional=TEXTURE_DEFAULTS[kind])
     cfg = {**TEXTURE_DEFAULTS[kind], **cfg}
     if kind == "polyphony":
         chord_size, n_chords = int(cfg["chord_size"]), int(cfg["n_chords"])

@@ -212,13 +212,12 @@ def correlation(x, y, kind: str = "pearson") -> TestResult:
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_ci(data, statistic: Callable, n_boot: int = 2000, level: float = 0.95,
-                 rng: np.random.Generator | None = None) -> tuple[float, float]:
+def bootstrap_ci(data, statistic: Callable, n_boot: int = 2000, level: float = 0.95, *,
+                 rng: np.random.Generator) -> tuple[float, float]:
     """Seeded percentile bootstrap CI for a statistic of one sample."""
     if n_boot < 100:
         raise ValueError("n_boot must be >= 100")
     data = np.asarray(data)
-    rng = rng if rng is not None else np.random.default_rng(0)
     n = data.shape[0]
     values = np.empty(n_boot, dtype=float)
     for b in range(n_boot):
@@ -347,8 +346,8 @@ def piecewise_fit(x, y) -> PiecewiseFit:
     )
 
 
-def piecewise_breakpoint_ci(x, y, n_boot: int = 2000,
-                            rng: np.random.Generator | None = None) -> tuple[float, float]:
+def piecewise_breakpoint_ci(x, y, n_boot: int = 2000, *,
+                            rng: np.random.Generator) -> tuple[float, float]:
     """Percentile bootstrap 95% CI for the breakpoint.
 
     The density levels form a designed grid, so this is a residual bootstrap:
@@ -360,7 +359,6 @@ def piecewise_breakpoint_ci(x, y, n_boot: int = 2000,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rng = rng if rng is not None else np.random.default_rng(0)
     fit = piecewise_fit(x, y)
     left = x <= fit.breakpoint
     fitted = np.where(left,

@@ -16,7 +16,10 @@ Each law is a frozen dataclass that carries its own behaviour, so this module
 - ``scaled(factor)`` is the IOI law under depth modulation, ``widened(factor)``
   the pitch law (spread scaled about the centre).
 - ``cdf(x)``, the closed-form CDF, exists for constant, uniform and exponential.
-- Config I/O is one type-name table plus the dataclass fields.
+- Config I/O is one type-name table plus the dataclass fields. Every config
+  reader checks its values with :func:`config_value` and :func:`config_list`,
+  the keys of each mapping with one :func:`config_keys` call, and a dataclass
+  section with :func:`config_section`.
 
 ``PitchSet.sample`` has the same signature and one draw order: all ``n``
 classes, then all ``n`` octave placements.
@@ -67,34 +70,29 @@ def config_list(values, kind: type, path: str) -> tuple:
                  for i, v in enumerate(config_value(values, list, path)))
 
 
-def reject_unknown_keys(cfg: dict, known, path: str) -> None:
-    """Raise ConfigError naming every key of ``cfg`` outside ``known`` as
-    ``path.key``, or naming ``path`` when ``cfg`` is not a mapping."""
+def config_keys(cfg: dict, path: str, required=(), optional=()) -> None:
+    """Raise ConfigError naming ``path`` when ``cfg`` is not a mapping, else
+    every key of ``cfg`` in neither ``required`` nor ``optional`` as
+    ``path.key`` (a bare key at the top level), else every ``required`` key
+    missing from ``cfg``."""
     config_value(cfg, dict, path)
-    unknown = [f"{path}.{key}" if path else str(key) for key in cfg if key not in known]
-    if unknown:
+    name = (lambda key: f"{path}.{key}") if path else str
+    if unknown := [name(key) for key in cfg if key not in required and key not in optional]:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    if missing := [name(key) for key in required if key not in cfg]:
+        raise ConfigError(f"missing config key(s): {', '.join(missing)}")
 
 
 def config_section(cls, cfg: dict, path: str):
     """The dataclass ``cls`` from the config section ``cfg`` at ``path``, each value
     read as its field default's type; a ConfigError names ``path.key`` or ``path``."""
     kinds = {f.name: type(f.default) for f in fields(cls)}
-    reject_unknown_keys(cfg, kinds, path)
+    config_keys(cfg, path, optional=kinds)
     values = {key: config_value(value, kinds[key], f"{path}.{key}") for key, value in cfg.items()}
     try:
         return cls(**values)
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from err
-
-
-def require_keys(cfg: dict, required, path: str) -> None:
-    """Raise ConfigError naming every key of ``required`` missing from ``cfg``
-    as ``path.key``, or naming ``path`` when ``cfg`` is not a mapping."""
-    config_value(cfg, dict, path)
-    missing = [f"{path}.{key}" if path else str(key) for key in required if key not in cfg]
-    if missing:
-        raise ConfigError(f"missing config key(s): {', '.join(missing)}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -309,20 +307,19 @@ def dist_from_config(cfg: dict, path: str = "") -> Distribution:
     naming it under ``path``.
     """
     at = f"{path}." if path else ""
-    require_keys(cfg, ("type",), path)
+    config_keys(cfg, path, ("type",), cfg)  # any key may stand until the type names the fields
     kind = config_value(cfg["type"], str, f"{at}type")
     if kind not in _TYPES:
         raise ConfigError(f"unknown distribution type: {kind!r}")
     if kind == "exponential" and "rate" not in cfg and "scale" in cfg:
-        reject_unknown_keys(cfg, ("type", "scale"), path)
+        config_keys(cfg, path, ("type", "scale"))
         scale = config_value(cfg["scale"], float, f"{at}scale")
         if scale <= 0:
             raise ConfigError(f"{at}scale must be > 0, got {scale}")
         return Exponential(1.0 / scale)
     law = _TYPES[kind]
     names = tuple(f.name for f in fields(law))
-    reject_unknown_keys(cfg, ("type", *names), path)
-    require_keys(cfg, names, path)
+    config_keys(cfg, path, ("type", *names))
     return law(*(config_value(cfg[name], float, f"{at}{name}") for name in names))
 
 

@@ -170,7 +170,7 @@ def test_correlation_examples():
 
 
 def test_bootstrap_ci_constant_data():
-    lo, hi = bootstrap_ci(np.full(20, 7.0), np.mean, n_boot=200)
+    lo, hi = bootstrap_ci(np.full(20, 7.0), np.mean, n_boot=200, rng=np.random.default_rng(0))
     assert lo == hi == 7.0
 
 
@@ -181,7 +181,7 @@ def test_bootstrap_ci_brackets_point_estimate():
                           rng=np.random.default_rng(3))
     assert lo < data.mean() < hi
     with pytest.raises(ValueError):
-        bootstrap_ci(data, np.mean, n_boot=10)
+        bootstrap_ci(data, np.mean, n_boot=10, rng=np.random.default_rng(3))
 
 
 def test_permutation_test_extreme_observation():

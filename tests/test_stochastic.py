@@ -1,3 +1,4 @@
+import json
 import math
 import typing
 from dataclasses import dataclass, fields
@@ -6,6 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from polycanon.cli import main
+from polycanon.fileio import midi_from_config
+from polycanon.grammar import grammar_from_config
+from polycanon.hal import model_from_config
+from polycanon.mapping import config_from_dict, table_from_config
+from polycanon.pipeline import generate_beyond_human
+from polycanon.presets import load_bundled_config
 from polycanon.stochastic import (
     ConfigError,
     Constant,
@@ -206,6 +214,77 @@ def test_dist_from_config_names_a_missing_key_by_path():
         dist_from_config({"type": "exponential"}, "ioi")
     with pytest.raises(ConfigError, match=r"missing config key\(s\): type$"):
         dist_from_config({"value": 0.2})
+
+
+_SYMBOL = {"ioi": {"type": "constant", "value": 0.2}, "pitch": {"type": "constant", "value": 60},
+           "velocity": {"type": "constant", "value": 500}, "ratios": [1.0]}
+_CANONICAL = load_bundled_config("canonical")
+_LAWS = {"constant": ({}, "value"), "uniform": ({"lo": 0.0}, "hi"),
+         "gaussian": ({"mu": 0.0}, "sigma"), "exponential": ({}, "rate")}
+
+
+def _key_cases():
+    """(reader, a section holding the unknown key ``bogus``, the message it
+    gives, the message once ``bogus`` is removed or None when the section has
+    no required key). The ``generate`` reader is the top-level document read
+    by ``polycanon generate --config``."""
+    unknown, missing = "unknown config key(s): {}", "missing config key(s): {}"
+    yield pytest.param(
+        "generate", {k: v for k, v in _CANONICAL.items() if k != "mapping"} | {"bogus": 1},
+        unknown.format("bogus"), missing.format("mapping"), id="document")
+    yield pytest.param(grammar_from_config, {"rules": {"A": "AB"}, "bogus": 1},
+                       unknown.format("grammar.bogus"), missing.format("grammar.axiom"),
+                       id="grammar")
+    yield pytest.param(table_from_config, {"scale_ioi": 1.0, "bogus": 1},
+                       unknown.format("mapping.bogus"), missing.format("mapping.symbols"),
+                       id="mapping")
+    yield pytest.param(lambda cfg: config_from_dict(cfg, "mapping.symbols.A"),
+                       {**_SYMBOL, "bogus": 1}, unknown.format("mapping.symbols.A.bogus"),
+                       missing.format("mapping.symbols.A.duration"), id="symbol")
+    yield pytest.param(lambda cfg: config_from_dict({**_SYMBOL, "duration": 0.5, "pitch": cfg},
+                                                    "A"),
+                       {"type": "pitch_set", "classes": [0, 7], "lo": 40, "bogus": 1},
+                       unknown.format("A.pitch.bogus"), missing.format("A.pitch.hi"),
+                       id="pitch_set")
+    for kind, (given, lacking) in _LAWS.items():
+        for path, at in (("ioi", "ioi."), ("", "")):
+            yield pytest.param(lambda cfg, path=path: dist_from_config(cfg, path),
+                               {"type": kind, **given, "bogus": 1},
+                               unknown.format(f"{at}bogus"), missing.format(f"{at}{lacking}"),
+                               id=f"{kind}-{path or 'top'}")
+    yield pytest.param(lambda cfg: dist_from_config(cfg, "ioi"),
+                       {"type": "exponential", "scale": 0.5, "bogus": 1},
+                       unknown.format("ioi.bogus"), None, id="exponential-scale")
+    # a law's fields depend on its type, so a missing type is named first
+    yield pytest.param(lambda cfg: dist_from_config(cfg, "ioi"), {"value": 0.2, "bogus": 1},
+                       missing.format("ioi.type"), missing.format("ioi.type"), id="law-type")
+    yield pytest.param(model_from_config, {"c": 0.5, "bogus": 1}, unknown.format("hal.bogus"),
+                       None, id="hal")
+    yield pytest.param(midi_from_config, {"ppq": 480, "bogus": 1},
+                       unknown.format("midi.bogus"), None, id="midi")
+    for kind in ("polyphony", "trill", "arpeggio"):
+        yield pytest.param(lambda cfg, kind=kind: generate_beyond_human(kind, **cfg),
+                           {"bogus": 1}, unknown.format(f"{kind}.bogus"), None, id=kind)
+
+
+def _config_error(read, cfg, tmp_path, capsys) -> str:
+    if read == "generate":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        return capsys.readouterr().err.strip()
+    with pytest.raises(ConfigError) as err:
+        read(cfg)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("read,cfg,with_unknown,with_missing", _key_cases())
+def test_every_config_reader_names_unknown_keys_before_missing_ones(
+        tmp_path, capsys, read, cfg, with_unknown, with_missing):
+    assert _config_error(read, cfg, tmp_path, capsys).endswith(with_unknown)
+    if with_missing is not None:
+        cfg = {k: v for k, v in cfg.items() if k != "bogus"}
+        assert _config_error(read, cfg, tmp_path, capsys).endswith(with_missing)
 
 
 # The per-law dispatch that the law methods replaced, kept as references.
