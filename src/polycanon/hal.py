@@ -9,11 +9,12 @@ L(VELOCITY_MAX) = L_min and are monotone non-increasing in velocity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .events import KEY_RESET_WINDOW, KEYBOARD, Piece, VELOCITY_MAX, key_reset_kept, row_order
-from .stochastic import config_section
+from .stochastic import config_section, config_value
 
 
 class FitError(ValueError):
@@ -210,7 +211,6 @@ def fit_power_law(data: CalibrationData, l_max: float = 30.0,
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    velocity_range: tuple[int, int] = (0, VELOCITY_MAX)
     min_key_ioi: float = KEY_RESET_WINDOW
     max_polyphony: int = len(KEYBOARD)
     scan_resolution: float = 0.001
@@ -218,56 +218,32 @@ class ConstraintSet:
     def __post_init__(self):
         if self.min_key_ioi <= 0 or self.scan_resolution <= 0 or self.max_polyphony <= 0:
             raise ValueError("constraint fields must be positive")
-        lo, hi = self.velocity_range
-        if not 0 <= lo <= hi <= VELOCITY_MAX:
-            raise ValueError(f"velocity range must satisfy 0 <= lo <= hi <= {VELOCITY_MAX}, "
-                             f"got {self.velocity_range}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    reason: str       # "velocity range" | "per-key rate" | "polyphony"
-    onset: float
-    pitch: int
-    action: str
+class Violation(NamedTuple):
+    reason: str  # "per-key rate" | "polyphony"
+    row: int     # the dropped note's row in the input piece
 
 
 def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
     """Repair a piece against the hardware inequalities; report every change.
 
-    Repair order matters and is fixed: velocity clamp, then the per-key
-    collision mask, then the simultaneity cap (lowest velocities dropped
-    beyond the key count).
+    Repair order matters and is fixed: the per-key collision mask, then the
+    simultaneity cap (lowest velocities dropped beyond the key count). The
+    report holds one ``Violation`` per dropped note, whose ``row`` indexes
+    ``piece``: the per-key repairs in row order, then the polyphony repairs
+    cluster by cluster, each cluster's in the order the cap drops them.
 
     The constraints hold on the onsets of ``piece``, which are sounding
     onsets in ``polycanon generate``: it enforces them before
     ``precompensate``, and the command stream it writes is not checked
     again (see ``precompensate``).
     """
-    report: list[Violation] = []
-    n = len(piece)
     onsets, pitches, velocities = piece.onsets(), piece.pitches(), piece.velocities()
-    lo, hi = cs.velocity_range
-    bad = np.flatnonzero((velocities < lo) | (velocities > hi))
-    report.extend(Violation("velocity range", t, p, f"clamped {v} to [{lo}, {hi}]")
-                  for t, p, v in zip(onsets[bad].tolist(), pitches[bad].tolist(),
-                                     velocities[bad].tolist()))
-    velocities = np.clip(velocities, lo, hi)
-
     masked = key_reset_kept(onsets, pitches, cs.min_key_ioi)
-    kept = np.zeros(n, dtype=bool)
+    kept = np.zeros(len(piece), dtype=bool)
     kept[masked] = True
-    dropped = np.flatnonzero(~kept)
-    if dropped.size:
-        # a dropped note's previous strike is the latest kept note before it
-        # on its key; the first note on every key is kept
-        code = pitches * (n + 1) + np.arange(n)  # by key, then scan order
-        kept_codes = np.sort(code[masked])
-        previous = kept_codes[np.searchsorted(kept_codes, code[dropped]) - 1] % (n + 1)
-        gaps = onsets[dropped] - onsets[previous]
-        report.extend(Violation("per-key rate", t, p, f"dropped; {gap:.4f}s after previous strike")
-                      for t, p, gap in zip(onsets[dropped].tolist(), pitches[dropped].tolist(),
-                                           gaps.tolist()))
+    report = [Violation("per-key rate", row) for row in np.flatnonzero(~kept).tolist()]
 
     # simultaneity clusters: runs of masked notes less than scan_resolution apart
     starts = np.flatnonzero(np.diff(onsets[masked]) >= cs.scan_resolution) + 1
@@ -279,11 +255,9 @@ def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
         # keep the loudest: order by (-velocity, pitch), ties in scan order
         losers = row_order(-velocities[rows], pitches[rows])[cs.max_polyphony:]
         keep[a + losers] = False
-        report.extend(Violation("polyphony", t, p, f"dropped; {b - a} simultaneous notes")
-                      for t, p in zip(onsets[rows[losers]].tolist(),
-                                      pitches[rows[losers]].tolist()))
+        report.extend(Violation("polyphony", row) for row in rows[losers].tolist())
 
-    return piece.with_columns(rows=masked[keep], velocity=velocities), report
+    return piece.with_columns(rows=masked[keep]), report
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +269,7 @@ def enforce_constraints(piece: Piece, cs: ConstraintSet = ConstraintSet()):
 class NoiseSpec:
     multiplicative: float = 0.0   # +-fraction, uniform per note
     additive_ms: float = 0.0      # +-ms, uniform per note
-    exponent_drift: float = 0.0   # bounded random-walk step for the true exponent
+    exponent_drift: float = 0.0   # random-walk step of a power-law true model's exponent c
 
 
 @dataclass(frozen=True)
@@ -313,11 +287,15 @@ class MismatchResult:
         return float(self.corrected_ms.mean())
 
 
+# the drifting exponent stays within these multiples of the true model's c
+DRIFT_BAND = (0.7, 1.3)
+
+
 def _true_latencies(velocities, true_model: LatencyModel, noise: NoiseSpec, rng):
     v = np.asarray(velocities, dtype=float)
     if noise.exponent_drift > 0:
         steps = rng.uniform(-noise.exponent_drift, noise.exponent_drift, v.size)
-        c_path = np.clip(true_model.c + np.cumsum(steps), 0.35, 0.65)
+        c_path = np.clip(true_model.c + np.cumsum(steps), *np.multiply(DRIFT_BAND, true_model.c))
         base = _power_law(v / VELOCITY_MAX, true_model.l_max, true_model.l_min, c_path)
     else:
         base = latency(true_model, v)
@@ -340,6 +318,8 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if noise.exponent_drift > 0 and true_model.variant != "power":
+        raise ValueError(f"exponent drift needs a power-law true model, got {true_model.variant!r}")
     v = np.asarray(velocities, dtype=float)
     assumed_ms = latency(assumed, v)
     raw = np.empty(trials)
@@ -357,6 +337,15 @@ def simulate_mismatch(velocities, assumed: LatencyModel, true_model: LatencyMode
     return MismatchResult(raw, hal, p)
 
 
+# the parameters a variant does not read, and so rejects as unknown keys
+_UNREAD = {"linear": ("c", "k"), "power": ("k",), "log": ("c",)}
+
+
 def model_from_config(cfg: dict) -> LatencyModel:
-    """The ``hal`` section's latency model; errors name their path, e.g. ``hal.lmax``."""
-    return config_section(LatencyModel, cfg, "hal")
+    """The ``hal`` section's latency model; errors name their path, e.g. ``hal.lmax``.
+
+    The ``variant`` is read first, since it decides the keys: ``c`` only
+    with the power law and ``k`` only with the log law."""
+    cfg = config_value(cfg, dict, "hal")
+    variant = config_value(cfg.get("variant", LatencyModel.variant), str, "hal.variant")
+    return config_section(LatencyModel, cfg, "hal", exclude=_UNREAD.get(variant, ()))

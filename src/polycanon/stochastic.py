@@ -83,10 +83,11 @@ def config_keys(cfg: dict, path: str, required=(), optional=()) -> None:
         raise ConfigError(f"missing config key(s): {', '.join(missing)}")
 
 
-def config_section(cls, cfg: dict, path: str):
+def config_section(cls, cfg: dict, path: str, exclude=()):
     """The dataclass ``cls`` from the config section ``cfg`` at ``path``, each value
-    read as its field default's type; a ConfigError names ``path.key`` or ``path``."""
-    kinds = {f.name: type(f.default) for f in fields(cls)}
+    read as its field default's type; a field in ``exclude`` is an unknown key.
+    A ConfigError names ``path.key`` or ``path``."""
+    kinds = {f.name: type(f.default) for f in fields(cls) if f.name not in exclude}
     config_keys(cfg, path, optional=kinds)
     values = {key: config_value(value, kinds[key], f"{path}.{key}") for key, value in cfg.items()}
     try:

@@ -10,23 +10,25 @@ from polycanon.events import COLUMNS, VELOCITY_MAX, NoteEvent, Piece
 from polycanon.fileio import read_events
 from polycanon.grammar import expand
 from polycanon.hal import (
+    DRIFT_BAND,
     CalibrationData,
     ConstraintSet,
     FilterConfig,
     FitError,
     LatencyModel,
     NoiseSpec,
-    Violation,
     enforce_constraints,
     fit_power_law,
     latency,
+    model_from_config,
     precompensate,
     robustness_filter,
     simulate_mismatch,
+    _true_latencies,
 )
 from polycanon.pipeline import generate
-from polycanon.presets import canonical_table, fibonacci_grammar
-from polycanon.stochastic import make_rng
+from polycanon.presets import canonical_table, fibonacci_grammar, load_bundled_config
+from polycanon.stochastic import ConfigError, make_rng
 
 ALL_VARIANTS = [LatencyModel(variant="linear"), LatencyModel(variant="power", c=0.5),
                 LatencyModel(variant="log", k=9.0)]
@@ -264,23 +266,8 @@ def test_enforce_constraints_polyphony_cap():
     reasons = {v.reason for v in report}
     assert reasons == {"polyphony"}
     assert len(report) == 12
-    dropped = {v.pitch for v in report}
+    dropped = set(piece.pitches()[[v.row for v in report]].tolist())
     assert dropped == set(range(20, 32))  # lowest velocities go first
-
-
-def test_enforce_constraints_velocity_clamp_and_mask():
-    events = [NoteEvent(0.0, 60, 1010, 0.1), NoteEvent(0.02, 60, 400, 0.1)]
-    piece = Piece.from_events(events)
-    cs = ConstraintSet(velocity_range=(0, 1000))
-    repaired, report = enforce_constraints(piece, cs)
-    assert [e.velocity for e in repaired.events] == [1000]
-    assert {v.reason for v in report} == {"velocity range", "per-key rate"}
-
-
-@pytest.mark.parametrize("vrange", [(900, 100), (-1, 500), (0, 1024), (600, 599)])
-def test_constraint_set_rejects_an_invalid_velocity_range(vrange):
-    with pytest.raises(ValueError, match="velocity range"):
-        ConstraintSet(velocity_range=vrange)
 
 
 def test_enforce_constraints_clean_piece_untouched():
@@ -292,73 +279,88 @@ def test_enforce_constraints_clean_piece_untouched():
 
 
 def enforce_reference(piece, cs):
-    """Per-event constraint repair: clamp, per-key mask, then the polyphony cap."""
+    """Per-event constraint repair: the per-key mask, then the polyphony cap.
+    The report is (reason, row) items, each row from ``enumerate(piece.events)``."""
     report = []
-    lo, hi = cs.velocity_range
-    clamped = []
-    for e in piece.events:
-        if e.velocity < lo or e.velocity > hi:
-            report.append(Violation("velocity range", e.onset, e.pitch,
-                                    f"clamped {e.velocity} to [{lo}, {hi}]"))
-            e = replace(e, velocity=int(np.clip(e.velocity, lo, hi)))
-        clamped.append(e)
     last_kept, masked = {}, []
-    for e in sorted(clamped, key=lambda ev: (ev.onset, ev.voice, ev.pitch)):
+    for row, e in sorted(enumerate(piece.events),
+                         key=lambda item: (item[1].onset, item[1].voice, item[1].pitch)):
         prev = last_kept.get(e.pitch)
         if prev is not None and e.onset - prev < cs.min_key_ioi - 1e-9:
-            report.append(Violation("per-key rate", e.onset, e.pitch,
-                                    f"dropped; {e.onset - prev:.4f}s after previous strike"))
+            report.append(("per-key rate", row))
             continue
-        masked.append(e)
+        masked.append((row, e))
         last_kept[e.pitch] = e.onset
     kept, cluster = [], []
 
     def flush():
         if len(cluster) <= cs.max_polyphony:
-            kept.extend(cluster)
+            kept.extend(e for _, e in cluster)
             return
-        by_velocity = sorted(cluster, key=lambda ev: (-ev.velocity, ev.pitch))
-        kept.extend(by_velocity[:cs.max_polyphony])
-        report.extend(Violation("polyphony", e.onset, e.pitch,
-                                f"dropped; {len(cluster)} simultaneous notes")
-                      for e in by_velocity[cs.max_polyphony:])
+        by_velocity = sorted(cluster, key=lambda item: (-item[1].velocity, item[1].pitch))
+        kept.extend(e for _, e in by_velocity[:cs.max_polyphony])
+        report.extend(("polyphony", row) for row, _ in by_velocity[cs.max_polyphony:])
 
-    for e in masked:
-        if cluster and e.onset - cluster[-1].onset >= cs.scan_resolution:
+    for row, e in masked:
+        if cluster and e.onset - cluster[-1][1].onset >= cs.scan_resolution:
             flush()
             cluster = []
-        cluster.append(e)
+        cluster.append((row, e))
     flush()
     return Piece.from_events(kept, piece.sections, piece.metadata), report
 
 
 @settings(max_examples=150, deadline=None)
-@given(dense_pieces, st.sampled_from([(0, 1023), (200, 800), (500, 500)]),
-       st.sampled_from([0.05, 0.01, 0.002]), st.integers(1, 6), st.sampled_from([0.001, 0.004]))
-def test_enforce_constraints_matches_per_event_reference(piece, vrange, key_ioi, poly, scan):
-    cs = ConstraintSet(velocity_range=vrange, min_key_ioi=key_ioi, max_polyphony=poly,
-                       scan_resolution=scan)
+@given(dense_pieces, st.sampled_from([0.05, 0.01, 0.002]), st.integers(1, 6),
+       st.sampled_from([0.001, 0.004]))
+def test_enforce_constraints_matches_per_event_reference(piece, key_ioi, poly, scan):
+    cs = ConstraintSet(min_key_ioi=key_ioi, max_polyphony=poly, scan_resolution=scan)
     repaired, report = enforce_constraints(piece, cs)
     expected, expected_report = enforce_reference(piece, cs)
     assert report == expected_report
     assert repaired == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(dense_pieces, st.sampled_from([0.05, 0.01, 0.002]), st.integers(1, 6),
+       st.sampled_from([0.001, 0.004]))
+def test_repair_rows_give_the_gap_and_the_cluster_of_each_drop(piece, key_ioi, poly, scan):
+    """Each repair's cause can be read back from the rows alone: a per-key
+    drop lies less than the window after the latest note the mask kept on
+    its key, and a polyphony drop sits in a cluster of more than
+    ``max_polyphony`` notes, of which the cap keeps exactly that many."""
+    cs = ConstraintSet(min_key_ioi=key_ioi, max_polyphony=poly, scan_resolution=scan)
+    repaired, report = enforce_constraints(piece, cs)
+    rows = np.arange(len(piece))
+    dropped = [row for _, row in report]
+    assert len(set(dropped)) == len(dropped)
+    assert repaired == piece.with_columns(rows=np.setdiff1d(rows, dropped))
+    onsets, pitches = piece.onsets(), piece.pitches()
+    masked = np.setdiff1d(rows, [row for reason, row in report if reason == "per-key rate"])
+    for reason, row in report:
+        if reason == "per-key rate":
+            previous = masked[(masked < row) & (pitches[masked] == pitches[row])][-1]
+            assert 0 <= onsets[row] - onsets[previous] < key_ioi - 1e-9
+    capped = {row for reason, row in report if reason == "polyphony"}
+    for cluster in np.split(masked, np.flatnonzero(np.diff(onsets[masked]) >= scan) + 1):
+        assert len(cluster) - len(capped.intersection(cluster.tolist())) == min(len(cluster), poly)
+
+
 def test_enforce_constraints_matches_reference_on_a_wide_chord_and_narrow_range(canonical):
     rng = make_rng(9)
-    # a 120-note chord over 100 keys (20 re-strikes), then a second, spread chord
+    # a 120-note chord over 100 keys (20 re-strikes), then a second chord spread
+    # over a narrow 38 ms range, whose onsets 0.4 ms apart chain into one cluster
     events = [NoteEvent(1.0, 14 + i % 100, int(v), 0.5, i % 3)
               for i, v in enumerate(rng.integers(0, 1024, 120))]
     events += [NoteEvent(2.0 + 0.0004 * i, 20 + i, int(v), 0.5)
                for i, v in enumerate(rng.integers(0, 1024, 95))]
     piece = Piece.from_events(events, (("A", 0.0, 3.0),), {"seed": 9})
-    cs = ConstraintSet(velocity_range=(300, 700))
-    repaired, report = enforce_constraints(piece, cs)
-    expected, expected_report = enforce_reference(piece, cs)
+    repaired, report = enforce_constraints(piece)
+    expected, expected_report = enforce_reference(piece, ConstraintSet())
     assert report == expected_report
     assert repaired == expected
-    assert {v.reason for v in report} == {"velocity range", "per-key rate", "polyphony"}
-    for cs in (ConstraintSet(), ConstraintSet(velocity_range=(100, 900), max_polyphony=4)):
+    assert {v.reason for v in report} == {"per-key rate", "polyphony"}
+    for cs in (ConstraintSet(), ConstraintSet(max_polyphony=4)):
         assert enforce_constraints(canonical, cs) == enforce_reference(canonical, cs)
 
 
@@ -425,10 +427,6 @@ def test_simulate_mismatch_directions():
 
 
 def test_model_from_config_rejects_an_unknown_key_by_path():
-    from polycanon.hal import model_from_config
-    from polycanon.presets import load_bundled_config
-    from polycanon.stochastic import ConfigError
-
     cfg = load_bundled_config("canonical")["hal"]
     assert model_from_config(cfg) == LatencyModel()
     with pytest.raises(ConfigError, match=r"hal\.lmax"):
@@ -437,3 +435,43 @@ def test_model_from_config_rejects_an_unknown_key_by_path():
         model_from_config({**cfg, "variant": 2})
     with pytest.raises(ConfigError, match=r"hal: power exponent"):  # out of range
         model_from_config({**cfg, "c": 2.0})
+
+
+@pytest.mark.parametrize("variant,key", [("linear", "c"), ("log", "c"), ("linear", "k"),
+                                         ("power", "k")])
+def test_model_from_config_rejects_a_parameter_its_variant_does_not_read(variant, key):
+    with pytest.raises(ConfigError, match=rf"^unknown config key\(s\): hal\.{key}$"):
+        model_from_config({"variant": variant, key: 0.5})
+
+
+def test_model_from_config_reads_only_the_variant_s_own_parameter():
+    with pytest.raises(ConfigError, match=r"^unknown config key\(s\): hal\.c, hal\.k$"):
+        model_from_config({"variant": "linear", "c": 5.0, "k": -1.0})
+    assert model_from_config({"variant": "log", "k": 4.0}) == LatencyModel(variant="log", k=4.0)
+    assert model_from_config({"c": 0.3}) == LatencyModel(c=0.3)  # the power law by default
+    # an unknown variant is named as such, not by the keys it might have read
+    with pytest.raises(ConfigError, match=r"^hal: unknown latency variant 'cubic'$"):
+        model_from_config({"variant": "cubic", "c": 0.5, "k": 9.0})
+
+
+def test_the_bundled_hal_section_sets_only_what_the_power_law_reads():
+    cfg = load_bundled_config("canonical")["hal"]
+    assert cfg == {"variant": "power", "l_max": 30.0, "l_min": 10.0, "c": 0.5}
+    assert model_from_config(cfg) == LatencyModel()
+
+
+@pytest.mark.parametrize("variant", ["linear", "log"])
+def test_exponent_drift_needs_a_power_law_true_model(variant):
+    with pytest.raises(ValueError, match=f"power-law true model, got '{variant}'"):
+        simulate_mismatch([500.0], LatencyModel(), LatencyModel(variant=variant),
+                          NoiseSpec(exponent_drift=1e-12), trials=1, rng=make_rng(0))
+
+
+def test_exponent_drift_stays_within_its_band_around_c():
+    model = LatencyModel(variant="power", c=0.8)
+    ms = _true_latencies(np.full(2000, VELOCITY_MAX / 2), model, NoiseSpec(exponent_drift=0.2),
+                         make_rng(0))
+    # invert the power law at u = 1/2 to read back each note's exponent
+    c_path = np.log((model.l_max - ms) / (model.l_max - model.l_min)) / np.log(0.5)
+    np.testing.assert_allclose([c_path.min(), c_path.max()], [0.56, 1.04], rtol=1e-12)
+    assert np.multiply(DRIFT_BAND, 0.5).tolist() == [0.35, 0.65]
